@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import DeclaredConflictError, NoOverlapError, SchemaError, ZeroBaselineError
+from .codec import require_number
+from .errors import (DeclaredConflictError, NoOverlapError, SchemaError, UnknownMetricError,
+                     ZeroBaselineError)
 from .ingest import DeclaredRow, LabelManifest, PredictionDataset
 from .label import (
     CANONICAL_CATEGORY_ORDER,
@@ -23,6 +25,7 @@ from .label import (
     Provenance,
     canonical_groups,
     completeness,
+    is_finite_number,
 )
 from .metrics import (
     Direction,
@@ -30,6 +33,7 @@ from .metrics import (
     majority_class_baseline,
     make_scorer,
     metric_direction,
+    metric_spec,
     percent_over_baseline,
     select_standard_metric,
 )
@@ -62,15 +66,44 @@ def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float)
     elif isinstance(declared, MeanStd) and isinstance(computed, MeanStd):
         _conflict(f"{path}.mean", declared.mean, computed.mean)
         _conflict(f"{path}.std", declared.std, computed.std)
-    elif isinstance(declared, (int, float)) and isinstance(computed, (int, float)):
+    elif is_finite_number(declared) and is_finite_number(computed):
         _conflict(path, declared, computed, scale)
     else:
         raise DeclaredConflictError(
             f"{path}: declared {declared!r} has a different shape than computed {computed!r}")
 
 
-def _standard_direction(name: str) -> Direction:
-    return metric_direction(name) or Direction.MAXIMIZE
+def _checked_scorer(name: str, dataset: PredictionDataset, manifest: LabelManifest):
+    """make_scorer, after checking that a listed metric fits the model type."""
+    spec = metric_spec(name)
+    if spec is not None and spec.classification != manifest.model_type.is_classification:
+        raise UnknownMetricError(
+            f"metric '{name}' does not apply to {manifest.model_type.display_name} models")
+    return make_scorer(name, dataset.positive_class)
+
+
+def _pct_over_cell(dataset: PredictionDataset, manifest: LabelManifest, name: str,
+                   raw: float | None, direction: Direction, declared: Provenance | None,
+                   baseline: float | None = None) -> Provenance:
+    """The percent-over-baseline cell of one metric, optimized or standard.
+
+    A declared percent must agree with one computed from an explicit baseline
+    (only the optimized metric has one).  A majority-class baseline of zero
+    (F1 on a negative majority) leaves the percent undefined, so the declared
+    cell or not_collected stands in.
+    """
+    if baseline is not None:
+        pct = percent_over_baseline(raw, baseline, direction)
+        if declared is not None and declared.is_reported:
+            _conflict("optimized_metric.pct_over_baseline", declared.value, pct, scale=100.0)
+        return Provenance.reported(pct)
+    if manifest.baseline_policy == "majority-class" and raw is not None:
+        try:
+            return Provenance.reported(percent_over_baseline(
+                raw, majority_class_baseline(dataset, name), direction))
+        except ZeroBaselineError:
+            pass
+    return declared or Provenance.not_collected()
 
 
 def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> ModelFactsLabel:
@@ -81,28 +114,15 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
     cross-checked against computed values: a declared number that contradicts
     its computed counterpart is an error, not a silent override.
     """
-    scorer = make_scorer(manifest.optimized_name, dataset.positive_class)
+    scorer = _checked_scorer(manifest.optimized_name, dataset, manifest)
     optimized_raw = scorer(dataset.records)
     if manifest.optimized_raw is not None and manifest.optimized_raw.is_reported:
         _conflict("optimized_metric.raw", manifest.optimized_raw.value, optimized_raw)
-
-    if manifest.baseline is not None:
-        pct = percent_over_baseline(optimized_raw, manifest.baseline, manifest.optimized_direction)
-        if manifest.optimized_pct_over is not None and manifest.optimized_pct_over.is_reported:
-            _conflict("optimized_metric.pct_over_baseline",
-                      manifest.optimized_pct_over.value, pct, scale=100.0)
-        optimized_pct = Provenance.reported(pct)
-    elif manifest.baseline_policy == "majority-class":
-        baseline = majority_class_baseline(dataset, manifest.optimized_name)
-        optimized_pct = Provenance.reported(
-            percent_over_baseline(optimized_raw, baseline, manifest.optimized_direction))
-    elif manifest.optimized_pct_over is not None:
-        optimized_pct = manifest.optimized_pct_over
-    else:
-        optimized_pct = Provenance.not_collected()
-
-    optimized = MetricValue(manifest.optimized_name,
-                            Provenance.reported(optimized_raw), optimized_pct)
+    optimized = MetricValue(
+        manifest.optimized_name, Provenance.reported(optimized_raw),
+        _pct_over_cell(dataset, manifest, manifest.optimized_name, optimized_raw,
+                       manifest.optimized_direction, manifest.optimized_pct_over,
+                       baseline=manifest.baseline))
     standard = _standard_metric(dataset, manifest)
 
     info = DatasetInfo(
@@ -129,26 +149,17 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
 
 def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> MetricValue:
     name = manifest.standard_name or select_standard_metric(manifest.model_type)
-    computable = dataset.has_predictions
     raw_value = None
-    if computable:
-        raw_value = make_scorer(name, dataset.positive_class)(dataset.records)
+    if dataset.has_predictions:
+        raw_value = _checked_scorer(name, dataset, manifest)(dataset.records)
         if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
             _conflict("standard_metric.raw", manifest.standard_raw.value, raw_value)
         raw_cell = Provenance.reported(raw_value)
     else:
         raw_cell = manifest.standard_raw or Provenance.not_collected()
-
-    if manifest.baseline_policy == "majority-class" and raw_value is not None:
-        try:
-            baseline = majority_class_baseline(dataset, name)
-            pct_cell = Provenance.reported(
-                percent_over_baseline(raw_value, baseline, _standard_direction(name)))
-        except ZeroBaselineError:
-            pct_cell = manifest.standard_pct_over or Provenance.not_collected()
-    else:
-        pct_cell = manifest.standard_pct_over or Provenance.not_collected()
-    return MetricValue(name, raw_cell, pct_cell)
+    direction = metric_direction(name) or Direction.MAXIMIZE
+    return MetricValue(name, raw_cell, _pct_over_cell(
+        dataset, manifest, name, raw_value, direction, manifest.standard_pct_over))
 
 
 def _assemble_demographics(dataset: PredictionDataset, manifest: LabelManifest,
@@ -386,12 +397,9 @@ def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> Reference
     for category, groups in categories.items():
         if not isinstance(groups, Mapping) or not groups:
             raise SchemaError(f"categories.{category}", "must be a non-empty object")
-        parsed: dict[str, float] = {}
-        for group, pct in groups.items():
-            if isinstance(pct, bool) or not isinstance(pct, (int, float)):
-                raise SchemaError(f"categories.{category}.{group}", "must be a number")
-            parsed[group] = float(pct)
-        distributions[category] = parsed
+        distributions[category] = {
+            group: float(require_number(pct, f"categories.{category}.{group}"))
+            for group, pct in groups.items()}
     try:
         return ReferencePopulation(name=name, distributions=distributions)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from .assemble import (
     load_reference_population_file,
     representation_audit,
 )
-from .codec import encode_provenance
+from .codec import encode_metric, encode_provenance
 from .errors import ModelFactsError
 from .ingest import load_label_manifest, load_predictions
 from .label import ModelFactsLabel, validate_label
@@ -140,16 +140,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "entries": [
                 {
                     "identifier": e.identifier,
-                    "optimized": {
-                        "name": e.optimized.name,
-                        "raw_score": encode_provenance(e.optimized.raw_score),
-                        "pct_over_baseline": encode_provenance(e.optimized.pct_over_baseline),
-                    },
-                    "standard": {
-                        "name": e.standard.name,
-                        "raw_score": encode_provenance(e.standard.raw_score),
-                        "pct_over_baseline": encode_provenance(e.standard.pct_over_baseline),
-                    },
+                    "optimized": encode_metric(e.optimized),
+                    "standard": encode_metric(e.standard),
                     "completeness": e.completeness,
                 }
                 for e in report.entries

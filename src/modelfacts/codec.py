@@ -6,12 +6,12 @@ vocabulary, so it lives in one place.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Any
 
 from .errors import DateParseError, SchemaError
-from .label import MeanStd, PartialDate, PctTarget, Provenance, ProvenanceState
+from .label import (MeanStd, MetricValue, PartialDate, PctTarget, Provenance, ProvenanceState,
+                    is_finite_number)
 
 _STATE_BY_NAME = {state.value: state for state in ProvenanceState}
 
@@ -43,18 +43,16 @@ def encode_value(value: Any) -> Any:
 def decode_target(obj: Any, path: str) -> PctTarget | MeanStd:
     if isinstance(obj, dict):
         if set(obj) == {"pct_target"}:
-            return PctTarget(_require_number(obj["pct_target"], f"{path}.pct_target"))
+            return PctTarget(require_number(obj["pct_target"], f"{path}.pct_target"))
         if set(obj) == {"mean", "std"}:
-            return MeanStd(_require_number(obj["mean"], f"{path}.mean"),
-                           _require_number(obj["std"], f"{path}.std"))
+            return MeanStd(require_number(obj["mean"], f"{path}.mean"),
+                           require_number(obj["std"], f"{path}.std"))
     raise SchemaError(path, "target stat must be {pct_target} or {mean, std}")
 
 
-def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise SchemaError(path, f"number must be finite, got {value!r}")
+def require_number(value: Any, path: str) -> float:
+    if not is_finite_number(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -64,11 +62,22 @@ def _require_count(value: Any, path: str) -> int:
     return value
 
 
+_DECODERS = {"number": require_number, "count": _require_count, "target": decode_target}
+
+
 def encode_provenance(cell: Provenance) -> dict[str, Any]:
     obj: dict[str, Any] = {"state": cell.state.value}
     if cell.is_reported:
         obj["value"] = encode_value(cell.value)
     return obj
+
+
+def encode_metric(mv: MetricValue) -> dict[str, Any]:
+    return {
+        "name": mv.name,
+        "raw_score": encode_provenance(mv.raw_score),
+        "pct_over_baseline": encode_provenance(mv.pct_over_baseline),
+    }
 
 
 def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
@@ -92,20 +101,11 @@ def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
         return Provenance(state)
     if "value" not in obj:
         raise SchemaError(path, "reported state requires a value")
-    raw = obj["value"]
-    if kind == "count":
-        return Provenance.reported(_require_count(raw, f"{path}.value"))
-    if kind == "target":
-        return Provenance.reported(decode_target(raw, f"{path}.value"))
-    return Provenance.reported(_require_number(raw, f"{path}.value"))
+    return Provenance.reported(_DECODERS[kind](obj["value"], f"{path}.value"))
 
 
 def decode_cell(obj: Any, path: str, kind: str = "number") -> Provenance:
     """Like decode_provenance, but accepts a bare value as reported shorthand."""
     if isinstance(obj, dict) and "state" in obj:
         return decode_provenance(obj, path, kind)
-    if kind == "count":
-        return Provenance.reported(_require_count(obj, path))
-    if kind == "target":
-        return Provenance.reported(decode_target(obj, path))
-    return Provenance.reported(_require_number(obj, path))
+    return Provenance.reported(_DECODERS[kind](obj, path))

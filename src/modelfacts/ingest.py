@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Mapping
 
-from .codec import decode_cell, encode_provenance, parse_partial_date
+from .codec import decode_cell, encode_provenance, parse_partial_date, require_number
 from .errors import (
     BadValueError,
     DuplicateIdError,
@@ -28,12 +28,14 @@ from .label import (
     CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
     DateRange,
+    MeanStd,
     ModelType,
     PartialDate,
+    PctTarget,
     Provenance,
     canonical_groups,
 )
-from .metrics import Direction, metric_direction
+from .metrics import Direction, metric_direction, metric_spec
 
 MANIFEST_SCHEMA_VERSION = "1.0"
 
@@ -238,7 +240,6 @@ def _parse_date_range(raw: Any, path: str) -> DateRange:
 def _parse_declared_demographics(raw: Any, model_type: ModelType) -> dict[str, dict[str, DeclaredRow]]:
     if not isinstance(raw, dict):
         raise SchemaError("demographics", "expected an object of categories")
-    target_kind = "target"
     out: dict[str, dict[str, DeclaredRow]] = {}
     for category, spec in raw.items():
         path = f"demographics.{category}"
@@ -280,7 +281,7 @@ def _parse_declared_demographics(raw: Any, model_type: ModelType) -> dict[str, d
             row: DeclaredRow = {}
             for stat in _STAT_KEYS:
                 if stat in row_spec:
-                    kind = target_kind if stat == "target" else "number"
+                    kind = "target" if stat == "target" else "number"
                     row[stat] = decode_cell(row_spec[stat], f"{row_path}.{stat}", kind)
                 elif default_state is not None:
                     row[stat] = default_state
@@ -294,8 +295,6 @@ def _parse_declared_demographics(raw: Any, model_type: ModelType) -> dict[str, d
 
 
 def _check_target_variants(rows: dict[str, DeclaredRow], model_type: ModelType, path: str) -> None:
-    from .label import MeanStd, PctTarget
-
     for group, row in rows.items():
         target = row["target"]
         if not target.is_reported:
@@ -306,6 +305,10 @@ def _check_target_variants(rows: dict[str, DeclaredRow], model_type: ModelType, 
         if not model_type.is_classification and not isinstance(target.value, MeanStd):
             raise SchemaError(f"{path}.rows.{group}.target",
                               "regression labels report mean and std")
+
+
+def _optional_cell(doc: Mapping, key: str, path: str, kind: str = "number") -> Provenance | None:
+    return decode_cell(doc[key], f"{path}.{key}", kind) if key in doc else None
 
 
 def _checked_pct(cell: Provenance | None, path: str) -> Provenance | None:
@@ -361,18 +364,18 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
             raise SchemaError("optimized_metric.direction",
                               f"expected 'maximize' or 'minimize', got {opt['direction']!r}") from None
     else:
-        inferred = metric_direction(opt_name)
-        if inferred is None:
+        direction = metric_direction(opt_name)
+        if direction is None:
             raise UnknownMetricError(
                 f"metric '{opt_name}' has no known direction; set optimized_metric.direction")
-        direction = inferred
 
-    optimized_raw = decode_cell(opt["raw"], "optimized_metric.raw") if "raw" in opt else None
-    optimized_pct = (decode_cell(opt["pct_over_baseline"], "optimized_metric.pct_over_baseline")
-                     if "pct_over_baseline" in opt else None)
+    optimized_raw = _optional_cell(opt, "raw", "optimized_metric")
+    optimized_pct = _optional_cell(opt, "pct_over_baseline", "optimized_metric")
     baseline = opt.get("baseline")
-    if baseline is not None and (isinstance(baseline, bool) or not isinstance(baseline, (int, float))):
-        raise SchemaError("optimized_metric.baseline", "must be a number")
+    if baseline is not None:
+        if require_number(baseline, "optimized_metric.baseline") == 0:
+            raise SchemaError("optimized_metric.baseline",
+                              "must be nonzero; a percent over a zero baseline is undefined")
     baseline_policy = opt.get("baseline_policy")
     if baseline_policy is not None:
         if baseline_policy != "majority-class":
@@ -394,9 +397,8 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
             standard_name = std["name"]
             if not isinstance(standard_name, str) or not standard_name:
                 raise SchemaError("standard_metric.name", "must be a non-empty string")
-        standard_raw = decode_cell(std["raw"], "standard_metric.raw") if "raw" in std else None
-        standard_pct = (decode_cell(std["pct_over_baseline"], "standard_metric.pct_over_baseline")
-                        if "pct_over_baseline" in std else None)
+        standard_raw = _optional_cell(std, "raw", "standard_metric")
+        standard_pct = _optional_cell(std, "pct_over_baseline", "standard_metric")
 
     sample_count = train_pct = test_pct = None
     if "dataset" in doc:
@@ -404,14 +406,11 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
         if not isinstance(ds, Mapping):
             raise SchemaError("dataset", "expected an object")
         _check_keys(ds, {"count", "train_pct", "test_pct"}, "dataset")
-        if "count" in ds:
-            sample_count = decode_cell(ds["count"], "dataset.count", kind="count")
-            if sample_count.is_reported and sample_count.value < 0:
-                raise SchemaError("dataset.count", "must be nonnegative")
-        train_pct = _checked_pct(decode_cell(ds["train_pct"], "dataset.train_pct")
-                                 if "train_pct" in ds else None, "dataset.train_pct")
-        test_pct = _checked_pct(decode_cell(ds["test_pct"], "dataset.test_pct")
-                                if "test_pct" in ds else None, "dataset.test_pct")
+        sample_count = _optional_cell(ds, "count", "dataset", kind="count")
+        if sample_count is not None and sample_count.is_reported and sample_count.value < 0:
+            raise SchemaError("dataset.count", "must be nonnegative")
+        train_pct = _checked_pct(_optional_cell(ds, "train_pct", "dataset"), "dataset.train_pct")
+        test_pct = _checked_pct(_optional_cell(ds, "test_pct", "dataset"), "dataset.test_pct")
 
     demographics = (_parse_declared_demographics(doc["demographics"], model_type)
                     if "demographics" in doc else {})
@@ -494,11 +493,11 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     """Parse a delimited predictions file into a validated dataset.
 
     Requires columns `id` and `y_true`; `score` when the optimized metric is
-    AUC, otherwise `y_pred`.  Any further column whose name matches a
-    manifest-known category becomes a demographic attribute: `age` is bucketed
-    from integer years and other values are normalized against the canonical
-    group names plus the manifest's alias map, with unmatched values mapped
-    to "Other".  Row counts are never silently reduced.
+    scored from it (AUC), otherwise `y_pred`.  Any further column whose name
+    matches a manifest-known category becomes a demographic attribute: `age`
+    is bucketed from integer years and other values are normalized against
+    the canonical group names plus the manifest's alias map, with unmatched
+    values mapped to "Other".  Row counts are never silently reduced.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -521,7 +520,8 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
         raise MissingColumnError("id")
     if truth_idx is None:
         raise MissingColumnError("y_true")
-    needs_score = manifest.optimized_name.lower() == "auc"
+    spec = metric_spec(manifest.optimized_name)
+    needs_score = spec is not None and spec.needs_score
     if needs_score and score_idx is None:
         raise MissingColumnError("score")
     if not needs_score and pred_idx is None:

@@ -13,6 +13,7 @@ out-of-range label can still be loaded, inspected, and reported on.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterator
@@ -334,42 +335,23 @@ def sentence_terminator_count(text: str) -> int:
 
 _MAX_APPLICATION_CHARS = 200
 
-# Raw-score ranges by metric name (case-insensitive): (low, high) or None for
-# unbounded below.  Metrics absent from this map have no range rule.
-_SCORE_RANGES: dict[str, tuple[float | None, float]] = {
-    "accuracy": (0.0, 1.0),
-    "f1": (0.0, 1.0),
-    "auc": (0.0, 1.0),
-    "precision": (0.0, 1.0),
-    "recall": (0.0, 1.0),
-    "r2": (None, 1.0),
-}
+
+def is_finite_number(value: Any) -> bool:
+    """A finite int or float, not a bool; NaN and ints beyond float range fail the comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
-def _metric_range_violations(mv: MetricValue, path: str) -> list[Violation]:
-    out = []
-    rng = _SCORE_RANGES.get(mv.name.lower().replace("-", "").replace("_", ""))
-    if rng is not None and mv.raw_score.is_reported:
-        low, high = rng
-        v = mv.raw_score.value
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            out.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE,
-                                 f"{mv.name} raw score must be a number", f"{path}.raw_score"))
-        elif (low is not None and v < low) or v > high:
-            bounds = f"[{low}, {high}]" if low is not None else f"(-inf, {high}]"
-            out.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE,
-                                 f"{mv.name} raw score {v} outside {bounds}", f"{path}.raw_score"))
-    return out
-
-
-def _pct_violation(cell: Provenance, path: str, what: str) -> Violation | None:
-    if not cell.is_reported:
-        return None
-    v = cell.value
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 100.0:
-        return Violation(ViolationCode.VALUE_OUT_OF_RANGE,
-                         f"{what} {v!r} outside [0, 100]", path)
-    return None
+def _range_violations(value: Any, low: float | None, high: float | None,
+                      path: str, what: str) -> list[Violation]:
+    """VALUE_OUT_OF_RANGE unless value is a finite number in [low, high]; a None bound is open."""
+    if is_finite_number(value) and (low is None or low <= value) and (high is None or value <= high):
+        return []
+    lower = "(-inf" if low is None else f"[{low}"
+    upper = "inf)" if high is None else f"{high}]"
+    return [Violation(ViolationCode.VALUE_OUT_OF_RANGE,
+                      f"{what} {value!r} outside {lower}, {upper}", path)]
 
 
 def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None) -> list[Violation]:
@@ -379,6 +361,7 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
     the label is publishable.  Honest gaps (non-Reported provenance states)
     are never violations; only broken structure or out-of-range values are.
     """
+    from .metrics import metric_spec, select_standard_metric
     from .render import RenderBudget, render_text
 
     if budget is None:
@@ -408,17 +391,18 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
         path = f"accuracy.{side}"
         if mv.raw_score.is_reported:
             v = mv.raw_score.value
-            in_unit = isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+            in_unit = is_finite_number(v) and 0.0 <= v <= 1.0
             if not in_unit and not mv.pct_over_baseline.is_reported:
                 violations.append(Violation(
                     ViolationCode.NON_NORMALIZED_METRIC,
                     f"{mv.name} raw score {v!r} is not in [0, 1] and no percentage accompanies it",
                     path))
-        violations.extend(_metric_range_violations(mv, path))
+            spec = metric_spec(mv.name)
+            if spec is not None and spec.score_range is not None:
+                violations += _range_violations(v, *spec.score_range, f"{path}.raw_score",
+                                                f"{mv.name} raw score")
 
     # Standard metric must match the model type's mandate.
-    from .metrics import select_standard_metric
-
     mandated = select_standard_metric(label.application.model_type)
     if label.accuracy.standard.name != mandated:
         violations.append(Violation(
@@ -455,9 +439,8 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
                 f"sample count {v!r} must be a nonnegative integer",
                 "dataset.sample_count"))
     for part, cell in (("train_pct", ds.train_pct), ("test_pct", ds.test_pct)):
-        v = _pct_violation(cell, f"dataset.{part}", f"{part}")
-        if v:
-            violations.append(v)
+        if cell.is_reported:
+            violations += _range_violations(cell.value, 0, 100, f"dataset.{part}", part)
     if ds.train_pct.is_reported and ds.test_pct.is_reported:
         total = ds.train_pct.value + ds.test_pct.value
         if total > 100.0 + 1e-9:
@@ -470,31 +453,19 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
     for cat in label.demographics:
         for row in cat.rows:
             base = f"demographics.{cat.category_name}.{row.group_name}"
-            v = _pct_violation(row.pct_in_test, f"{base}.pct_in_test", "test-data percentage")
-            if v:
-                violations.append(v)
+            if row.pct_in_test.is_reported:
+                violations += _range_violations(row.pct_in_test.value, 0, 100,
+                                                f"{base}.pct_in_test", "test-data percentage")
             if row.group_accuracy.is_reported:
-                acc = row.group_accuracy.value
-                ok = isinstance(acc, (int, float)) and not isinstance(acc, bool) and 0.0 <= acc <= 1.0
-                if not ok:
-                    violations.append(Violation(
-                        ViolationCode.VALUE_OUT_OF_RANGE,
-                        f"group accuracy {acc!r} outside [0, 1]",
-                        f"{base}.group_accuracy"))
-            if row.target_stat.is_reported:
-                t = row.target_stat.value
-                if isinstance(t, PctTarget):
-                    if not 0.0 <= t.pct <= 100.0:
-                        violations.append(Violation(
-                            ViolationCode.VALUE_OUT_OF_RANGE,
-                            f"target percentage {t.pct} outside [0, 100]",
-                            f"{base}.target_stat"))
-                elif isinstance(t, MeanStd):
-                    if t.std < 0:
-                        violations.append(Violation(
-                            ViolationCode.VALUE_OUT_OF_RANGE,
-                            f"standard deviation {t.std} is negative",
-                            f"{base}.target_stat"))
+                violations += _range_violations(row.group_accuracy.value, 0, 1,
+                                                f"{base}.group_accuracy", "group accuracy")
+            target = row.target_stat.value  # None unless reported
+            if isinstance(target, PctTarget):
+                violations += _range_violations(target.pct, 0, 100,
+                                                f"{base}.target_stat", "target percentage")
+            elif isinstance(target, MeanStd):
+                violations += _range_violations(target.std, 0, None,
+                                                f"{base}.target_stat", "standard deviation")
 
     violations.sort(key=lambda v: (v.location, v.code.value, v.message))
     return violations

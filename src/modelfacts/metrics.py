@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import (
     EmptyDatasetError,
@@ -42,39 +42,6 @@ class Direction(Enum):
 
     MAXIMIZE = "maximize"
     MINIMIZE = "minimize"
-
-
-_KNOWN_DIRECTIONS = {
-    "accuracy": Direction.MAXIMIZE,
-    "f1": Direction.MAXIMIZE,
-    "auc": Direction.MAXIMIZE,
-    "r2": Direction.MAXIMIZE,
-    "precision": Direction.MAXIMIZE,
-    "recall": Direction.MAXIMIZE,
-    "logloss": Direction.MINIMIZE,
-    "crossentropy": Direction.MINIMIZE,
-    "mse": Direction.MINIMIZE,
-    "rmse": Direction.MINIMIZE,
-    "mae": Direction.MINIMIZE,
-    "brier": Direction.MINIMIZE,
-}
-
-
-def _canon_metric_name(name: str) -> str:
-    return name.lower().replace("-", "").replace("_", "").replace(" ", "")
-
-
-def metric_direction(name: str) -> Direction | None:
-    """Direction for a known metric name, else None.
-
-    Names containing "loss" or "error" are treated as minimized.
-    """
-    key = _canon_metric_name(name)
-    if key in _KNOWN_DIRECTIONS:
-        return _KNOWN_DIRECTIONS[key]
-    if "loss" in key or "error" in key:
-        return Direction.MINIMIZE
-    return None
 
 
 @dataclass(frozen=True)
@@ -223,47 +190,113 @@ def select_standard_metric(model_type: ModelType) -> str:
     }[model_type]
 
 
+def _r2(truth: Sequence[float], predicted: Sequence[float], positive_class) -> float:
+    stats = regression_stats(truth, predicted)
+    if stats.r2 is None:
+        raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
+    return stats.r2
+
+
+def _f1_baseline(counts: Counter, majority, positive_class) -> float:
+    # Predicting the positive class everywhere has recall 1 and precision p;
+    # predicting any other class predicts no positives, so F1 is 0.
+    if majority != positive_class:
+        return 0.0
+    p = counts[majority] / counts.total()
+    return 2 * p / (p + 1.0)
+
+
+def _auc_baseline(counts: Counter, majority, positive_class) -> float:
+    if not 0 < counts[positive_class] < counts.total():
+        raise SingleClassError("AUC needs at least one positive and one negative sample")
+    return 0.5  # a constant score ties every (positive, negative) pair
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """What the package knows about one metric; METRIC_SPECS lists them all.
+
+    scorer(truth, values, positive_class) scores `score` when needs_score is
+    set, else `y_pred`.  majority_baseline(counts, majority, positive_class)
+    scores, from the truth-label counts, predicting the majority everywhere.
+    A metric without a scorer may be named on a label but not computed.
+    """
+
+    name: str
+    direction: Direction
+    classification: bool  # applies to classification models, else to regression
+    score_range: tuple[float | None, float] | None = None  # validator's (low or None, high)
+    needs_score: bool = False
+    scorer: Callable[[Sequence, Sequence, Any], float] | None = None
+    majority_baseline: Callable[[Counter, Any, Any], float] | None = None
+
+
+def _canon_metric_name(name: str) -> str:
+    return name.lower().replace("-", "").replace("_", "").replace(" ", "")
+
+
+_UNIT = (0.0, 1.0)
+METRIC_SPECS: dict[str, MetricSpec] = {_canon_metric_name(spec.name): spec for spec in (
+    MetricSpec("Accuracy", Direction.MAXIMIZE, True, _UNIT,
+               scorer=lambda truth, predicted, _: standard_accuracy(truth, predicted),
+               majority_baseline=lambda counts, majority, _: counts[majority] / counts.total()),
+    MetricSpec("F1", Direction.MAXIMIZE, True, _UNIT,
+               scorer=lambda truth, predicted, pos: precision_recall_f1(truth, predicted, pos)[2],
+               majority_baseline=_f1_baseline),
+    MetricSpec("AUC", Direction.MAXIMIZE, True, _UNIT, needs_score=True,
+               scorer=lambda truth, scores, pos: auc(scores, truth, pos),
+               majority_baseline=_auc_baseline),
+    MetricSpec("R2", Direction.MAXIMIZE, False, (None, 1.0), scorer=_r2),
+    # Known by name only: a direction, and a range rule where one applies.
+    *(MetricSpec(name, Direction.MAXIMIZE, True, _UNIT) for name in ("Precision", "Recall")),
+    *(MetricSpec(name, Direction.MINIMIZE, True) for name in ("LogLoss", "CrossEntropy", "Brier")),
+    *(MetricSpec(name, Direction.MINIMIZE, False) for name in ("MSE", "RMSE", "MAE")),
+)}
+
+
+def metric_spec(name: str) -> MetricSpec | None:
+    """The table entry for a metric name in any spelling (case, "-", "_", spaces), else None."""
+    return METRIC_SPECS.get(_canon_metric_name(name))
+
+
+def metric_direction(name: str) -> Direction | None:
+    """Direction for a known metric name, else None.
+
+    Names containing "loss" or "error" are treated as minimized.
+    """
+    spec = metric_spec(name)
+    if spec is not None:
+        return spec.direction
+    key = _canon_metric_name(name)
+    return Direction.MINIMIZE if "loss" in key or "error" in key else None
+
+
 def make_scorer(metric_name: str, positive_class=None) -> Scorer:
     """Build a scorer mapping a record subset to the named metric's value."""
-    key = _canon_metric_name(metric_name)
-
-    if key == "accuracy":
-        def score(records):
-            return standard_accuracy([r.truth for r in records], [r.prediction for r in records])
-    elif key == "f1":
-        def score(records):
-            return precision_recall_f1([r.truth for r in records],
-                                       [r.prediction for r in records], positive_class)[2]
-    elif key == "auc":
-        def score(records):
-            return auc([r.score for r in records], [r.truth for r in records], positive_class)
-    elif key == "r2":
-        def score(records):
-            stats = regression_stats([r.truth for r in records], [r.prediction for r in records])
-            if stats.r2 is None:
-                raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
-            return stats.r2
-    else:
+    spec = metric_spec(metric_name)
+    if spec is None or spec.scorer is None:
         raise UnknownMetricError(f"no scorer for metric '{metric_name}'")
+
+    def score(records):
+        values = ([r.score for r in records] if spec.needs_score
+                  else [r.prediction for r in records])
+        return spec.scorer([r.truth for r in records], values, positive_class)
     return score
 
 
 def majority_class_baseline(dataset: "PredictionDataset", metric_name: str) -> float:
     """Score of the naive model that assigns every sample to the majority class.
 
-    The naive model predicts the most common truth label for every record and
-    emits a constant score, so AUC degenerates to all-ties (0.5).
+    The naive model predicts the most common truth label for every record
+    (ties go to the smallest label as text) and emits a constant score, so
+    AUC degenerates to all-ties (0.5).
     """
+    spec = metric_spec(metric_name)
+    if spec is None or spec.majority_baseline is None:
+        raise UnknownMetricError(f"no majority-class baseline for metric '{metric_name}'")
     counts = Counter(r.truth for r in dataset.records)
-    majority = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
-    naive = [_replace_prediction(r, majority) for r in dataset.records]
-    return make_scorer(metric_name, dataset.positive_class)(naive)
-
-
-def _replace_prediction(record: "PredictionRecord", prediction) -> "PredictionRecord":
-    from dataclasses import replace
-
-    return replace(record, prediction=prediction, score=0.0)
+    majority = min(counts, key=lambda label: (-counts[label], str(label)))
+    return spec.majority_baseline(counts, majority, dataset.positive_class)
 
 
 @dataclass(frozen=True)

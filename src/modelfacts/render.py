@@ -14,7 +14,7 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import decode_provenance, encode_provenance, parse_partial_date
+from .codec import decode_provenance, encode_metric, encode_provenance, parse_partial_date
 from .errors import DateParseError, SchemaError, UnsupportedVersionError
 from .label import (
     SUPPORTED_SCHEMA_VERSIONS,
@@ -281,8 +281,8 @@ def _label_to_doc(label: ModelFactsLabel) -> dict[str, Any]:
             },
         },
         "accuracy": {
-            "optimized": _metric_to_doc(label.accuracy.optimized),
-            "standard": _metric_to_doc(label.accuracy.standard),
+            "optimized": encode_metric(label.accuracy.optimized),
+            "standard": encode_metric(label.accuracy.standard),
         },
         "dataset": {
             "sample_count": encode_provenance(label.dataset.sample_count),
@@ -305,14 +305,6 @@ def _label_to_doc(label: ModelFactsLabel) -> dict[str, Any]:
             for cat in label.demographics
         ],
         "warnings": list(label.warnings),
-    }
-
-
-def _metric_to_doc(mv: MetricValue) -> dict[str, Any]:
-    return {
-        "name": mv.name,
-        "raw_score": encode_provenance(mv.raw_score),
-        "pct_over_baseline": encode_provenance(mv.pct_over_baseline),
     }
 
 

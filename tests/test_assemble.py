@@ -17,7 +17,7 @@ from modelfacts.assemble import (
     load_reference_population,
     representation_audit,
 )
-from modelfacts.errors import DeclaredConflictError, NoOverlapError, SchemaError
+from modelfacts.errors import DeclaredConflictError, NoOverlapError, SchemaError, UnknownMetricError
 from modelfacts.ingest import parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
@@ -26,6 +26,7 @@ from modelfacts.label import (
     PctTarget,
     Provenance,
     ProvenanceState,
+    ViolationCode,
     validate_label,
 )
 from modelfacts.render import from_canonical_json, render_text
@@ -37,6 +38,9 @@ TEN_ROW_CSV = (
     "f5,0,0,Female\nf6,0,1,Female\n"
     "m1,1,0,Male\nm2,0,0,Male\nm3,0,0,Male\nm4,0,1,Male\n"
 )
+
+
+REGRESSION_CSV = "id,y_true,y_pred\na,1.0,1.5\nb,2.0,2.0\nc,3.0,2.5\n"
 
 
 def manifest_doc(**overrides) -> dict:
@@ -111,6 +115,37 @@ class TestGenerateLabel:
         # majority share is 0.7; computed accuracy 0.6 -> about -14.3%
         assert label.accuracy.optimized.pct_over_baseline.value == pytest.approx(-14.2857, abs=1e-3)
 
+    def test_zero_majority_baseline_leaves_pct_to_declaration(self):
+        # The majority is negative, so the naive model's F1 is 0 and no percent
+        # over it exists, for the optimized and the standard metric alike.
+        doc = manifest_doc(optimized_metric={"name": "F1", "baseline_policy": "majority-class"})
+        label = build(TEN_ROW_CSV, doc)
+        assert label.accuracy.optimized.raw_score.value == pytest.approx(1 / 3)
+        for mv in (label.accuracy.optimized, label.accuracy.standard):
+            assert mv.pct_over_baseline.state is ProvenanceState.NOT_COLLECTED
+        doc["optimized_metric"]["pct_over_baseline"] = {"state": "unknown_availability"}
+        doc["standard_metric"] = {"pct_over_baseline": 12.5}
+        label = build(TEN_ROW_CSV, doc)
+        assert (label.accuracy.optimized.pct_over_baseline.state
+                is ProvenanceState.UNKNOWN_AVAILABILITY)
+        assert label.accuracy.standard.pct_over_baseline == Provenance.reported(12.5)
+
+    @pytest.mark.parametrize("model_type, optimized, standard, csv_text", [
+        ("regression", "F1", None, REGRESSION_CSV),
+        ("regression", "R2", "Accuracy", REGRESSION_CSV),
+        ("imbalanced_classification", "R2", None, TEN_ROW_CSV),
+        ("balanced_classification", "Accuracy", "r-2", TEN_ROW_CSV),
+        ("balanced_classification", "MSE", None, TEN_ROW_CSV),
+    ], ids=["f1-on-regression", "accuracy-standard-on-regression", "r2-on-classification",
+            "r2-standard-on-classification", "mse-on-classification"])
+    def test_computed_metric_must_fit_model_type(self, model_type, optimized, standard, csv_text):
+        doc = manifest_doc(model_type=model_type, optimized_metric={"name": optimized})
+        if standard is not None:
+            doc["standard_metric"] = {"name": standard}
+        with pytest.raises(UnknownMetricError) as err:
+            build(csv_text, doc)
+        assert "does not apply" in err.value.message
+
     def test_declared_cells_fill_missing_category(self):
         doc = manifest_doc(demographics={"Race": {"state": "available_unreported"}})
         label = build(TEN_ROW_CSV, doc)
@@ -152,6 +187,12 @@ class TestBuildDeclaredLabel:
         manifest = parse_label_manifest((GOLDEN_DIR / "void.manifest.json").read_text())
         label = build_declared_label(manifest)
         assert render_text(label) == read_golden("void.label.txt").decode()
+
+    def test_mismatched_standard_name_still_declares(self):
+        doc = json.loads((GOLDEN_DIR / "void.manifest.json").read_text())
+        doc["standard_metric"]["name"] = "R2"
+        label = build_declared_label(parse_label_manifest(json.dumps(doc)))
+        assert [v.code for v in validate_label(label)] == [ViolationCode.STANDARD_METRIC_MISMATCH]
 
     def test_suicide_risk_matches_golden_render(self):
         manifest = parse_label_manifest((GOLDEN_DIR / "suicide_risk.manifest.json").read_text())
@@ -330,6 +371,13 @@ class TestRepresentationAudit:
     def test_reference_must_sum_to_100(self):
         with pytest.raises(ValueError):
             reference(Gender={"Female": 70.0, "Male": 10.0})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true"])
+    def test_reference_share_must_be_finite(self, literal):
+        text = '{"name": "x", "categories": {"Gender": {"Female": %s, "Male": 100}}}' % literal
+        with pytest.raises(SchemaError) as err:
+            load_reference_population(text)
+        assert err.value.path == "categories.Gender.Female"
 
     def test_load_reference_population(self):
         doc = {"name": "urban-2020", "categories": {"Gender": {"Female": 52.0, "Male": 48.0}}}

@@ -130,6 +130,42 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
 
+CLASSIFICATION_CSV = "id,y_true,y_pred\na,1,1\nb,0,0\nc,0,1\nd,0,0\n"
+
+
+@pytest.mark.parametrize("model_type, optimized, csv_text, code", [
+    ("imbalanced_classification", {"name": "AUC "}, CLASSIFICATION_CSV, "MISSING_COLUMN"),
+    ("imbalanced_classification", {"name": "A-U-C"}, CLASSIFICATION_CSV, "MISSING_COLUMN"),
+    ("regression", {"name": "F1"}, "id,y_true,y_pred\na,1.0,1.5\nb,2.0,2.0\n", "UNKNOWN_METRIC"),
+    ("imbalanced_classification", {"name": "R2"}, CLASSIFICATION_CSV, "UNKNOWN_METRIC"),
+    ("imbalanced_classification", {"name": "Accuracy", "baseline": float("inf")},
+     CLASSIFICATION_CSV, "SCHEMA_ERROR"),
+    ("imbalanced_classification", {"name": "Accuracy", "baseline": float("nan")},
+     CLASSIFICATION_CSV, "SCHEMA_ERROR"),
+], ids=["auc-trailing-space", "auc-dashes", "f1-on-regression", "r2-on-classification",
+        "infinite-baseline", "nan-baseline"])
+def test_generate_rejects_bad_metric_input_with_exit_2(tmp_path, capsys, model_type, optimized,
+                                                       csv_text, code):
+    manifest = json.loads(Path(VOID_MANIFEST).read_text())
+    manifest.update(model_type=model_type, positive_class="1", optimized_metric=optimized)
+    manifest.pop("standard_metric")
+    (tmp_path / "m.json").write_text(json.dumps(manifest))  # json writes Infinity / NaN
+    (tmp_path / "p.csv").write_text(csv_text)
+    assert main(["generate", "--data", str(tmp_path / "p.csv"),
+                 "--manifest", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {code}" in err and "internal error" not in err
+
+
+def test_declare_rejects_non_finite_baseline(tmp_path, capsys):
+    manifest = json.loads(Path(VOID_MANIFEST).read_text())
+    manifest["optimized_metric"].pop("pct_over_baseline")
+    manifest["optimized_metric"]["baseline"] = float("inf")
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert main(["declare", "--manifest", str(tmp_path / "m.json")]) == 2
+    assert "error: SCHEMA_ERROR" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_clean_label_exits_0(self, tmp_path, capsys):
         path = write_label(tmp_path / "ok.json", make_label())
@@ -214,6 +250,13 @@ class TestAudit:
         assert female["flagged"] is True
         # Male sits at 40% against a 48% reference, so it is flagged too
         assert doc["flag_count"] == 2
+
+    def test_non_finite_reference_share_exits_2(self, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"name": "x", "categories": {"Gender": {"Female": NaN, "Male": 100}}}')
+        assert main(["audit", str(GOLDEN_DIR / "void.label.json"),
+                     "--reference", str(ref)]) == 2
+        assert "error: SCHEMA_ERROR" in capsys.readouterr().err
 
     def test_no_overlap_exits_2(self, tmp_path, capsys):
         ref = tmp_path / "ref.json"

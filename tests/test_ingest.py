@@ -75,6 +75,13 @@ def parse_csv(text: str, manifest_doc: dict | None = None):
 
 
 class TestParsePredictions:
+    @pytest.mark.parametrize("name", ["AUC", "auc", "AUC ", "A-U-C", "a_u_c"])
+    def test_any_auc_spelling_requires_score(self, name):
+        doc = minimal_manifest(optimized_metric={"name": name})
+        with pytest.raises(MissingColumnError) as err:
+            parse_csv("id,y_true,y_pred\na,1,1\nb,0,0\n", doc)
+        assert err.value.column == "score"
+
     def test_three_rows_with_gender(self):
         dataset = parse_csv("id,y_true,y_pred,gender\na,1,1,female\nb,0,0,male\nc,1,0,female\n")
         assert dataset.n == 3
@@ -249,6 +256,13 @@ class TestParseManifest:
                               "baseline_policy": "majority-class"})
         with pytest.raises(SchemaError):
             parse_label_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "0", "0.0", "true", '"0.5"'])
+    def test_baseline_must_be_finite_and_nonzero(self, text):
+        doc = json.dumps(minimal_manifest(optimized_metric={"name": "Accuracy", "baseline": 0.5}))
+        with pytest.raises(SchemaError) as err:
+            parse_label_manifest(doc.replace("0.5", text))
+        assert err.value.path == "optimized_metric.baseline"
 
     def test_round_trip_is_lossless(self):
         for name in ("void.manifest.json", "suicide_risk.manifest.json"):

@@ -151,6 +151,20 @@ class TestValidateLabel:
         codes = [v.code for v in validate_label(label)]
         assert codes == [ViolationCode.VALUE_OUT_OF_RANGE]
 
+    @pytest.mark.parametrize("name", ["auc ", "A-U-C", "R 2", "f_1", "Accuracy "])
+    def test_range_rule_applies_to_any_spelling(self, name):
+        optimized = MetricValue(name, Provenance.reported(1.7), Provenance.reported(5.0))
+        violations = validate_label(make_label(optimized=optimized))
+        assert [(v.code, v.location) for v in violations] == [
+            (ViolationCode.VALUE_OUT_OF_RANGE, "accuracy.optimized.raw_score")]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_cell_out_of_range(self, value):
+        dataset = DatasetInfo(Provenance.reported(100), Provenance.reported(value),
+                              Provenance.reported(20.0))
+        violations = validate_label(make_label(dataset=dataset))
+        assert ViolationCode.VALUE_OUT_OF_RANGE in [v.code for v in violations]
+
     def test_negative_pct_in_test_out_of_range(self):
         race = canonical_category("Race")
         rows = (DemographicGroupRow("Asian", Provenance.reported(-3.0),

@@ -2,21 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from conftest import make_label
 from modelfacts.errors import (
     EmptyDatasetError,
     LengthMismatchError,
+    MissingColumnError,
     SingleClassError,
     UnknownCategoryError,
+    UnknownMetricError,
     ZeroBaselineError,
 )
-from modelfacts.ingest import PredictionDataset, PredictionRecord
-from modelfacts.label import MeanStd, ModelType, PctTarget, ProvenanceState
+from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
+from modelfacts.label import (
+    MeanStd,
+    MetricValue,
+    ModelType,
+    PctTarget,
+    Provenance,
+    ProvenanceState,
+    ViolationCode,
+    validate_label,
+)
 from modelfacts.metrics import (
+    METRIC_SPECS,
     ConfusionCounts,
     Direction,
     auc,
@@ -24,6 +41,7 @@ from modelfacts.metrics import (
     majority_class_baseline,
     make_scorer,
     metric_direction,
+    metric_spec,
     percent_over_baseline,
     precision_recall_f1,
     regression_stats,
@@ -216,6 +234,56 @@ class TestStandardMetricSelection:
         assert metric_direction("vibes") is None
 
 
+def _spellings(name: str) -> list[str]:
+    return [name, name.lower(), name.upper(), "-".join(name), "_".join(name.lower()),
+            " ".join(name.upper()), f" {name} ", f"{name.lower()}-"]
+
+
+def _manifest_for(name: str, classification: bool):
+    doc = {
+        "schema_version": "1.0",
+        "application": "Scores intake cases",
+        "model_type": "imbalanced_classification" if classification else "regression",
+        "model_train_date": "2020",
+        "test_data_range": "2021",
+        "optimized_metric": {"name": name},
+        "warnings": [],
+    }
+    if classification:
+        doc["positive_class"] = "1"
+    return parse_label_manifest(json.dumps(doc))
+
+
+_SPELLINGS = [(spec, spelling) for spec in METRIC_SPECS.values() for spelling in _spellings(spec.name)]
+
+
+@pytest.mark.parametrize("spec, spelling", _SPELLINGS,
+                         ids=[f"{spec.name}-{spelling!r}" for spec, spelling in _SPELLINGS])
+def test_every_spelling_reads_the_same_table_entry(spec, spelling):
+    """Direction, range rule, required column and scorer agree for any spelling."""
+    assert metric_spec(spelling) is spec
+    assert metric_direction(spelling) is spec.direction
+
+    label = make_label(optimized=MetricValue(spelling, Provenance.reported(1.7),
+                                             Provenance.reported(5.0)))
+    flagged = [v.location for v in validate_label(label)
+               if v.code is ViolationCode.VALUE_OUT_OF_RANGE]
+    assert flagged == (["accuracy.optimized.raw_score"] if spec.score_range else [])
+
+    manifest = _manifest_for(spelling, spec.classification)
+    with pytest.raises(MissingColumnError) as err:
+        parse_predictions(io.StringIO("id,y_true\na,1\n"), manifest)
+    assert err.value.column == ("score" if spec.needs_score else "y_pred")
+
+    if spec.scorer is None:
+        with pytest.raises(UnknownMetricError):
+            make_scorer(spelling, "1")
+        return
+    rows = "id,y_true,y_pred,score\na,1,1,0.9\nb,0,1,0.4\nc,1,0,0.3\nd,0,0,0.1\ne,1,1,0.2\n"
+    records = parse_predictions(io.StringIO(rows), manifest).records
+    assert make_scorer(spelling, "1")(records) == make_scorer(spec.name, "1")(records)
+
+
 def _record(i, truth, prediction, gender, score=None):
     return PredictionRecord(id=str(i), truth=truth, prediction=prediction,
                             score=score, attributes={"Gender": gender})
@@ -346,3 +414,72 @@ class TestMajorityClassBaseline:
     def test_auc_baseline_is_half(self):
         dataset = ten_record_dataset()
         assert majority_class_baseline(dataset, "AUC") == 0.5
+
+
+def record_copy_majority_baseline(dataset: PredictionDataset, metric_name: str) -> float:
+    """Oracle: score a copy of every record with the majority as its prediction."""
+    counts = Counter(r.truth for r in dataset.records)
+    majority = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
+    naive = [dataclasses.replace(r, prediction=majority, score=0.0) for r in dataset.records]
+    return make_scorer(metric_name, dataset.positive_class)(naive)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except SingleClassError:
+        return "SINGLE_CLASS"
+
+
+def _random_truth(rng: random.Random) -> list[str]:
+    labels = rng.sample(["0", "1", "2", "3"], rng.randint(1, 4))
+    if rng.random() < 0.3:  # exact tie among the most common labels
+        truth = labels * rng.randint(1, 15)
+        rng.shuffle(truth)
+        return truth
+    weights = [rng.random() for _ in labels]
+    return rng.choices(labels, weights, k=rng.randint(1, 60))
+
+
+class TestClosedFormMajorityBaseline:
+    def test_matches_record_copies_bit_for_bit(self):
+        rng = random.Random(2402)
+        seen = Counter()
+        for i in range(1500):
+            truth = _random_truth(rng)
+            records = tuple(PredictionRecord(str(j), t, rng.choice("01"), rng.random())
+                            for j, t in enumerate(truth))
+            dataset = PredictionDataset(records, "1", ())
+            counts = Counter(truth)
+            top = counts.most_common(1)[0][1]
+            seen["multi_class"] += len(counts) > 2
+            seen["tied_majority"] += sum(c == top for c in counts.values()) > 1
+            seen["positive_absent"] += "1" not in counts
+            for name in ("Accuracy", "F1", "AUC"):
+                closed = _outcome(lambda: majority_class_baseline(dataset, name))
+                oracle = _outcome(lambda: record_copy_majority_baseline(dataset, name))
+                assert closed == oracle, (i, name, truth)
+                assert type(closed) is type(oracle)
+                seen[f"{name}:{'error' if closed == 'SINGLE_CLASS' else 'value'}"] += 1
+        for case in ("multi_class", "tied_majority", "positive_absent", "AUC:error", "AUC:value"):
+            assert seen[case] >= 50, (case, seen)
+        assert 0 < seen["F1:value"] and seen["F1:error"] == 0
+
+    def test_positive_majority_f1(self):
+        records = tuple(_record(i, t, "0", "Female") for i, t in enumerate("11100"))
+        dataset = PredictionDataset(records, "1", ("Gender",))
+        assert majority_class_baseline(dataset, "F1") == 2 * 0.6 / 1.6
+
+    def test_tie_goes_to_smaller_label(self):
+        records = tuple(_record(i, t, "0", "Female") for i, t in enumerate("1010"))
+        dataset = PredictionDataset(records, "1", ("Gender",))
+        assert majority_class_baseline(dataset, "F1") == 0.0  # "0" wins the tie
+
+    def test_single_class_auc_raises(self):
+        records = tuple(_record(i, "0", "0", "Female", score=0.5) for i in range(3))
+        with pytest.raises(SingleClassError):
+            majority_class_baseline(PredictionDataset(records, "1", ("Gender",)), "AUC")
+
+    def test_metric_without_baseline(self):
+        with pytest.raises(UnknownMetricError):
+            majority_class_baseline(ten_record_dataset(), "R2")

@@ -246,6 +246,16 @@ class TestCanonicalJson:
         diffs = leaf_diffs(before, after)
         assert diffs == [".demographics[1].rows[5].pct_in_test.state"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, literal):
+        text = read_golden("void.label.json").decode()
+        doc = json.loads(text)
+        doc["accuracy"]["optimized"]["raw_score"] = {"state": "reported", "value": 0.25}
+        text = json.dumps(doc).replace("0.25", literal)
+        with pytest.raises(SchemaError) as err:
+            from_canonical_json(text)
+        assert err.value.path == "accuracy.optimized.raw_score.value"
+
     def test_non_utf8_rejected(self):
         with pytest.raises(SchemaError):
             from_canonical_json(b"\xff\xfe{}")
