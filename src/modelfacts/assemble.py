@@ -110,7 +110,7 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
     """Assemble a label by computing every cell the dataset supports.
 
     Declared manifest cells fill the holes computation cannot reach (splits,
-    absent demographic columns, a standard score without predictions) and are
+    absent demographic columns, a standard score without its column) and are
     cross-checked against computed values: a declared number that contradicts
     its computed counterpart is an error, not a silent override.
     """
@@ -149,8 +149,9 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
 
 def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> MetricValue:
     name = manifest.standard_name or select_standard_metric(manifest.model_type)
+    spec = metric_spec(name)
     raw_value = None
-    if dataset.has_predictions:
+    if (dataset.has_scores if spec and spec.needs_score else dataset.has_predictions):
         raw_value = _checked_scorer(name, dataset, manifest)(dataset.records)
         if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
             _conflict("standard_metric.raw", manifest.standard_raw.value, raw_value)

@@ -1,19 +1,26 @@
-"""Shared JSON encodings for provenance cells, target stats, and dates.
+"""Shared JSON encodings for provenance cells, target stats, dates, and labels.
 
 Both the manifest parser and the canonical label serializer speak this
-vocabulary, so it lives in one place.
+vocabulary, so it lives in one place.  The label's JSON shape is declared
+once, as a table of (encode, decode) pairs, and both directions derive from it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
-from .errors import DateParseError, SchemaError
-from .label import (MeanStd, MetricValue, PartialDate, PctTarget, Provenance, ProvenanceState,
-                    is_finite_number)
+from .errors import DateParseError, SchemaError, UnsupportedVersionError
+from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
+                    DateRange, DemographicCategory, DemographicGroupRow, MeanStd, MetricValue,
+                    ModelFactsLabel, ModelType, PartialDate, PctTarget, Provenance,
+                    ProvenanceState, is_finite_number)
 
-_STATE_BY_NAME = {state.value: state for state in ProvenanceState}
+# Value-less cells are frozen and carry nothing but their state, so one
+# instance per state serves every decoded cell.
+_UNREPORTED = {state.value: Provenance(state) for state in ProvenanceState
+               if state is not ProvenanceState.REPORTED}
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
 
@@ -30,14 +37,6 @@ def parse_partial_date(text: str) -> PartialDate:
         return PartialDate(int(year), int(month) if month else None, int(day) if day else None)
     except ValueError as exc:
         raise DateParseError(f"invalid date '{text}': {exc}") from None
-
-
-def encode_value(value: Any) -> Any:
-    if isinstance(value, PctTarget):
-        return {"pct_target": value.pct}
-    if isinstance(value, MeanStd):
-        return {"mean": value.mean, "std": value.std}
-    return value
 
 
 def decode_target(obj: Any, path: str) -> PctTarget | MeanStd:
@@ -66,18 +65,15 @@ _DECODERS = {"number": require_number, "count": _require_count, "target": decode
 
 
 def encode_provenance(cell: Provenance) -> dict[str, Any]:
-    obj: dict[str, Any] = {"state": cell.state.value}
-    if cell.is_reported:
-        obj["value"] = encode_value(cell.value)
-    return obj
-
-
-def encode_metric(mv: MetricValue) -> dict[str, Any]:
-    return {
-        "name": mv.name,
-        "raw_score": encode_provenance(mv.raw_score),
-        "pct_over_baseline": encode_provenance(mv.pct_over_baseline),
-    }
+    """The tagged {state, value?} object; a target becomes {pct_target} or {mean, std}."""
+    if not cell.is_reported:
+        return {"state": cell.state.value}
+    value = cell.value
+    if isinstance(value, PctTarget):
+        value = {"pct_target": value.pct}
+    elif isinstance(value, MeanStd):
+        value = {"mean": value.mean, "std": value.std}
+    return {"state": cell.state.value, "value": value}
 
 
 def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
@@ -92,16 +88,16 @@ def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
     if unknown:
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
     state_name = obj.get("state")
-    state = _STATE_BY_NAME.get(state_name)
-    if state is None:
+    if state_name == ProvenanceState.REPORTED.value:
+        if "value" not in obj:
+            raise SchemaError(path, "reported state requires a value")
+        return Provenance.reported(_DECODERS[kind](obj["value"], f"{path}.value"))
+    cell = _UNREPORTED.get(state_name) if isinstance(state_name, str) else None
+    if cell is None:
         raise SchemaError(path, f"unknown provenance state {state_name!r}")
-    if state is not ProvenanceState.REPORTED:
-        if "value" in obj:
-            raise SchemaError(path, f"state '{state_name}' cannot carry a value")
-        return Provenance(state)
-    if "value" not in obj:
-        raise SchemaError(path, "reported state requires a value")
-    return Provenance.reported(_DECODERS[kind](obj["value"], f"{path}.value"))
+    if "value" in obj:
+        raise SchemaError(path, f"state '{state_name}' cannot carry a value")
+    return cell
 
 
 def decode_cell(obj: Any, path: str, kind: str = "number") -> Provenance:
@@ -109,3 +105,118 @@ def decode_cell(obj: Any, path: str, kind: str = "number") -> Provenance:
     if isinstance(obj, dict) and "state" in obj:
         return decode_provenance(obj, path, kind)
     return Provenance.reported(_DECODERS[kind](obj, path))
+
+
+# A codec is an (encode, decode) pair; decode(obj, path) raises SCHEMA_ERROR at
+# path, where "" is the top level.
+Codec = tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
+
+
+def _object(cls: type, **fields: Codec) -> Codec:
+    """A dataclass whose JSON keys are exactly the given field names.
+
+    Fields decode in the order given.  A missing or unknown key, or a
+    ValueError from cls's constructor, is a SCHEMA_ERROR at the object's path.
+    """
+    keys = set(fields)
+    items = tuple(fields.items())
+
+    def encode(value: Any) -> dict[str, Any]:
+        return {name: enc(getattr(value, name)) for name, (enc, _) in items}
+
+    def decode(obj: Any, path: str) -> Any:
+        where = path or "(top level)"
+        if not isinstance(obj, dict):
+            raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
+        if obj.keys() != keys:
+            missing = keys - obj.keys()
+            if missing:
+                raise SchemaError(where, f"missing keys {sorted(missing)}")
+            raise SchemaError(where, f"unknown keys {sorted(obj.keys() - keys)}")
+        prefix = f"{path}." if path else ""
+        values = {name: dec(obj[name], prefix + name) for name, (_, dec) in items}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise SchemaError(where, str(exc)) from None
+
+    return encode, decode
+
+
+def _list_of(item: Codec) -> Codec:
+    """A JSON list, decoded to a tuple; item i decodes at path[i]."""
+    enc, dec = item
+
+    def decode(obj: Any, path: str) -> tuple:
+        if not isinstance(obj, list):
+            raise SchemaError(path, f"expected a list, got {type(obj).__name__}")
+        return tuple(dec(x, f"{path}[{i}]") for i, x in enumerate(obj))
+
+    return (lambda values: [enc(v) for v in values]), decode
+
+
+def _cell(kind: str) -> Codec:
+    """A provenance cell whose reported value has the given decode_provenance kind."""
+    return encode_provenance, partial(decode_provenance, kind=kind)
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _text(obj: Any, path: str) -> str:
+    if not isinstance(obj, str):
+        raise SchemaError(path, f"must be a string, got {type(obj).__name__}")
+    return obj
+
+
+def _date(obj: Any, path: str) -> PartialDate:
+    try:
+        return parse_partial_date(obj)
+    except DateParseError as exc:
+        raise SchemaError(path, exc.message) from None
+
+
+def _model_type(obj: Any, path: str) -> ModelType:
+    try:
+        return ModelType(obj)
+    except ValueError:
+        raise SchemaError(path, f"unknown model type {obj!r}") from None
+
+
+def _version(obj: Any, path: str) -> str:
+    if _text(obj, path) not in SUPPORTED_SCHEMA_VERSIONS:
+        raise UnsupportedVersionError(
+            f"schema_version {obj!r} not in supported set {sorted(SUPPORTED_SCHEMA_VERSIONS)}")
+    return obj
+
+
+_TEXT: Codec = (_same, _text)
+_DATE: Codec = (PartialDate.isoformat, _date)
+_NUMBER, _COUNT, _TARGET = _cell("number"), _cell("count"), _cell("target")
+
+_METRIC = _object(MetricValue, name=_TEXT, raw_score=_NUMBER, pct_over_baseline=_NUMBER)
+
+_LABEL = _object(
+    ModelFactsLabel,
+    schema_version=(_same, _version),
+    application=_object(
+        ApplicationInfo,
+        application=_TEXT,
+        model_type=(lambda model_type: model_type.value, _model_type),
+        model_train_date=_DATE,
+        test_data_range=_object(DateRange, start=_DATE, end=_DATE),
+    ),
+    accuracy=_object(AccuracySection, optimized=_METRIC, standard=_METRIC),
+    dataset=_object(DatasetInfo, sample_count=_COUNT, train_pct=_NUMBER, test_pct=_NUMBER),
+    demographics=_list_of(_object(
+        DemographicCategory,
+        category_name=_TEXT,
+        rows=_list_of(_object(DemographicGroupRow, group_name=_TEXT, pct_in_test=_NUMBER,
+                              group_accuracy=_NUMBER, target_stat=_TARGET)),
+    )),
+    warnings=_list_of(_TEXT),
+)
+
+encode_metric = _METRIC[0]
+encode_label, decode_label = _LABEL

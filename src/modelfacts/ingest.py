@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Any, IO, Iterable, Mapping
 
@@ -93,6 +94,10 @@ class PredictionDataset:
     @property
     def has_predictions(self) -> bool:
         return all(r.prediction is not None for r in self.records)
+
+    @property
+    def has_scores(self) -> bool:
+        return all(r.score is not None for r in self.records)
 
 
 # One declared demographic row: provenance per stat cell.
@@ -337,7 +342,7 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
         raise SchemaError("application", "must be a non-empty string")
 
     model_type_raw = _require(doc, "model_type")
-    model_type = _MODEL_TYPES.get(model_type_raw)
+    model_type = _MODEL_TYPES.get(model_type_raw) if isinstance(model_type_raw, str) else None
     if model_type is None:
         raise SchemaError("model_type", f"unknown model type {model_type_raw!r} "
                                         f"(expected one of {sorted(_MODEL_TYPES)})")
@@ -488,6 +493,17 @@ def _parse_age_value(text: str) -> str:
     return bucket_age(years)
 
 
+def _parse_number(text: str, row_no: int, column: str) -> float:
+    """A finite float; NaN and infinities would turn every score built on them into NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadValueError(row_no, column, f"not a number: {text!r}") from None
+    if not isfinite(value):
+        raise BadValueError(row_no, column, f"not a finite number: {text!r}")
+    return value
+
+
 def parse_predictions(source: str | Path | IO[str] | Iterable[str],
                       manifest: LabelManifest) -> PredictionDataset:
     """Parse a delimited predictions file into a validated dataset.
@@ -561,34 +577,16 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
         truth_text = cell(row, truth_idx)
         if not truth_text:
             raise BadValueError(row_no, "y_true", "empty value")
-        if classification:
-            truth: Any = truth_text
-        else:
-            try:
-                truth = float(truth_text)
-            except ValueError:
-                raise BadValueError(row_no, "y_true", f"not a number: {truth_text!r}") from None
+        truth: Any = truth_text if classification else _parse_number(truth_text, row_no, "y_true")
 
         prediction: Any = None
         if pred_idx is not None:
             pred_text = cell(row, pred_idx)
             if not pred_text:
                 raise BadValueError(row_no, "y_pred", "empty value")
-            if classification:
-                prediction = pred_text
-            else:
-                try:
-                    prediction = float(pred_text)
-                except ValueError:
-                    raise BadValueError(row_no, "y_pred", f"not a number: {pred_text!r}") from None
+            prediction = pred_text if classification else _parse_number(pred_text, row_no, "y_pred")
 
-        score: float | None = None
-        if score_idx is not None:
-            score_text = cell(row, score_idx)
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise BadValueError(row_no, "score", f"not a number: {score_text!r}") from None
+        score = None if score_idx is None else _parse_number(cell(row, score_idx), row_no, "score")
 
         attributes: dict[str, str] = {}
         for idx, category in category_cols:
@@ -611,6 +609,9 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
 
     if not records:
         raise EmptyFileError("predictions file has no data rows")
+    positive = manifest.positive_class
+    if classification and not any(r.truth == positive or r.prediction == positive for r in records):
+        raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
 
     present = {cat for _, cat in category_cols}
     schema = [c for c in CANONICAL_CATEGORY_ORDER if c in present]

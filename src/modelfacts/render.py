@@ -14,24 +14,9 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import decode_provenance, encode_metric, encode_provenance, parse_partial_date
-from .errors import DateParseError, SchemaError, UnsupportedVersionError
-from .label import (
-    SUPPORTED_SCHEMA_VERSIONS,
-    AccuracySection,
-    ApplicationInfo,
-    DatasetInfo,
-    DateRange,
-    DemographicCategory,
-    DemographicGroupRow,
-    MeanStd,
-    MetricValue,
-    ModelFactsLabel,
-    ModelType,
-    PctTarget,
-    Provenance,
-    ProvenanceState,
-)
+from .codec import decode_label, encode_label
+from .errors import SchemaError
+from .label import MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance, ProvenanceState
 
 _STATE_TEXT = {
     ProvenanceState.AVAILABLE_UNREPORTED: "not reported",
@@ -267,76 +252,12 @@ def render_html(label: ModelFactsLabel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _label_to_doc(label: ModelFactsLabel) -> dict[str, Any]:
-    app = label.application
-    return {
-        "schema_version": label.schema_version,
-        "application": {
-            "application": app.application,
-            "model_type": app.model_type.value,
-            "model_train_date": app.model_train_date.isoformat(),
-            "test_data_range": {
-                "start": app.test_data_range.start.isoformat(),
-                "end": app.test_data_range.end.isoformat(),
-            },
-        },
-        "accuracy": {
-            "optimized": encode_metric(label.accuracy.optimized),
-            "standard": encode_metric(label.accuracy.standard),
-        },
-        "dataset": {
-            "sample_count": encode_provenance(label.dataset.sample_count),
-            "train_pct": encode_provenance(label.dataset.train_pct),
-            "test_pct": encode_provenance(label.dataset.test_pct),
-        },
-        "demographics": [
-            {
-                "category_name": cat.category_name,
-                "rows": [
-                    {
-                        "group_name": row.group_name,
-                        "pct_in_test": encode_provenance(row.pct_in_test),
-                        "group_accuracy": encode_provenance(row.group_accuracy),
-                        "target_stat": encode_provenance(row.target_stat),
-                    }
-                    for row in cat.rows
-                ],
-            }
-            for cat in label.demographics
-        ],
-        "warnings": list(label.warnings),
-    }
-
-
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
     """Deterministic serialization: sorted keys, shortest numbers, UTF-8, one
     trailing newline.  The interchange format for validate/compare/audit."""
-    doc = _label_to_doc(label)
-    text = json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-                      allow_nan=False)
+    text = json.dumps(encode_label(label), sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"), allow_nan=False)
     return (text + "\n").encode("utf-8")
-
-
-def _expect_keys(obj: Any, keys: set[str], path: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    missing = keys - set(obj)
-    if missing:
-        raise SchemaError(path, f"missing keys {sorted(missing)}")
-    unknown = set(obj) - keys
-    if unknown:
-        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-
-
-def _metric_from_doc(obj: Any, path: str) -> MetricValue:
-    _expect_keys(obj, {"name", "raw_score", "pct_over_baseline"}, path)
-    if not isinstance(obj["name"], str):
-        raise SchemaError(f"{path}.name", "metric name must be a string")
-    return MetricValue(
-        name=obj["name"],
-        raw_score=decode_provenance(obj["raw_score"], f"{path}.raw_score"),
-        pct_over_baseline=decode_provenance(obj["pct_over_baseline"], f"{path}.pct_over_baseline"),
-    )
 
 
 def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
@@ -356,89 +277,4 @@ def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError("(document)", f"invalid JSON: {exc}") from None
-
-    _expect_keys(doc, {"schema_version", "application", "accuracy", "dataset",
-                       "demographics", "warnings"}, "(top level)")
-    version = doc["schema_version"]
-    if not isinstance(version, str):
-        raise SchemaError("schema_version", "must be a string")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise UnsupportedVersionError(
-            f"schema_version {version!r} not in supported set {sorted(SUPPORTED_SCHEMA_VERSIONS)}")
-
-    app_doc = doc["application"]
-    _expect_keys(app_doc, {"application", "model_type", "model_train_date", "test_data_range"},
-                 "application")
-    try:
-        model_type = ModelType(app_doc["model_type"])
-    except ValueError:
-        raise SchemaError("application.model_type",
-                          f"unknown model type {app_doc['model_type']!r}") from None
-    range_doc = app_doc["test_data_range"]
-    _expect_keys(range_doc, {"start", "end"}, "application.test_data_range")
-    try:
-        application = ApplicationInfo(
-            application=app_doc["application"],
-            model_type=model_type,
-            model_train_date=parse_partial_date(app_doc["model_train_date"]),
-            test_data_range=DateRange(parse_partial_date(range_doc["start"]),
-                                      parse_partial_date(range_doc["end"])),
-        )
-    except (ValueError, AttributeError) as exc:
-        raise SchemaError("application", str(exc)) from None
-    except DateParseError as exc:
-        raise SchemaError("application", exc.message) from None
-
-    acc_doc = doc["accuracy"]
-    _expect_keys(acc_doc, {"optimized", "standard"}, "accuracy")
-    accuracy = AccuracySection(
-        optimized=_metric_from_doc(acc_doc["optimized"], "accuracy.optimized"),
-        standard=_metric_from_doc(acc_doc["standard"], "accuracy.standard"),
-    )
-
-    ds_doc = doc["dataset"]
-    _expect_keys(ds_doc, {"sample_count", "train_pct", "test_pct"}, "dataset")
-    dataset = DatasetInfo(
-        sample_count=decode_provenance(ds_doc["sample_count"], "dataset.sample_count", kind="count"),
-        train_pct=decode_provenance(ds_doc["train_pct"], "dataset.train_pct"),
-        test_pct=decode_provenance(ds_doc["test_pct"], "dataset.test_pct"),
-    )
-
-    demo_doc = doc["demographics"]
-    if not isinstance(demo_doc, list):
-        raise SchemaError("demographics", "expected a list of categories")
-    categories = []
-    for i, cat_doc in enumerate(demo_doc):
-        cpath = f"demographics[{i}]"
-        _expect_keys(cat_doc, {"category_name", "rows"}, cpath)
-        if not isinstance(cat_doc["category_name"], str):
-            raise SchemaError(f"{cpath}.category_name", "must be a string")
-        rows_doc = cat_doc["rows"]
-        if not isinstance(rows_doc, list):
-            raise SchemaError(f"{cpath}.rows", "expected a list of rows")
-        rows = []
-        for j, row_doc in enumerate(rows_doc):
-            rpath = f"{cpath}.rows[{j}]"
-            _expect_keys(row_doc, {"group_name", "pct_in_test", "group_accuracy", "target_stat"}, rpath)
-            if not isinstance(row_doc["group_name"], str):
-                raise SchemaError(f"{rpath}.group_name", "must be a string")
-            rows.append(DemographicGroupRow(
-                group_name=row_doc["group_name"],
-                pct_in_test=decode_provenance(row_doc["pct_in_test"], f"{rpath}.pct_in_test"),
-                group_accuracy=decode_provenance(row_doc["group_accuracy"], f"{rpath}.group_accuracy"),
-                target_stat=decode_provenance(row_doc["target_stat"], f"{rpath}.target_stat", kind="target"),
-            ))
-        categories.append(DemographicCategory(cat_doc["category_name"], tuple(rows)))
-
-    warnings_doc = doc["warnings"]
-    if not isinstance(warnings_doc, list) or not all(isinstance(x, str) for x in warnings_doc):
-        raise SchemaError("warnings", "expected a list of strings")
-
-    return ModelFactsLabel(
-        application=application,
-        accuracy=accuracy,
-        dataset=dataset,
-        demographics=tuple(categories),
-        warnings=tuple(warnings_doc),
-        schema_version=version,
-    )
+    return decode_label(doc, "")

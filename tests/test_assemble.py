@@ -146,6 +146,18 @@ class TestGenerateLabel:
             build(csv_text, doc)
         assert "does not apply" in err.value.message
 
+    @pytest.mark.parametrize("declared, expected", [
+        ({}, Provenance.not_collected()),
+        ({"raw": 0.8}, Provenance.reported(0.8)),
+        ({"raw": {"state": "unknown_availability"}}, Provenance.unknown_availability()),
+    ])
+    def test_standard_metric_without_its_column_falls_back(self, declared, expected):
+        # TEN_ROW_CSV has y_pred but no score column, which AUC is scored from.
+        label = build(TEN_ROW_CSV, manifest_doc(standard_metric={"name": "AUC", **declared}))
+        assert label.accuracy.standard.name == "AUC"
+        assert label.accuracy.standard.raw_score == expected
+        assert label.accuracy.standard.pct_over_baseline == Provenance.not_collected()
+
     def test_declared_cells_fill_missing_category(self):
         doc = manifest_doc(demographics={"Race": {"state": "available_unreported"}})
         label = build(TEN_ROW_CSV, doc)

@@ -142,8 +142,14 @@ CLASSIFICATION_CSV = "id,y_true,y_pred\na,1,1\nb,0,0\nc,0,1\nd,0,0\n"
      CLASSIFICATION_CSV, "SCHEMA_ERROR"),
     ("imbalanced_classification", {"name": "Accuracy", "baseline": float("nan")},
      CLASSIFICATION_CSV, "SCHEMA_ERROR"),
+    ("imbalanced_classification", {"name": "AUC"},
+     "id,y_true,score\na,1,0.9\nb,0,nan\nc,1,0.2\nd,0,0.1\n", "BAD_VALUE"),
+    ("regression", {"name": "R2"}, "id,y_true,y_pred\na,inf,1.5\nb,2.0,2.0\n", "BAD_VALUE"),
+    ("imbalanced_classification", {"name": "F1"},
+     "id,y_true,y_pred\na,yes,yes\nb,no,no\nc,no,yes\n", "SCHEMA_ERROR"),
 ], ids=["auc-trailing-space", "auc-dashes", "f1-on-regression", "r2-on-classification",
-        "infinite-baseline", "nan-baseline"])
+        "infinite-baseline", "nan-baseline", "nan-score", "infinite-y-true",
+        "absent-positive-class"])
 def test_generate_rejects_bad_metric_input_with_exit_2(tmp_path, capsys, model_type, optimized,
                                                        csv_text, code):
     manifest = json.loads(Path(VOID_MANIFEST).read_text())
@@ -164,6 +170,26 @@ def test_declare_rejects_non_finite_baseline(tmp_path, capsys):
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     assert main(["declare", "--manifest", str(tmp_path / "m.json")]) == 2
     assert "error: SCHEMA_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, golden, edit, path", [
+    ("validate", "void.label.json",
+     lambda doc: doc["dataset"].update(train_pct={"state": []}), "dataset.train_pct"),
+    ("validate", "void.label.json",
+     lambda doc: doc["demographics"][0]["rows"][0].update(target_stat={"state": {}}),
+     "demographics[0].rows[0].target_stat"),
+    ("declare", "void.manifest.json", lambda doc: doc.update(model_type=[]), "model_type"),
+    ("declare", "void.manifest.json",
+     lambda doc: doc["demographics"]["Race"].update(state=[]), "demographics.Race.state"),
+], ids=["label-state-list", "label-state-object", "manifest-model-type-list",
+        "manifest-state-list"])
+def test_unhashable_state_or_model_type_exits_2(tmp_path, capsys, command, golden, edit, path):
+    doc = json.loads(read_golden(golden))
+    edit(doc)
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    args = ["--manifest"] if command == "declare" else []
+    assert main([command, *args, str(tmp_path / "in.json")]) == 2
+    assert f"error: SCHEMA_ERROR: at '{path}'" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -108,6 +108,26 @@ class TestParsePredictions:
         assert err.value.row == 17
         assert err.value.column == "score"
 
+    @pytest.mark.parametrize("model_type, metric, text, column", [
+        ("imbalanced_classification", "AUC", "id,y_true,score\na,1,0.9\nb,0,nan\n", "score"),
+        ("imbalanced_classification", "AUC", "id,y_true,score\na,1,0.9\nb,0,-inf\n", "score"),
+        ("regression", "R2", "id,y_true,y_pred\na,1.0,0.9\nb,inf,1.0\n", "y_true"),
+        ("regression", "R2", "id,y_true,y_pred\na,1.0,0.9\nb,2.0,NaN\n", "y_pred"),
+    ], ids=["nan-score", "minus-inf-score", "inf-y-true", "nan-y-pred"])
+    def test_non_finite_number_names_row_and_column(self, model_type, metric, text, column):
+        doc = minimal_manifest(model_type=model_type, optimized_metric={"name": metric})
+        with pytest.raises(BadValueError) as err:
+            parse_csv(text, doc)
+        assert (err.value.row, err.value.column) == (2, column)
+        assert "not a finite number" in err.value.reason
+
+    def test_positive_class_must_appear_in_the_data(self):
+        with pytest.raises(SchemaError) as err:
+            parse_csv("id,y_true,y_pred\na,yes,yes\nb,no,no\n")
+        assert err.value.path == "positive_class"
+        # A positive class the model predicted but the truth never shows stays legal.
+        assert parse_csv("id,y_true,y_pred\na,0,1\nb,0,0\n").n == 2
+
     def test_empty_file(self):
         with pytest.raises(EmptyFileError):
             parse_csv("")

@@ -256,6 +256,27 @@ class TestCanonicalJson:
             from_canonical_json(text)
         assert err.value.path == "accuracy.optimized.raw_score.value"
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["application"].update(model_train_date="2012-13"),
+         "application.model_train_date"),
+        (lambda d: d["application"]["test_data_range"].update(start=2013),
+         "application.test_data_range.start"),
+        (lambda d: d["application"]["test_data_range"].update(start="2014"),
+         "application.test_data_range"),
+        (lambda d: d["application"].update(application=5), "application.application"),
+        (lambda d: d["application"].update(application=" "), "application"),
+        (lambda d: d["warnings"].append(3), "warnings[2]"),
+        (lambda d: d["demographics"][1]["rows"][2].update(group_name=None),
+         "demographics[1].rows[2].group_name"),
+    ], ids=["train-date", "range-start-type", "range-inverted", "application-type",
+            "application-blank", "warning-type", "group-name-type"])
+    def test_schema_error_names_the_field(self, edit, path):
+        doc = json.loads(read_golden("void.label.json"))
+        edit(doc)
+        with pytest.raises(SchemaError) as err:
+            from_canonical_json(json.dumps(doc))
+        assert err.value.path == path
+
     def test_non_utf8_rejected(self):
         with pytest.raises(SchemaError):
             from_canonical_json(b"\xff\xfe{}")
