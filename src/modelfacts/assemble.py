@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .codec import require_number
+from .codec import load_json_document, require_number
 from .errors import (DeclaredConflictError, NoOverlapError, SchemaError, UnknownMetricError,
                      ZeroBaselineError)
 from .ingest import DeclaredRow, LabelManifest, PredictionDataset
@@ -29,6 +28,7 @@ from .label import (
 )
 from .metrics import (
     Direction,
+    Rows,
     group_breakdown,
     majority_class_baseline,
     make_scorer,
@@ -115,7 +115,7 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
     its computed counterpart is an error, not a silent override.
     """
     scorer = _checked_scorer(manifest.optimized_name, dataset, manifest)
-    optimized_raw = scorer(dataset.records)
+    optimized_raw = scorer(Rows(dataset))
     if manifest.optimized_raw is not None and manifest.optimized_raw.is_reported:
         _conflict("optimized_metric.raw", manifest.optimized_raw.value, optimized_raw)
     optimized = MetricValue(
@@ -152,7 +152,7 @@ def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> Met
     spec = metric_spec(name)
     raw_value = None
     if (dataset.has_scores if spec and spec.needs_score else dataset.has_predictions):
-        raw_value = _checked_scorer(name, dataset, manifest)(dataset.records)
+        raw_value = _checked_scorer(name, dataset, manifest)(Rows(dataset))
         if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
             _conflict("standard_metric.raw", manifest.standard_raw.value, raw_value)
         raw_cell = Provenance.reported(raw_value)
@@ -379,10 +379,7 @@ class ReferencePopulation:
 def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> ReferencePopulation:
     """Parse a reference population document: {name, categories: {cat: {group: pct}}}."""
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("(document)", f"invalid JSON: {exc}") from None
+        doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "reference population must be a JSON object")
     unknown = set(doc) - {"name", "categories"}
@@ -408,7 +405,7 @@ def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> Reference
 
 
 def load_reference_population_file(path: str | Path) -> ReferencePopulation:
-    return load_reference_population(Path(path).read_text(encoding="utf-8"))
+    return load_reference_population(Path(path).read_bytes())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ once, as a table of (encode, decode) pairs, and both directions derive from it.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import partial
 from typing import Any, Callable
@@ -23,6 +24,25 @@ _UNREPORTED = {state.value: Provenance(state) for state in ProvenanceState
                if state is not ProvenanceState.REPORTED}
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
+
+
+def load_json_document(doc: str | bytes) -> Any:
+    """Parse a JSON document given as UTF-8 bytes or as text.
+
+    Bytes that are not UTF-8, text holding lone surrogates (undecodable
+    bytes carried through), and invalid JSON are SCHEMA_ERROR at (document).
+    """
+    try:
+        if isinstance(doc, bytes):
+            doc = doc.decode("utf-8")
+        else:
+            doc.encode("utf-8")
+    except UnicodeError as exc:
+        raise SchemaError("(document)", f"not valid UTF-8: {exc}") from None
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("(document)", f"invalid JSON: {exc}") from None
 
 
 def parse_partial_date(text: str) -> PartialDate:

@@ -95,6 +95,12 @@ class ZeroBaselineError(ModelFactsError):
     code = "ZERO_BASELINE"
 
 
+class NumericOverflowError(ModelFactsError):
+    """A statistic of finite inputs is too large for a float."""
+
+    code = "NUMERIC_OVERFLOW"
+
+
 class ImplausibleAgeError(ModelFactsError):
     code = "IMPLAUSIBLE_AGE"
 

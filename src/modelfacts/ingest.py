@@ -8,17 +8,16 @@ validated on the way in so that downstream code never sees malformed data.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 from typing import Any, IO, Iterable, Mapping
 
-from .codec import decode_cell, encode_provenance, parse_partial_date, require_number
+from .codec import (decode_cell, encode_provenance, load_json_document, parse_partial_date,
+                    require_number)
 from .errors import (
     BadValueError,
     DuplicateIdError,
-    EmptyDatasetError,
     EmptyFileError,
     ImplausibleAgeError,
     MissingColumnError,
@@ -36,7 +35,10 @@ from .label import (
     Provenance,
     canonical_groups,
 )
-from .metrics import Direction, metric_direction, metric_spec
+# The dataset types live beside the scorers that read their columns; this
+# module builds them and re-exports both.
+from .metrics import (Direction, PredictionDataset, PredictionRecord, metric_direction,
+                      metric_spec)
 
 MANIFEST_SCHEMA_VERSION = "1.0"
 
@@ -62,42 +64,6 @@ def bucket_age(age_years: int) -> str:
     if age_years <= 49:
         return "35-49"
     return "50+"
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    id: str
-    truth: Any
-    prediction: Any = None
-    score: float | None = None
-    attributes: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PredictionDataset:
-    """Immutable per-record test data with its demographic attribute schema."""
-
-    records: tuple[PredictionRecord, ...]
-    positive_class: str | None
-    attribute_schema: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "attribute_schema", tuple(self.attribute_schema))
-        if not self.records:
-            raise EmptyDatasetError("a prediction dataset needs at least one record")
-
-    @property
-    def n(self) -> int:
-        return len(self.records)
-
-    @property
-    def has_predictions(self) -> bool:
-        return all(r.prediction is not None for r in self.records)
-
-    @property
-    def has_scores(self) -> bool:
-        return all(r.score is not None for r in self.records)
 
 
 # One declared demographic row: provenance per stat cell.
@@ -325,10 +291,7 @@ def _checked_pct(cell: Provenance | None, path: str) -> Provenance | None:
 def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
     """Parse and validate a manifest document (JSON text or a parsed mapping)."""
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("(document)", f"invalid JSON: {exc}") from None
+        doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "manifest must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
@@ -465,7 +428,7 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
 
 
 def load_label_manifest(path: str | Path) -> LabelManifest:
-    return parse_label_manifest(Path(path).read_text(encoding="utf-8"))
+    return parse_label_manifest(Path(path).read_bytes())
 
 
 def _normalize_group(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]]) -> str | None:
@@ -493,6 +456,22 @@ def _parse_age_value(text: str) -> str:
     return bucket_age(years)
 
 
+def _group_value(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]],
+                 row_no: int, column: str) -> str | None:
+    """The group a raw demographic cell stands for: an age bucket for Age."""
+    if category != "Age":
+        return _normalize_group(category, raw, aliases)
+    text = raw.strip()
+    if not text:
+        return None
+    try:
+        return _parse_age_value(text)
+    except ValueError:
+        raise BadValueError(row_no, column, f"not an age: {text!r}") from None
+    except ImplausibleAgeError as exc:
+        raise BadValueError(row_no, column, exc.message) from None
+
+
 def _parse_number(text: str, row_no: int, column: str) -> float:
     """A finite float; NaN and infinities would turn every score built on them into NaN."""
     try:
@@ -504,6 +483,20 @@ def _parse_number(text: str, row_no: int, column: str) -> float:
     return value
 
 
+def _undecodable_row(path: str | Path) -> int:
+    """Number of the first row holding bytes that are not UTF-8 (the header is row 0)."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+        for row_no, row in enumerate(csv.reader(handle)):
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                return row_no
+    return 0
+
+
+_UNSEEN = object()
+
+
 def parse_predictions(source: str | Path | IO[str] | Iterable[str],
                       manifest: LabelManifest) -> PredictionDataset:
     """Parse a delimited predictions file into a validated dataset.
@@ -513,11 +506,17 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     matches a manifest-known category becomes a demographic attribute: `age`
     is bucketed from integer years and other values are normalized against
     the canonical group names plus the manifest's alias map, with unmatched
-    values mapped to "Other".  Row counts are never silently reduced.
+    values mapped to "Other".  Each distinct raw value is normalized once.
+    Row counts are never silently reduced.  A file is read as UTF-8, with or
+    without a byte-order mark.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return parse_predictions(handle, manifest)
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+                return parse_predictions(handle, manifest)
+        except UnicodeDecodeError as exc:
+            raise BadValueError(_undecodable_row(source), "(row)",
+                                f"not UTF-8 text: {exc.reason}") from None
 
     reader = csv.reader(source)
     try:
@@ -557,68 +556,66 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     if classification and manifest.positive_class is None:
         raise SchemaError("positive_class", "required to ingest classification predictions")
 
-    def cell(row: list[str], idx: int | None) -> str:
-        if idx is None or idx >= len(row):
-            return ""
-        return row[idx].strip()
-
-    records: list[PredictionRecord] = []
+    width = len(names)
+    ids: list[str] = []
+    truth: list = []
+    prediction: list | None = None if pred_idx is None else []
+    score: list[float] | None = None if score_idx is None else []
+    # Per category: cell index, column name, group column, and a memo from raw cell to group.
+    group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
     seen_ids: set[str] = set()
     for row_no, row in enumerate(reader, start=1):
-        if len(row) > len(names):
-            raise BadValueError(row_no, "(row)", f"expected {len(names)} cells, got {len(row)}")
-        rid = cell(row, id_idx)
+        if len(row) > width:
+            raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        rid = row[id_idx].strip()
         if not rid:
             raise BadValueError(row_no, "id", "empty id")
         if rid in seen_ids:
             raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
         seen_ids.add(rid)
+        ids.append(rid)
 
-        truth_text = cell(row, truth_idx)
+        truth_text = row[truth_idx].strip()
         if not truth_text:
             raise BadValueError(row_no, "y_true", "empty value")
-        truth: Any = truth_text if classification else _parse_number(truth_text, row_no, "y_true")
+        truth.append(truth_text if classification else _parse_number(truth_text, row_no, "y_true"))
 
-        prediction: Any = None
-        if pred_idx is not None:
-            pred_text = cell(row, pred_idx)
+        if prediction is not None:
+            pred_text = row[pred_idx].strip()
             if not pred_text:
                 raise BadValueError(row_no, "y_pred", "empty value")
-            prediction = pred_text if classification else _parse_number(pred_text, row_no, "y_pred")
+            prediction.append(pred_text if classification
+                              else _parse_number(pred_text, row_no, "y_pred"))
 
-        score = None if score_idx is None else _parse_number(cell(row, score_idx), row_no, "score")
+        if score is not None:
+            score.append(_parse_number(row[score_idx].strip(), row_no, "score"))
 
-        attributes: dict[str, str] = {}
-        for idx, category in category_cols:
-            raw = cell(row, idx)
-            if not raw:
-                continue
-            if category == "Age":
-                try:
-                    attributes[category] = _parse_age_value(raw)
-                except ValueError:
-                    raise BadValueError(row_no, names[idx], f"not an age: {raw!r}") from None
-                except ImplausibleAgeError as exc:
-                    raise BadValueError(row_no, names[idx], exc.message) from None
-            else:
-                group = _normalize_group(category, raw, manifest.aliases)
-                if group is not None:
-                    attributes[category] = group
-        records.append(PredictionRecord(id=rid, truth=truth, prediction=prediction,
-                                        score=score, attributes=attributes))
+        for idx, column, category, values, memo in group_cols:
+            raw = row[idx]
+            group = memo.get(raw, _UNSEEN)
+            if group is _UNSEEN:
+                group = memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
+            values.append(group)
 
-    if not records:
+    if not ids:
         raise EmptyFileError("predictions file has no data rows")
     positive = manifest.positive_class
-    if classification and not any(r.truth == positive or r.prediction == positive for r in records):
+    if classification and positive not in truth and (prediction is None or positive not in prediction):
         raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
 
     present = {cat for _, cat in category_cols}
     schema = [c for c in CANONICAL_CATEGORY_ORDER if c in present]
     schema += [cat for _, cat in category_cols if cat not in schema]
-    return PredictionDataset(
-        records=tuple(records),
-        positive_class=manifest.positive_class if classification else None,
+    groups: dict[str, list[str | None]] = {}
+    for _, _, category, values, _ in group_cols:
+        earlier = groups.get(category)  # two columns of one category: a later non-blank cell wins
+        groups[category] = values if earlier is None else [
+            e if v is None else v for e, v in zip(earlier, values)]
+    return PredictionDataset.from_columns(
+        ids, truth, prediction, score, groups,
+        positive_class=positive if classification else None,
         attribute_schema=tuple(schema),
     )
 

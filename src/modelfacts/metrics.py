@@ -1,21 +1,27 @@
 """Numeric quantities behind a label: scores, baselines, and group breakdowns.
 
-All functions are pure and deterministic; record order never changes a
-result.  Scores are plain Python floats computed with stdlib arithmetic.
+A dataset is held as parallel columns.  Scorers read them through `Rows`, a
+subset of row indices; every AUC in a label reads one sort of the score
+column.  All functions are pure and deterministic; record order never
+changes a result.  Scores are plain Python floats computed with stdlib
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EmptyDatasetError,
     LengthMismatchError,
+    MissingColumnError,
     ModelFactsError,
+    NumericOverflowError,
     SingleClassError,
     UnknownCategoryError,
     UnknownMetricError,
@@ -31,10 +37,122 @@ from .label import (
     canonical_groups,
 )
 
-if TYPE_CHECKING:
-    from .ingest import PredictionDataset, PredictionRecord
 
-Scorer = Callable[[Sequence["PredictionRecord"]], float]
+@dataclass(frozen=True)
+class PredictionRecord:
+    id: str
+    truth: Any
+    prediction: Any = None
+    score: float | None = None
+    attributes: Mapping[str, str] = field(default_factory=dict)
+
+
+def _sort_by_score(score: Sequence[float], rows: Iterable[int]) -> list[int]:
+    """`rows` in ascending score order; the sort is stable, so tied rows keep their order."""
+    return sorted(rows, key=score.__getitem__)
+
+
+class PredictionDataset:
+    """Test data as parallel columns, one entry per row, with its demographic attribute schema.
+
+    `prediction` and `score` are None when the data has no such column.
+    `groups` maps each schema category to its column of group names, None
+    where the cell was blank.  Built from records, a column is present only
+    when every record has a value.
+    """
+
+    __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
+                 "attribute_schema", "_score_order")
+
+    def __init__(self, records: Iterable[PredictionRecord], positive_class: str | None,
+                 attribute_schema: Iterable[str]):
+        records = tuple(records)
+        schema = tuple(attribute_schema)
+
+        def column(values: list) -> list | None:
+            return None if None in values else values
+
+        self._fill([r.id for r in records], [r.truth for r in records],
+                   column([r.prediction for r in records]), column([r.score for r in records]),
+                   {c: [r.attributes.get(c) for r in records] for c in schema},
+                   positive_class, schema)
+
+    @classmethod
+    def from_columns(cls, ids: list[str], truth: list, prediction: list | None,
+                     score: list[float] | None, groups: dict[str, list[str | None]],
+                     positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
+        dataset = cls.__new__(cls)
+        dataset._fill(ids, truth, prediction, score, groups, positive_class, attribute_schema)
+        return dataset
+
+    def _fill(self, ids, truth, prediction, score, groups, positive_class, attribute_schema):
+        if not truth:
+            raise EmptyDatasetError("a prediction dataset needs at least one record")
+        self.ids = ids
+        self.truth = truth
+        self.prediction = prediction
+        self.score = score
+        self.groups = groups
+        self.positive_class = positive_class
+        self.attribute_schema = attribute_schema
+        self._score_order: list[int] | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.truth)
+
+    @property
+    def has_predictions(self) -> bool:
+        return self.prediction is not None
+
+    @property
+    def has_scores(self) -> bool:
+        return self.score is not None
+
+    @property
+    def records(self) -> tuple[PredictionRecord, ...]:
+        """The rows as records, built on each access; blank group cells are left out."""
+        missing = [None] * self.n
+        prediction = missing if self.prediction is None else self.prediction
+        score = missing if self.score is None else self.score
+        columns = [(c, self.groups[c]) for c in self.attribute_schema]
+        return tuple(
+            PredictionRecord(self.ids[i], self.truth[i], prediction[i], score[i],
+                             {c: col[i] for c, col in columns if col[i] is not None})
+            for i in range(self.n))
+
+    def score_order(self) -> list[int]:
+        """Row indices in ascending score order, sorted on first use and kept."""
+        if self._score_order is None:
+            if self.score is None:
+                raise MissingColumnError("score")
+            self._score_order = _sort_by_score(self.score, range(self.n))
+        return self._score_order
+
+
+class Rows:
+    """The rows one score covers, as indices into a dataset's columns in record order.
+
+    `by_score()` lists the same rows in ascending score order; for a subset
+    it comes from the dataset's one sort, so no scorer sorts again.
+    """
+
+    __slots__ = ("dataset", "indices", "by_score")
+
+    def __init__(self, dataset: PredictionDataset, indices: Sequence[int] | None = None,
+                 by_score: Callable[[], list[int]] | None = None):
+        self.dataset = dataset
+        self.indices = range(dataset.n) if indices is None else indices
+        self.by_score = dataset.score_order if indices is None else by_score
+
+    def take(self, column: Sequence) -> Sequence:
+        """These rows' entries of a dataset column, in record order."""
+        if len(self.indices) == len(column):
+            return column
+        return [column[i] for i in self.indices]
+
+
+Scorer = Callable[[Union[Rows, Sequence[PredictionRecord]]], float]
 
 
 class Direction(Enum):
@@ -102,22 +220,6 @@ def precision_recall_f1(truth: Sequence, predicted: Sequence, positive_class) ->
     return precision, recall, f1
 
 
-def _tied_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks with ties assigned the mean rank of their run."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j + 2) / 2.0  # mean of 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
-
-
 def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney) formulation.
 
@@ -126,13 +228,25 @@ def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     it stays exact and fast on large datasets.
     """
     _check_pair(truth, scores)
-    n_pos = sum(1 for t in truth if t == positive_class)
-    n_neg = len(truth) - n_pos
+    return _ranked_auc(_sort_by_score(scores, range(len(scores))), scores, truth, positive_class)
+
+
+def _ranked_auc(order: Sequence[int], scores: Sequence[float], truth: Sequence,
+                positive_class) -> float:
+    """AUC of the rows `order` lists, in ascending score order, in one pass.
+
+    A run of tied scores at 0-based positions lo..hi-1 shares the mean
+    1-based rank (lo + hi + 1) / 2, so twice the positives' rank sum is an
+    exact integer, and the result equals that of summing the ranks as floats.
+    """
+    ranked = [scores[i] for i in order]
+    positives = [scores[i] for i in order if truth[i] == positive_class]
+    n_pos = len(positives)
+    n_neg = len(ranked) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs at least one positive and one negative sample")
-    ranks = _tied_ranks(scores)
-    rank_sum_pos = sum(r for r, t in zip(ranks, truth) if t == positive_class)
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    twice_rank_sum = sum(bisect_left(ranked, s) + bisect_right(ranked, s) + 1 for s in positives)
+    return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -148,13 +262,22 @@ class RegressionStats:
     target_std: float
 
 
+def _finite(what: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise NumericOverflowError(f"{what} is too large for a float")
+    return value
+
+
 def target_mean_std(truth: Sequence[float]) -> tuple[float, float]:
     """Mean and population (divisor N) standard deviation."""
     if len(truth) == 0:
         raise EmptyDatasetError("no samples")
     mean = sum(truth) / len(truth)
-    var = sum((t - mean) ** 2 for t in truth) / len(truth)
-    return mean, math.sqrt(var)
+    try:
+        var = sum((t - mean) ** 2 for t in truth) / len(truth)
+    except OverflowError:  # float ** raises where + and * return inf
+        var = math.inf
+    return mean, math.sqrt(_finite("the truth's variance", var))
 
 
 def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> RegressionStats:
@@ -164,8 +287,12 @@ def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> Regr
     ss_tot = sum((t - mean) ** 2 for t in truth)
     if ss_tot == 0.0:
         return RegressionStats(r2=None, target_mean=mean, target_std=std)
-    ss_res = sum((t - p) ** 2 for t, p in zip(truth, predicted))
-    return RegressionStats(r2=1.0 - ss_res / ss_tot, target_mean=mean, target_std=std)
+    try:
+        ss_res = sum((t - p) ** 2 for t, p in zip(truth, predicted))
+    except OverflowError:
+        ss_res = math.inf
+    return RegressionStats(r2=_finite("R2", 1.0 - ss_res / ss_tot), target_mean=mean,
+                           target_std=std)
 
 
 def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> float:
@@ -176,9 +303,8 @@ def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> 
     """
     if baseline == 0:
         raise ZeroBaselineError("baseline score is zero; percent improvement is undefined")
-    if direction is Direction.MINIMIZE:
-        return 100.0 * (baseline - raw) / baseline
-    return 100.0 * (raw - baseline) / baseline
+    gain = baseline - raw if direction is Direction.MINIMIZE else raw - baseline
+    return _finite("the percent over baseline", 100.0 * gain / baseline)
 
 
 def select_standard_metric(model_type: ModelType) -> str:
@@ -190,8 +316,21 @@ def select_standard_metric(model_type: ModelType) -> str:
     }[model_type]
 
 
-def _r2(truth: Sequence[float], predicted: Sequence[float], positive_class) -> float:
-    stats = regression_stats(truth, predicted)
+def _predicted(rows: Rows) -> tuple[Sequence, Sequence]:
+    """The rows' truth and y_pred values."""
+    dataset = rows.dataset
+    if dataset.prediction is None:
+        raise MissingColumnError("y_pred")
+    return rows.take(dataset.truth), rows.take(dataset.prediction)
+
+
+def _rows_auc(rows: Rows, positive_class) -> float:
+    order = rows.by_score()  # MISSING_COLUMN without a score column
+    return _ranked_auc(order, rows.dataset.score, rows.dataset.truth, positive_class)
+
+
+def _r2(rows: Rows, positive_class) -> float:
+    stats = regression_stats(*_predicted(rows))
     if stats.r2 is None:
         raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
     return stats.r2
@@ -216,9 +355,10 @@ def _auc_baseline(counts: Counter, majority, positive_class) -> float:
 class MetricSpec:
     """What the package knows about one metric; METRIC_SPECS lists them all.
 
-    scorer(truth, values, positive_class) scores `score` when needs_score is
-    set, else `y_pred`.  majority_baseline(counts, majority, positive_class)
-    scores, from the truth-label counts, predicting the majority everywhere.
+    scorer(rows, positive_class) scores the rows from `score` when needs_score
+    is set, else from `y_pred`.  majority_baseline(counts, majority,
+    positive_class) scores, from the truth-label counts, predicting the
+    majority everywhere.
     A metric without a scorer may be named on a label but not computed.
     """
 
@@ -227,7 +367,7 @@ class MetricSpec:
     classification: bool  # applies to classification models, else to regression
     score_range: tuple[float | None, float] | None = None  # validator's (low or None, high)
     needs_score: bool = False
-    scorer: Callable[[Sequence, Sequence, Any], float] | None = None
+    scorer: Callable[[Rows, Any], float] | None = None
     majority_baseline: Callable[[Counter, Any, Any], float] | None = None
 
 
@@ -238,13 +378,13 @@ def _canon_metric_name(name: str) -> str:
 _UNIT = (0.0, 1.0)
 METRIC_SPECS: dict[str, MetricSpec] = {_canon_metric_name(spec.name): spec for spec in (
     MetricSpec("Accuracy", Direction.MAXIMIZE, True, _UNIT,
-               scorer=lambda truth, predicted, _: standard_accuracy(truth, predicted),
+               scorer=lambda rows, _: standard_accuracy(*_predicted(rows)),
                majority_baseline=lambda counts, majority, _: counts[majority] / counts.total()),
     MetricSpec("F1", Direction.MAXIMIZE, True, _UNIT,
-               scorer=lambda truth, predicted, pos: precision_recall_f1(truth, predicted, pos)[2],
+               scorer=lambda rows, pos: precision_recall_f1(*_predicted(rows), pos)[2],
                majority_baseline=_f1_baseline),
     MetricSpec("AUC", Direction.MAXIMIZE, True, _UNIT, needs_score=True,
-               scorer=lambda truth, scores, pos: auc(scores, truth, pos),
+               scorer=_rows_auc,
                majority_baseline=_auc_baseline),
     MetricSpec("R2", Direction.MAXIMIZE, False, (None, 1.0), scorer=_r2),
     # Known by name only: a direction, and a range rule where one applies.
@@ -272,19 +412,22 @@ def metric_direction(name: str) -> Direction | None:
 
 
 def make_scorer(metric_name: str, positive_class=None) -> Scorer:
-    """Build a scorer mapping a record subset to the named metric's value."""
+    """Build a scorer mapping rows, or a record sequence, to the named metric's value.
+
+    Records are turned into a dataset's columns first.
+    """
     spec = metric_spec(metric_name)
     if spec is None or spec.scorer is None:
         raise UnknownMetricError(f"no scorer for metric '{metric_name}'")
 
-    def score(records):
-        values = ([r.score for r in records] if spec.needs_score
-                  else [r.prediction for r in records])
-        return spec.scorer([r.truth for r in records], values, positive_class)
+    def score(rows):
+        if not isinstance(rows, Rows):
+            rows = Rows(PredictionDataset(rows, positive_class, ()))
+        return spec.scorer(rows, positive_class)
     return score
 
 
-def majority_class_baseline(dataset: "PredictionDataset", metric_name: str) -> float:
+def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> float:
     """Score of the naive model that assigns every sample to the majority class.
 
     The naive model predicts the most common truth label for every record
@@ -294,7 +437,7 @@ def majority_class_baseline(dataset: "PredictionDataset", metric_name: str) -> f
     spec = metric_spec(metric_name)
     if spec is None or spec.majority_baseline is None:
         raise UnknownMetricError(f"no majority-class baseline for metric '{metric_name}'")
-    counts = Counter(r.truth for r in dataset.records)
+    counts = Counter(dataset.truth)
     majority = min(counts, key=lambda label: (-counts[label], str(label)))
     return spec.majority_baseline(counts, majority, dataset.positive_class)
 
@@ -310,10 +453,10 @@ class GroupStats:
     target: PctTarget | MeanStd
 
 
-def group_breakdown(dataset: "PredictionDataset", category: str, scorer: Scorer) -> list[DemographicGroupRow]:
+def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -> list[DemographicGroupRow]:
     """Per-group rows for one demographic category.
 
-    Records with unrecognized or missing group values fall under "Other".
+    Rows with unrecognized or missing group values fall under "Other".
     Canonical rows always appear, with not-collected stats when the group is
     empty; a scorer failure on a group (e.g. a single-class AUC) marks that
     row's score as unknown availability rather than fabricating a number.
@@ -323,27 +466,36 @@ def group_breakdown(dataset: "PredictionDataset", category: str, scorer: Scorer)
         raise UnknownCategoryError(f"category '{category}' not in the dataset's attribute schema")
 
     canon = canonical_groups(category)
-    groups: dict[str, list] = {}
-    for record in dataset.records:
-        value = record.attributes.get(category)
-        if not value or (canon is not None and value not in canon):
-            value = "Other"
-        groups.setdefault(value, []).append(record)
+    column = dataset.groups[category]
+    name_of = {value: value if value and (canon is None or value in canon) else "Other"
+               for value in set(column)}
 
-    n_total = dataset.n
+    def bucket(rows: Iterable[int]) -> dict[str, list[int]]:
+        buckets = defaultdict(list)
+        for i in rows:
+            buckets[name_of[column[i]]].append(i)
+        return buckets
+
+    groups = bucket(range(dataset.n))
+    ranked: dict[str, list[int]] = {}
+
+    def by_score(name: str) -> list[int]:
+        # One pass over the dataset's score order buckets every group at once.
+        if not ranked:
+            ranked.update(bucket(dataset.score_order()))
+        return ranked[name]
+
     classification = dataset.positive_class is not None
-
     ordered = list(canon) if canon is not None else []
     ordered += sorted(g for g in groups if g not in ordered)
 
     rows = []
     for name in ordered:
-        members = groups.get(name, [])
-        if not members:
+        if name not in groups:
             rows.append(DemographicGroupRow.all_not_collected(name))
             continue
-        stats = _stats_for_group(name, members, n_total, classification,
-                                 dataset.positive_class, scorer)
+        members = Rows(dataset, groups[name], lambda name=name: by_score(name))
+        stats = _stats_for_group(name, members, classification, dataset.positive_class, scorer)
         score_cell = (Provenance.reported(stats.score) if stats.score is not None
                       else Provenance.unknown_availability())
         rows.append(DemographicGroupRow(
@@ -355,21 +507,23 @@ def group_breakdown(dataset: "PredictionDataset", category: str, scorer: Scorer)
     return rows
 
 
-def _stats_for_group(name, members, n_total, classification, positive_class, scorer) -> GroupStats:
+def _stats_for_group(name: str, members: Rows, classification: bool, positive_class,
+                     scorer: Scorer) -> GroupStats:
     try:
         score = scorer(members)
     except ModelFactsError:
         score = None
+    n = len(members.indices)
+    truth = members.take(members.dataset.truth)
     if classification:
-        positives = sum(1 for r in members if r.truth == positive_class)
-        target = PctTarget(100.0 * positives / len(members))
+        target = PctTarget(100.0 * truth.count(positive_class) / n)
     else:
-        mean, std = target_mean_std([r.truth for r in members])
+        mean, std = target_mean_std(truth)
         target = MeanStd(mean, std)
     return GroupStats(
         group_name=name,
-        n=len(members),
-        pct_in_test=100.0 * len(members) / n_total,
+        n=n,
+        pct_in_test=100.0 * n / members.dataset.n,
         score=score,
         target=target,
     )

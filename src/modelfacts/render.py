@@ -14,8 +14,7 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import decode_label, encode_label
-from .errors import SchemaError
+from .codec import decode_label, encode_label, load_json_document
 from .label import MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance, ProvenanceState
 
 _STATE_TEXT = {
@@ -268,13 +267,4 @@ def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
     Semantic publishability rules are left to the validator so that a flawed
     label can still be loaded and inspected.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError("(document)", f"not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("(document)", f"invalid JSON: {exc}") from None
-    return decode_label(doc, "")
+    return decode_label(load_json_document(data), "")

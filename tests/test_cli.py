@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_DIR, make_label, read_golden
+from modelfacts import __version__
 from modelfacts.cli import main
 from modelfacts.render import to_canonical_json
 
@@ -147,9 +151,15 @@ CLASSIFICATION_CSV = "id,y_true,y_pred\na,1,1\nb,0,0\nc,0,1\nd,0,0\n"
     ("regression", {"name": "R2"}, "id,y_true,y_pred\na,inf,1.5\nb,2.0,2.0\n", "BAD_VALUE"),
     ("imbalanced_classification", {"name": "F1"},
      "id,y_true,y_pred\na,yes,yes\nb,no,no\nc,no,yes\n", "SCHEMA_ERROR"),
+    ("regression", {"name": "R2"}, "id,y_true,y_pred\na,1e300,1.5\nb,2.0,2.0\n", "NUMERIC_OVERFLOW"),
+    ("regression", {"name": "R2"}, "id,y_true,y_pred\na,1.0,-1e300\nb,2.0,2.0\n",
+     "NUMERIC_OVERFLOW"),
+    ("imbalanced_classification", {"name": "Accuracy", "baseline": 1e-308},
+     CLASSIFICATION_CSV, "NUMERIC_OVERFLOW"),
 ], ids=["auc-trailing-space", "auc-dashes", "f1-on-regression", "r2-on-classification",
         "infinite-baseline", "nan-baseline", "nan-score", "infinite-y-true",
-        "absent-positive-class"])
+        "absent-positive-class", "overflowing-variance", "overflowing-residuals",
+        "overflowing-percent"])
 def test_generate_rejects_bad_metric_input_with_exit_2(tmp_path, capsys, model_type, optimized,
                                                        csv_text, code):
     manifest = json.loads(Path(VOID_MANIFEST).read_text())
@@ -190,6 +200,55 @@ def test_unhashable_state_or_model_type_exits_2(tmp_path, capsys, command, golde
     args = ["--manifest"] if command == "declare" else []
     assert main([command, *args, str(tmp_path / "in.json")]) == 2
     assert f"error: SCHEMA_ERROR: at '{path}'" in capsys.readouterr().err
+
+
+def accuracy_manifest(tmp_path: Path) -> str:
+    manifest = json.loads(Path(VOID_MANIFEST).read_text())
+    manifest.update(positive_class="1", optimized_metric={"name": "Accuracy"})
+    manifest.pop("standard_metric")
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return str(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("command, error", [
+    ("declare", "SCHEMA_ERROR: at '(document)'"),
+    ("generate", "BAD_VALUE: row 2, column '(row)'"),
+    ("audit", "SCHEMA_ERROR: at '(document)'"),
+])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command, error):
+    bad = tmp_path / "bad"
+    if command == "generate":
+        bad.write_bytes(b"id,y_true,y_pred\na,1,1\nb,0,\x80\n")
+        args = ["generate", "--data", str(bad), "--manifest", accuracy_manifest(tmp_path)]
+    elif command == "declare":
+        bad.write_bytes(read_golden("void.manifest.json").replace(b"Identify", b"Identi\x80y"))
+        args = ["declare", "--manifest", str(bad)]
+    else:
+        bad.write_bytes(b'{"name": "\x80", "categories": {"Gender": {"Female": 100}}}')
+        args = ["audit", str(GOLDEN_DIR / "void.label.json"), "--reference", str(bad)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}" in err and "internal error" not in err
+
+
+def test_generate_reads_a_csv_with_byte_order_mark(tmp_path, capsys):
+    csv_text = "id,y_true,y_pred,gender\na,1,1,F\nb,0,0,M\nc,1,0,F\n"
+    (tmp_path / "plain.csv").write_text(csv_text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(csv_text, encoding="utf-8-sig")
+    manifest = accuracy_manifest(tmp_path)
+    for name in ("plain", "bom"):
+        assert main(["generate", "--data", str(tmp_path / f"{name}.csv"),
+                     "--manifest", manifest, "-o", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "modelfacts", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"modelfacts {__version__}\n")
 
 
 class TestValidate:

@@ -17,8 +17,10 @@ from modelfacts.errors import (
     UnknownMetricError,
     ImplausibleAgeError,
 )
+from modelfacts.assemble import load_reference_population, load_reference_population_file
 from modelfacts.ingest import (
     bucket_age,
+    load_label_manifest,
     parse_label_manifest,
     parse_predictions,
 )
@@ -184,6 +186,54 @@ class TestParsePredictions:
         dataset = parse_csv("id,y_true,y_pred,notes\na,1,1,hello\n")
         assert dataset.attribute_schema == ()
         assert dataset.records[0].attributes == {}
+
+    def test_two_columns_of_one_category_keep_the_later_non_blank_cell(self):
+        dataset = parse_csv("id,y_true,y_pred,race,Race\na,1,1,Black,\nb,0,0,Black,Asian\n")
+        assert dataset.attribute_schema == ("Race",)
+        assert [r.attributes for r in dataset.records] == [{"Race": "Black"}, {"Race": "Asian"}]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,y_true,y_pred\na,1,1\nb,0,1\n")
+        manifest = parse_label_manifest(json.dumps(minimal_manifest()))
+        dataset = parse_predictions(path, manifest)
+        assert [r.id for r in dataset.records] == ["a", "b"]
+
+    def test_non_utf8_byte_is_bad_value_at_its_row(self, tmp_path):
+        # Far past the first read buffer, so the row comes from the byte, not the buffer.
+        rows = [f"r{i},1,1,White\n".encode() for i in range(1, 2001)]
+        rows[1499] = b"r1500,1,1,Wh\xe9te\n"
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"id,y_true,y_pred,race\n" + b"".join(rows))
+        manifest = parse_label_manifest(json.dumps(minimal_manifest()))
+        with pytest.raises(BadValueError) as err:
+            parse_predictions(path, manifest)
+        assert (err.value.row, err.value.column) == (1500, "(row)")
+        assert "not UTF-8" in err.value.reason
+
+
+NOT_UTF8 = b'{"name": "caf\xe9"}'
+
+
+@pytest.mark.parametrize("entry", [
+    lambda tmp_path: parse_label_manifest(NOT_UTF8),
+    lambda tmp_path: parse_label_manifest(NOT_UTF8.decode("utf-8", "surrogateescape")),
+    lambda tmp_path: load_label_manifest(write_bytes(tmp_path / "m.json", NOT_UTF8)),
+    lambda tmp_path: load_reference_population(NOT_UTF8),
+    lambda tmp_path: load_reference_population(NOT_UTF8.decode("utf-8", "surrogateescape")),
+    lambda tmp_path: load_reference_population_file(write_bytes(tmp_path / "r.json", NOT_UTF8)),
+], ids=["manifest-bytes", "manifest-text", "manifest-file",
+        "reference-bytes", "reference-text", "reference-file"])
+def test_document_that_is_not_utf8_is_schema_error(tmp_path, entry):
+    with pytest.raises(SchemaError) as err:
+        entry(tmp_path)
+    assert err.value.path == "(document)"
+    assert "UTF-8" in err.value.reason
+
+
+def write_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return path
 
 
 class TestParseManifest:

@@ -483,3 +483,51 @@ class TestClosedFormMajorityBaseline:
     def test_metric_without_baseline(self):
         with pytest.raises(UnknownMetricError):
             majority_class_baseline(ten_record_dataset(), "R2")
+
+
+class TestColumnarDataset:
+    def test_records_round_trip_through_columns(self):
+        dataset = ten_record_dataset()
+        again = PredictionDataset(dataset.records, "1", ("Gender",))
+        assert again.records == dataset.records
+        assert again.groups["Gender"] == [r.attributes["Gender"] for r in dataset.records]
+
+    def test_a_column_is_present_only_when_every_record_has_a_value(self):
+        records = (_record(0, "1", "1", "Female", score=0.5), _record(1, "0", "0", "Male"))
+        dataset = PredictionDataset(records, "1", ("Gender",))
+        assert dataset.has_predictions and not dataset.has_scores
+        assert make_scorer("Accuracy")(records) == 1.0
+        with pytest.raises(MissingColumnError):
+            make_scorer("AUC", "1")(records)
+
+
+def test_generate_label_sorts_the_score_column_once(monkeypatch):
+    """Every AUC of a label, overall and per group, reads one sort of the score column."""
+    from modelfacts import metrics
+    from modelfacts.assemble import generate_label
+
+    sorted_lengths = []
+    real_sort = metrics._sort_by_score
+
+    def counting_sort(score, rows):
+        sorted_lengths.append(len(score))
+        return real_sort(score, rows)
+
+    monkeypatch.setattr(metrics, "_sort_by_score", counting_sort)
+    rng = random.Random(41)
+    lines = ["id,y_true,y_pred,score,race,gender,age"]
+    for i in range(120):
+        lines.append(",".join([f"r{i}", rng.choice("01"), rng.choice("01"),
+                               str(rng.choice([0.1, 0.5, 0.9, round(rng.random(), 2)])),
+                               rng.choice(["White", "Black", "Asian", ""]),
+                               rng.choice(["F", "M", "Female", "x"]),
+                               str(rng.randint(10, 80))]))
+    manifest = dataclasses.replace(_manifest_for("AUC", True), standard_name="AUC",
+                                   baseline_policy="majority-class")
+    dataset = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+    label = generate_label(dataset, manifest)
+
+    scored = [row for category in label.demographics for row in category.rows
+              if row.group_accuracy.is_reported]
+    assert len(scored) >= 8
+    assert sorted_lengths == [120]

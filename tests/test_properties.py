@@ -1,18 +1,22 @@
-"""Property tests: the document parsers end in a value or a typed error, and
-the canonical label JSON round-trips byte for byte."""
+"""Property tests: the document parsers end in a value or a typed error, the
+canonical label JSON round-trips byte for byte, group breakdowns agree with a
+brute-force recount, and generated labels hold only finite numbers."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
-from modelfacts.assemble import load_reference_population
+from modelfacts.assemble import generate_label, load_reference_population
 from modelfacts.errors import ModelFactsError
-from modelfacts.ingest import parse_label_manifest
+from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
 from modelfacts.label import (
     AccuracySection,
     ApplicationInfo,
@@ -29,6 +33,7 @@ from modelfacts.label import (
     Provenance,
     ProvenanceState,
 )
+from modelfacts.metrics import group_breakdown, make_scorer
 from modelfacts.render import from_canonical_json, to_canonical_json
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -148,3 +153,111 @@ def test_generated_label_round_trips_byte_for_byte(label):
     again = from_canonical_json(data)
     assert again == label
     assert to_canonical_json(again) == data
+
+
+GENDERS = ("Female", "Male", "Trans Female", "Trans Male", "Nonbinary", "Other")
+
+
+@st.composite
+def classification_records(draw):
+    """Small datasets with forced score ties, 1-5 groups, blank cells and single-class groups."""
+    groups = draw(st.lists(st.sampled_from(GENDERS + ("unknown",)), min_size=1, max_size=5,
+                           unique=True))
+    n = draw(st.integers(1, 30))
+    return [PredictionRecord(
+        id=str(i),
+        truth=draw(st.sampled_from(["0", "1", "2"])),
+        score=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2)),
+        attributes={} if draw(st.booleans()) and draw(st.booleans())
+        else {"Gender": draw(st.sampled_from(groups + [""]))},
+    ) for i in range(n)]
+
+
+def pair_count_auc(scores, truth) -> float | None:
+    """O(n^2) AUC: every (positive, negative) pair, ties worth one half; None on one class."""
+    pos = [s for s, t in zip(scores, truth) if t == "1"]
+    neg = [s for s, t in zip(scores, truth) if t != "1"]
+    if not pos or not neg:
+        return None
+    return sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg) / (
+        len(pos) * len(neg))
+
+
+@PROPERTY_SETTINGS
+@given(records=classification_records(), seed=st.integers(0, 2**32 - 1))
+def test_group_breakdown_matches_a_brute_force_recount(records, seed):
+    rows = group_breakdown(PredictionDataset(records, "1", ("Gender",)), "Gender",
+                           make_scorer("AUC", "1"))
+    assert [row.group_name for row in rows] == list(GENDERS)
+    for row in rows:
+        members = [r for r in records
+                   if (r.attributes.get("Gender") if r.attributes.get("Gender") in GENDERS
+                       else "Other") == row.group_name]
+        if not members:
+            assert row == row.all_not_collected(row.group_name)
+            continue
+        assert row.pct_in_test.value == 100.0 * len(members) / len(records)
+        positives = sum(1 for r in members if r.truth == "1")
+        assert row.target_stat.value == PctTarget(100.0 * positives / len(members))
+        expected = pair_count_auc([r.score for r in members], [r.truth for r in members])
+        if expected is None:
+            assert row.group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
+        else:
+            assert row.group_accuracy.value == expected
+
+    shuffled = list(records)
+    random.Random(seed).shuffle(shuffled)
+    assert group_breakdown(PredictionDataset(shuffled, "1", ("Gender",)), "Gender",
+                           make_scorer("AUC", "1")) == rows
+
+
+def finite_numbers_only(node) -> bool:
+    if isinstance(node, float):
+        return math.isfinite(node)
+    if isinstance(node, dict):
+        return all(finite_numbers_only(v) for v in node.values())
+    if isinstance(node, list):
+        return all(finite_numbers_only(v) for v in node)
+    return True
+
+
+GENERATE_SETUPS = [  # model type, optimized metric, standard metric, baseline or its policy
+    ("imbalanced_classification", "AUC", None, "majority-class"),
+    ("imbalanced_classification", "F1", "AUC", "majority-class"),
+    ("balanced_classification", "Accuracy", None, "majority-class"),
+    ("balanced_classification", "Accuracy", None, 5e-324),
+    ("regression", "R2", None, None),
+    ("regression", "R2", None, 1e-308),
+]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), setup=st.sampled_from(GENERATE_SETUPS), n=st.integers(1, 12))
+def test_generate_emits_only_finite_numbers(data, setup, n):
+    model_type, optimized, standard, policy = setup
+    doc = {"schema_version": "1.0", "application": "Scores intake cases",
+           "model_type": model_type, "model_train_date": "2020", "test_data_range": "2021",
+           "optimized_metric": {"name": optimized}, "warnings": []}
+    if isinstance(policy, float):
+        doc["optimized_metric"]["baseline"] = policy
+    elif policy:
+        doc["optimized_metric"]["baseline_policy"] = policy
+    if standard:
+        doc["standard_metric"] = {"name": standard}
+    if model_type != "regression":
+        doc["positive_class"] = "1"
+        values = st.sampled_from(["0", "1", "2"])
+    else:
+        values = st.sampled_from(["0", "1.5", "-3", "1e300", "-1e300", "2.5e-308"])
+    scores = st.sampled_from(["0", "0.5", "1", "1e-300", "-7"])
+    lines = ["id,y_true,y_pred,score,gender,age"] + [
+        f"r{i},{data.draw(values)},{data.draw(values)},{data.draw(scores)},"
+        f"{data.draw(st.sampled_from(['F', 'M', 'x', '']))},{data.draw(st.integers(0, 150))}"
+        for i in range(n)]
+    try:
+        manifest = parse_label_manifest(json.dumps(doc))
+        label = generate_label(parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest),
+                               manifest)
+    except ModelFactsError:
+        return
+    assert finite_numbers_only(json.loads(to_canonical_json(label)))
