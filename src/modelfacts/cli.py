@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .assemble import (
@@ -207,6 +208,32 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _argument(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type: a ValueError from convert names the argument and exits 2."""
+    def parse(text: str) -> Any:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"expected a finite, nonnegative number, got {text!r}")
+    return value
+
+
+class _Distinct(argparse.Action):
+    """Store the values; giving one twice is an error naming the argument."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentError(self, "each label file may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modelfacts",
@@ -232,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a label against publishability rules")
     p.add_argument("label", help="canonical label JSON")
-    p.add_argument("--max-lines", type=int, default=80)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--max-lines", default=80,
+                   type=_argument(lambda text: RenderBudget(max_lines=int(text)).max_lines))
+    p.add_argument("--width", default=64,
+                   type=_argument(lambda text: RenderBudget(width=int(text)).width))
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=_cmd_validate)
 
@@ -244,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("compare", help="rank labels and list comparability caveats")
-    p.add_argument("labels", nargs="+", help="canonical label JSON files")
+    p.add_argument("labels", nargs="+", action=_Distinct, help="canonical label JSON files")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("audit", help="audit demographic representation against a reference")
     p.add_argument("label", help="canonical label JSON")
     p.add_argument("--reference", required=True, help="reference population JSON")
-    p.add_argument("--threshold-pp", type=float, default=5.0,
+    p.add_argument("--threshold-pp", type=_argument(_threshold), default=5.0,
                    help="flag gaps larger than this many percentage points")
     p.add_argument("--strict", action="store_true", help="exit 1 when any group is flagged")
     p.add_argument("--json", action="store_true", help="machine-readable report")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from enum import Enum
 from functools import partial
 from typing import Any, Callable
 
@@ -24,13 +25,15 @@ _UNREPORTED = {state.value: Provenance(state) for state in ProvenanceState
                if state is not ProvenanceState.REPORTED}
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def load_json_document(doc: str | bytes) -> Any:
     """Parse a JSON document given as UTF-8 bytes or as text.
 
     Bytes that are not UTF-8, text holding lone surrogates (undecodable
-    bytes carried through), and invalid JSON are SCHEMA_ERROR at (document).
+    bytes carried through), a string escape that decodes to a lone surrogate
+    (say "\\udc80"), and invalid JSON are SCHEMA_ERROR at (document).
     """
     try:
         if isinstance(doc, bytes):
@@ -40,9 +43,15 @@ def load_json_document(doc: str | bytes) -> Any:
     except UnicodeError as exc:
         raise SchemaError("(document)", f"not valid UTF-8: {exc}") from None
     try:
-        return json.loads(doc)
+        value = json.loads(doc)
     except json.JSONDecodeError as exc:
         raise SchemaError("(document)", f"invalid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(doc):  # only then can a decoded string hold one
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("(document)", "not valid UTF-8: a lone surrogate escape") from None
+    return value
 
 
 def parse_partial_date(text: str) -> PartialDate:
@@ -180,8 +189,28 @@ def _cell(kind: str) -> Codec:
     return encode_provenance, partial(decode_provenance, kind=kind)
 
 
-def _same(value: Any) -> Any:
+def same(value: Any) -> Any:
     return value
+
+
+def checked(ok: Callable[[Any], Any], problem: str,
+            convert: Callable[[Any], Any] = same) -> Callable[[Any, str], Any]:
+    """A leaf decoder: convert(value) when ok(value) holds, else SCHEMA_ERROR.
+
+    problem may show the value through a {!r} field.
+    """
+    def decode(obj: Any, path: str) -> Any:
+        if not ok(obj):
+            raise SchemaError(path, problem.format(obj))
+        return convert(obj)
+    return decode
+
+
+def enum_codec(cls: type[Enum]) -> Codec:
+    """An Enum member, written as its value."""
+    values = [member.value for member in cls]
+    return (lambda member: member.value), checked(
+        lambda v: v in values, f"expected one of {sorted(values)}, got {{!r}}", cls)
 
 
 def _text(obj: Any, path: str) -> str:
@@ -197,13 +226,6 @@ def _date(obj: Any, path: str) -> PartialDate:
         raise SchemaError(path, exc.message) from None
 
 
-def _model_type(obj: Any, path: str) -> ModelType:
-    try:
-        return ModelType(obj)
-    except ValueError:
-        raise SchemaError(path, f"unknown model type {obj!r}") from None
-
-
 def _version(obj: Any, path: str) -> str:
     if _text(obj, path) not in SUPPORTED_SCHEMA_VERSIONS:
         raise UnsupportedVersionError(
@@ -211,7 +233,7 @@ def _version(obj: Any, path: str) -> str:
     return obj
 
 
-_TEXT: Codec = (_same, _text)
+_TEXT: Codec = (same, _text)
 _DATE: Codec = (PartialDate.isoformat, _date)
 _NUMBER, _COUNT, _TARGET = _cell("number"), _cell("count"), _cell("target")
 
@@ -219,11 +241,11 @@ _METRIC = _object(MetricValue, name=_TEXT, raw_score=_NUMBER, pct_over_baseline=
 
 _LABEL = _object(
     ModelFactsLabel,
-    schema_version=(_same, _version),
+    schema_version=(same, _version),
     application=_object(
         ApplicationInfo,
         application=_TEXT,
-        model_type=(lambda model_type: model_type.value, _model_type),
+        model_type=enum_codec(ModelType),
         model_train_date=_DATE,
         test_data_range=_object(DateRange, start=_DATE, end=_DATE),
     ),

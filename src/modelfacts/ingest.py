@@ -8,13 +8,13 @@ validated on the way in so that downstream code never sees malformed data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from math import isfinite
+from dataclasses import MISSING, dataclass, field, fields
+from math import inf, isfinite
 from pathlib import Path
-from typing import Any, IO, Iterable, Mapping
+from typing import Any, Callable, IO, Iterable, Mapping
 
-from .codec import (decode_cell, encode_provenance, load_json_document, parse_partial_date,
-                    require_number)
+from .codec import (Codec, checked, decode_cell, encode_provenance, enum_codec, load_json_document,
+                    parse_partial_date, same)
 from .errors import (
     BadValueError,
     DuplicateIdError,
@@ -34,6 +34,7 @@ from .label import (
     PctTarget,
     Provenance,
     canonical_groups,
+    is_finite_number,
 )
 # The dataset types live beside the scorers that read their columns; this
 # module builds them and re-exports both.
@@ -74,7 +75,12 @@ _STAT_KEYS = ("pct_in_test", "accuracy", "target")
 
 @dataclass(frozen=True)
 class LabelManifest:
-    """Developer-declared metadata: everything a dataset alone cannot supply."""
+    """Developer-declared metadata: everything a dataset alone cannot supply.
+
+    The manifest document's shape is the table _MANIFEST; fields without a
+    default are its required keys.  Rules that span fields are checked here,
+    so a hand-built manifest obeys them too.
+    """
 
     schema_version: str
     application: str
@@ -82,8 +88,8 @@ class LabelManifest:
     model_train_date: PartialDate
     test_data_range: DateRange
     optimized_name: str
-    optimized_direction: Direction
     warnings: tuple[str, ...]
+    optimized_direction: Direction | None = None  # None: inferred from optimized_name
     positive_class: str | None = None
     optimized_raw: Provenance | None = None
     optimized_pct_over: Provenance | None = None
@@ -102,6 +108,29 @@ class LabelManifest:
     def __post_init__(self):
         object.__setattr__(self, "warnings", tuple(self.warnings))
         object.__setattr__(self, "extra_categories", tuple(self.extra_categories))
+        if self.optimized_direction is None:
+            direction = metric_direction(self.optimized_name)
+            if direction is None:
+                raise UnknownMetricError(f"metric '{self.optimized_name}' has no known direction; "
+                                         f"set {_PATHS['optimized_direction']}")
+            object.__setattr__(self, "optimized_direction", direction)
+        if self.baseline_policy is not None:
+            if self.baseline is not None:
+                raise SchemaError(_PATHS["baseline"].rpartition(".")[0],
+                                  "give either baseline or baseline_policy, not both")
+            if not self.model_type.is_classification:
+                raise SchemaError(_PATHS["baseline_policy"],
+                                  "the majority-class policy applies to classification only")
+        classification = self.model_type.is_classification
+        variant = PctTarget if classification else MeanStd
+        for category, rows in self.demographics.items():
+            for group, row in rows.items():
+                target = row["target"]
+                if target.is_reported and not isinstance(target.value, variant):
+                    raise SchemaError(
+                        f"{_PATHS['demographics']}.{category}.rows.{group}.target",
+                        "classification labels report a target percentage" if classification
+                        else "regression labels report mean and std")
 
     def known_categories(self) -> list[str]:
         """Categories this manifest can bind prediction columns to."""
@@ -112,79 +141,18 @@ class LabelManifest:
         return names
 
     def to_dict(self) -> dict[str, Any]:
-        """Lossless dictionary form; parsing it back yields an equal manifest."""
-        doc: dict[str, Any] = {
-            "schema_version": self.schema_version,
-            "application": self.application,
-            "model_type": self.model_type.value,
-            "model_train_date": self.model_train_date.isoformat(),
-            "test_data_range": {
-                "start": self.test_data_range.start.isoformat(),
-                "end": self.test_data_range.end.isoformat(),
-            },
-        }
-        if self.positive_class is not None:
-            doc["positive_class"] = self.positive_class
-        optimized: dict[str, Any] = {
-            "name": self.optimized_name,
-            "direction": self.optimized_direction.value,
-        }
-        if self.optimized_raw is not None:
-            optimized["raw"] = encode_provenance(self.optimized_raw)
-        if self.optimized_pct_over is not None:
-            optimized["pct_over_baseline"] = encode_provenance(self.optimized_pct_over)
-        if self.baseline is not None:
-            optimized["baseline"] = self.baseline
-        if self.baseline_policy is not None:
-            optimized["baseline_policy"] = self.baseline_policy
-        doc["optimized_metric"] = optimized
-        standard: dict[str, Any] = {}
-        if self.standard_name is not None:
-            standard["name"] = self.standard_name
-        if self.standard_raw is not None:
-            standard["raw"] = encode_provenance(self.standard_raw)
-        if self.standard_pct_over is not None:
-            standard["pct_over_baseline"] = encode_provenance(self.standard_pct_over)
-        if standard:
-            doc["standard_metric"] = standard
-        dataset: dict[str, Any] = {}
-        if self.sample_count is not None:
-            dataset["count"] = encode_provenance(self.sample_count)
-        if self.train_pct is not None:
-            dataset["train_pct"] = encode_provenance(self.train_pct)
-        if self.test_pct is not None:
-            dataset["test_pct"] = encode_provenance(self.test_pct)
-        if dataset:
-            doc["dataset"] = dataset
-        if self.demographics:
-            doc["demographics"] = {
-                category: {"rows": {
-                    group: {stat: encode_provenance(cell) for stat, cell in row.items()}
-                    for group, row in rows.items()
-                }}
-                for category, rows in self.demographics.items()
-            }
-        doc["warnings"] = list(self.warnings)
-        if self.aliases:
-            doc["aliases"] = {cat: dict(m) for cat, m in self.aliases.items()}
-        if self.extra_categories:
-            doc["extra_categories"] = list(self.extra_categories)
+        """Lossless dictionary form; parsing it back yields an equal manifest.
+
+        A field equal to its default is left out.
+        """
+        doc: dict[str, Any] = {}
+        for path, name, (encode, _) in _MANIFEST:
+            value = getattr(self, name)
+            if name in _DEFAULTS and value == _DEFAULTS[name]:
+                continue
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = encode(value)
         return doc
-
-
-_TOP_KEYS = {
-    "schema_version", "application", "model_type", "model_train_date",
-    "test_data_range", "positive_class", "optimized_metric", "standard_metric",
-    "dataset", "demographics", "warnings", "aliases", "extra_categories",
-}
-
-_MODEL_TYPES = {t.value: t for t in ModelType}
-
-
-def _require(doc: Mapping, key: str, path: str = "") -> Any:
-    if key not in doc:
-        raise SchemaError(f"{path}{key}" if not path else f"{path}.{key}", "required key is missing")
-    return doc[key]
 
 
 def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
@@ -193,99 +161,178 @@ def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
         raise SchemaError(path or "(top level)", f"unknown keys {sorted(unknown)}")
 
 
-def _parse_date_range(raw: Any, path: str) -> DateRange:
-    if isinstance(raw, str):
-        point = parse_partial_date(raw)
+def _or_null(decode: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """JSON null stands for the absent key."""
+    return lambda obj, path: None if obj is None else decode(obj, path)
+
+
+def _strings(problem: str) -> Callable[[Any, str], tuple[str, ...]]:
+    return checked(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                   problem, tuple)
+
+
+def _date_range(obj: Any, path: str) -> DateRange:
+    """One date string, or {start, end}."""
+    if isinstance(obj, str):
+        point = parse_partial_date(obj)
         return DateRange(point, point)
-    if isinstance(raw, dict):
-        _check_keys(raw, {"start", "end"}, path)
-        start = parse_partial_date(_require(raw, "start", path))
-        end = parse_partial_date(_require(raw, "end", path))
-        try:
-            return DateRange(start, end)
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from None
-    raise SchemaError(path, "expected a date string or {start, end}")
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected a date string or {start, end}")
+    _check_keys(obj, {"start", "end"}, path)
+    ends = []
+    for end in ("start", "end"):
+        if end not in obj:
+            raise SchemaError(f"{path}.{end}", "required key is missing")
+        ends.append(parse_partial_date(obj[end]))
+    try:
+        return DateRange(*ends)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
-def _parse_declared_demographics(raw: Any, model_type: ModelType) -> dict[str, dict[str, DeclaredRow]]:
+def _cell_in_range(kind: str, low: float, high: float) -> Callable[[Any, str], Provenance]:
+    """A provenance cell whose reported value lies in [low, high]."""
+    def decode(obj: Any, path: str) -> Provenance:
+        cell = decode_cell(obj, path, kind)
+        if cell.is_reported and not low <= cell.value <= high:
+            raise SchemaError(path, f"{cell.value} outside [{low}, {high}]")
+        return cell
+    return decode
+
+
+def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow]]:
+    """Categories of declared rows; a category state fills the rows and stats left out."""
     if not isinstance(raw, dict):
-        raise SchemaError("demographics", "expected an object of categories")
+        raise SchemaError(path, "expected an object of categories")
     out: dict[str, dict[str, DeclaredRow]] = {}
     for category, spec in raw.items():
-        path = f"demographics.{category}"
+        cat_path = f"{path}.{category}"
         if not isinstance(spec, dict):
-            raise SchemaError(path, "expected an object")
-        _check_keys(spec, {"state", "rows"}, path)
-        default_state: Provenance | None = None
-        if "state" in spec:
-            default_state = decode_cell({"state": spec["state"]}, f"{path}.state")
-        declared_rows: dict[str, Any] = spec.get("rows", {})
-        if not isinstance(declared_rows, dict):
-            raise SchemaError(f"{path}.rows", "expected an object of group rows")
-
-        canon = canonical_groups(category)
-        group_names = list(canon) if canon is not None else []
-        for name in declared_rows:
-            if name not in group_names:
-                group_names.append(name)
-        if not group_names:
-            raise SchemaError(path, "extension categories need explicit rows")
-
-        rows: dict[str, DeclaredRow] = {}
-        for group in group_names:
-            row_path = f"{path}.rows.{group}"
-            row_spec = declared_rows.get(group)
-            if row_spec is None:
-                if default_state is None:
-                    raise SchemaError(row_path, "row is missing and no category state is given")
-                rows[group] = {stat: default_state for stat in _STAT_KEYS}
-                continue
-            if not isinstance(row_spec, dict):
-                raise SchemaError(row_path, "expected an object")
-            if "state" in row_spec:
-                _check_keys(row_spec, {"state"}, row_path)
-                uniform = decode_cell({"state": row_spec["state"]}, f"{row_path}.state")
-                rows[group] = {stat: uniform for stat in _STAT_KEYS}
-                continue
-            _check_keys(row_spec, set(_STAT_KEYS), row_path)
-            row: DeclaredRow = {}
-            for stat in _STAT_KEYS:
-                if stat in row_spec:
-                    kind = "target" if stat == "target" else "number"
-                    row[stat] = decode_cell(row_spec[stat], f"{row_path}.{stat}", kind)
-                elif default_state is not None:
-                    row[stat] = default_state
-                else:
-                    raise SchemaError(f"{row_path}.{stat}",
-                                      "stat is missing and no category state is given")
-            rows[group] = row
-        _check_target_variants(rows, model_type, path)
-        out[category] = rows
+            raise SchemaError(cat_path, "expected an object")
+        _check_keys(spec, {"state", "rows"}, cat_path)
+        default = (decode_cell({"state": spec["state"]}, f"{cat_path}.state")
+                   if "state" in spec else None)
+        declared = spec.get("rows", {})
+        if not isinstance(declared, dict):
+            raise SchemaError(f"{cat_path}.rows", "expected an object of group rows")
+        groups = list(canonical_groups(category) or ())
+        groups += [group for group in declared if group not in groups]
+        if not groups:
+            raise SchemaError(cat_path, "extension categories need explicit rows")
+        out[category] = {group: _declared_row(declared.get(group), default,
+                                              f"{cat_path}.rows.{group}") for group in groups}
     return out
 
 
-def _check_target_variants(rows: dict[str, DeclaredRow], model_type: ModelType, path: str) -> None:
-    for group, row in rows.items():
-        target = row["target"]
-        if not target.is_reported:
-            continue
-        if model_type.is_classification and not isinstance(target.value, PctTarget):
-            raise SchemaError(f"{path}.rows.{group}.target",
-                              "classification labels report a target percentage")
-        if not model_type.is_classification and not isinstance(target.value, MeanStd):
-            raise SchemaError(f"{path}.rows.{group}.target",
-                              "regression labels report mean and std")
+def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredRow:
+    if spec is None:
+        if default is None:
+            raise SchemaError(path, "row is missing and no category state is given")
+        return dict.fromkeys(_STAT_KEYS, default)
+    if not isinstance(spec, dict):
+        raise SchemaError(path, "expected an object")
+    if "state" in spec:
+        _check_keys(spec, {"state"}, path)
+        return dict.fromkeys(_STAT_KEYS, decode_cell({"state": spec["state"]}, f"{path}.state"))
+    _check_keys(spec, set(_STAT_KEYS), path)
+    row: DeclaredRow = {}
+    for stat in _STAT_KEYS:
+        if stat in spec:
+            row[stat] = decode_cell(spec[stat], f"{path}.{stat}",
+                                    "target" if stat == "target" else "number")
+        elif default is not None:
+            row[stat] = default
+        else:
+            raise SchemaError(f"{path}.{stat}", "stat is missing and no category state is given")
+    return row
 
 
-def _optional_cell(doc: Mapping, key: str, path: str, kind: str = "number") -> Provenance | None:
-    return decode_cell(doc[key], f"{path}.{key}", kind) if key in doc else None
+def _encode_demographics(demographics: dict[str, dict[str, DeclaredRow]]) -> dict[str, Any]:
+    return {category: {"rows": {
+        group: {stat: encode_provenance(cell) for stat, cell in row.items()}
+        for group, row in rows.items()
+    }} for category, rows in demographics.items()}
 
 
-def _checked_pct(cell: Provenance | None, path: str) -> Provenance | None:
-    if cell is not None and cell.is_reported and not 0.0 <= cell.value <= 100.0:
-        raise SchemaError(path, f"percentage {cell.value} outside [0, 100]")
-    return cell
+def _aliases(raw: Any, path: str) -> dict[str, dict[str, str]]:
+    """Per category, {alias: group}; aliases match in any case."""
+    if not isinstance(raw, Mapping):
+        raise SchemaError(path, "expected an object of category alias maps")
+    aliases: dict[str, dict[str, str]] = {}
+    for category, mapping in raw.items():
+        if not isinstance(mapping, Mapping) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
+            raise SchemaError(f"{path}.{category}", "expected {alias: group} strings")
+        aliases[category] = {k.lower(): v for k, v in mapping.items()}
+    return aliases
+
+
+_NUMBER: Codec = (encode_provenance, decode_cell)
+_METRIC_NAME: Codec = (same, checked(lambda v: isinstance(v, str) and v,
+                                     "must be a non-empty string"))
+
+# The manifest's JSON shape, declared once: (JSON path, LabelManifest field,
+# codec), in document order.  A dotted path is a key of an object section.
+_MANIFEST: tuple[tuple[str, str, Codec], ...] = (
+    ("schema_version", "schema_version",
+     (same, checked(lambda v: v == MANIFEST_SCHEMA_VERSION,
+                    "unsupported manifest version {!r}"))),
+    ("application", "application",
+     (same, checked(lambda v: isinstance(v, str) and v.strip(), "must be a non-empty string"))),
+    ("model_type", "model_type", enum_codec(ModelType)),
+    ("model_train_date", "model_train_date",
+     (PartialDate.isoformat, lambda obj, _: parse_partial_date(obj))),  # DATE_PARSE_ERROR
+    ("test_data_range", "test_data_range",
+     (lambda r: {"start": r.start.isoformat(), "end": r.end.isoformat()}, _date_range)),
+    ("positive_class", "positive_class",
+     (same, _or_null(checked(lambda v: isinstance(v, str), "must be a string label")))),
+    ("optimized_metric.name", "optimized_name", _METRIC_NAME),
+    ("optimized_metric.direction", "optimized_direction", enum_codec(Direction)),
+    ("optimized_metric.raw", "optimized_raw", _NUMBER),
+    ("optimized_metric.pct_over_baseline", "optimized_pct_over", _NUMBER),
+    ("optimized_metric.baseline", "baseline",
+     (same, _or_null(checked(lambda v: is_finite_number(v) and v != 0,
+                             "expected a finite, nonzero number, got {!r}")))),
+    ("optimized_metric.baseline_policy", "baseline_policy",
+     (same, _or_null(checked(lambda v: v == "majority-class",
+                             "unknown policy {!r} (only 'majority-class')")))),
+    ("standard_metric.name", "standard_name", _METRIC_NAME),
+    ("standard_metric.raw", "standard_raw", _NUMBER),
+    ("standard_metric.pct_over_baseline", "standard_pct_over", _NUMBER),
+    ("dataset.count", "sample_count", (encode_provenance, _cell_in_range("count", 0, inf))),
+    ("dataset.train_pct", "train_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
+    ("dataset.test_pct", "test_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
+    ("demographics", "demographics", (_encode_demographics, _demographics)),
+    ("warnings", "warnings", (list, _strings("must be a list of strings (may be empty)"))),
+    ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, _aliases)),
+    ("extra_categories", "extra_categories",
+     (list, _strings("expected a list of category names"))),
+)
+
+_PATHS = {name: path for path, name, _ in _MANIFEST}
+_DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+             for f in fields(LabelManifest)
+             if f.default is not MISSING or f.default_factory is not MISSING}
+# Required paths: those of fields without a default, and the sections holding them.
+_REQUIRED = {path for name, path in _PATHS.items() if name not in _DEFAULTS}
+_REQUIRED |= {path.rpartition(".")[0] for path in _REQUIRED} - {""}
+# The keys each section allows; "" is the top level, which also holds the sections.
+_SPLIT = [path.rpartition(".") for path in _PATHS.values()]
+_KEYS = {section: {key for s, _, key in _SPLIT if s == section} for section, _, _ in _SPLIT}
+_KEYS[""] |= set(_KEYS) - {""}
+
+
+def _section(doc: Mapping, name: str) -> Mapping | None:
+    """The object section with the given name, its keys checked; None when absent."""
+    if name not in doc:
+        if name in _REQUIRED:
+            raise SchemaError(name, "required key is missing")
+        return None
+    section = doc[name]
+    if not isinstance(section, Mapping):
+        raise SchemaError(name, "expected an object")
+    _check_keys(section, _KEYS[name], name)
+    return section
 
 
 def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
@@ -294,137 +341,19 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
         doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "manifest must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-
-    schema_version = _require(doc, "schema_version")
-    if schema_version != MANIFEST_SCHEMA_VERSION:
-        raise SchemaError("schema_version", f"unsupported manifest version {schema_version!r}")
-
-    application = _require(doc, "application")
-    if not isinstance(application, str) or not application.strip():
-        raise SchemaError("application", "must be a non-empty string")
-
-    model_type_raw = _require(doc, "model_type")
-    model_type = _MODEL_TYPES.get(model_type_raw) if isinstance(model_type_raw, str) else None
-    if model_type is None:
-        raise SchemaError("model_type", f"unknown model type {model_type_raw!r} "
-                                        f"(expected one of {sorted(_MODEL_TYPES)})")
-
-    train_date = parse_partial_date(_require(doc, "model_train_date"))
-    test_range = _parse_date_range(_require(doc, "test_data_range"), "test_data_range")
-
-    warnings_raw = _require(doc, "warnings")
-    if not isinstance(warnings_raw, list) or not all(isinstance(w, str) for w in warnings_raw):
-        raise SchemaError("warnings", "must be a list of strings (may be empty)")
-
-    opt = _require(doc, "optimized_metric")
-    if not isinstance(opt, Mapping):
-        raise SchemaError("optimized_metric", "expected an object")
-    _check_keys(opt, {"name", "direction", "raw", "pct_over_baseline", "baseline", "baseline_policy"},
-                "optimized_metric")
-    opt_name = _require(opt, "name", "optimized_metric")
-    if not isinstance(opt_name, str) or not opt_name:
-        raise SchemaError("optimized_metric.name", "must be a non-empty string")
-    if "direction" in opt:
-        try:
-            direction = Direction(opt["direction"])
-        except ValueError:
-            raise SchemaError("optimized_metric.direction",
-                              f"expected 'maximize' or 'minimize', got {opt['direction']!r}") from None
-    else:
-        direction = metric_direction(opt_name)
-        if direction is None:
-            raise UnknownMetricError(
-                f"metric '{opt_name}' has no known direction; set optimized_metric.direction")
-
-    optimized_raw = _optional_cell(opt, "raw", "optimized_metric")
-    optimized_pct = _optional_cell(opt, "pct_over_baseline", "optimized_metric")
-    baseline = opt.get("baseline")
-    if baseline is not None:
-        if require_number(baseline, "optimized_metric.baseline") == 0:
-            raise SchemaError("optimized_metric.baseline",
-                              "must be nonzero; a percent over a zero baseline is undefined")
-    baseline_policy = opt.get("baseline_policy")
-    if baseline_policy is not None:
-        if baseline_policy != "majority-class":
-            raise SchemaError("optimized_metric.baseline_policy",
-                              f"unknown policy {baseline_policy!r} (only 'majority-class')")
-        if baseline is not None:
-            raise SchemaError("optimized_metric", "give either baseline or baseline_policy, not both")
-        if not model_type.is_classification:
-            raise SchemaError("optimized_metric.baseline_policy",
-                              "the majority-class policy applies to classification only")
-
-    standard_name = standard_raw = standard_pct = None
-    if "standard_metric" in doc:
-        std = doc["standard_metric"]
-        if not isinstance(std, Mapping):
-            raise SchemaError("standard_metric", "expected an object")
-        _check_keys(std, {"name", "raw", "pct_over_baseline"}, "standard_metric")
-        if "name" in std:
-            standard_name = std["name"]
-            if not isinstance(standard_name, str) or not standard_name:
-                raise SchemaError("standard_metric.name", "must be a non-empty string")
-        standard_raw = _optional_cell(std, "raw", "standard_metric")
-        standard_pct = _optional_cell(std, "pct_over_baseline", "standard_metric")
-
-    sample_count = train_pct = test_pct = None
-    if "dataset" in doc:
-        ds = doc["dataset"]
-        if not isinstance(ds, Mapping):
-            raise SchemaError("dataset", "expected an object")
-        _check_keys(ds, {"count", "train_pct", "test_pct"}, "dataset")
-        sample_count = _optional_cell(ds, "count", "dataset", kind="count")
-        if sample_count is not None and sample_count.is_reported and sample_count.value < 0:
-            raise SchemaError("dataset.count", "must be nonnegative")
-        train_pct = _checked_pct(_optional_cell(ds, "train_pct", "dataset"), "dataset.train_pct")
-        test_pct = _checked_pct(_optional_cell(ds, "test_pct", "dataset"), "dataset.test_pct")
-
-    demographics = (_parse_declared_demographics(doc["demographics"], model_type)
-                    if "demographics" in doc else {})
-
-    positive_class = doc.get("positive_class")
-    if positive_class is not None and not isinstance(positive_class, str):
-        raise SchemaError("positive_class", "must be a string label")
-
-    aliases_raw = doc.get("aliases", {})
-    if not isinstance(aliases_raw, Mapping):
-        raise SchemaError("aliases", "expected an object of category alias maps")
-    aliases: dict[str, dict[str, str]] = {}
-    for category, mapping in aliases_raw.items():
-        if not isinstance(mapping, Mapping) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
-            raise SchemaError(f"aliases.{category}", "expected {alias: group} strings")
-        aliases[category] = {k.lower(): v for k, v in mapping.items()}
-
-    extra_categories = doc.get("extra_categories", [])
-    if not isinstance(extra_categories, list) or not all(isinstance(c, str) for c in extra_categories):
-        raise SchemaError("extra_categories", "expected a list of category names")
-
-    return LabelManifest(
-        schema_version=schema_version,
-        application=application,
-        model_type=model_type,
-        model_train_date=train_date,
-        test_data_range=test_range,
-        optimized_name=opt_name,
-        optimized_direction=direction,
-        warnings=tuple(warnings_raw),
-        positive_class=positive_class,
-        optimized_raw=optimized_raw,
-        optimized_pct_over=optimized_pct,
-        baseline=baseline,
-        baseline_policy=baseline_policy,
-        standard_name=standard_name,
-        standard_raw=standard_raw,
-        standard_pct_over=standard_pct,
-        sample_count=sample_count,
-        train_pct=train_pct,
-        test_pct=test_pct,
-        demographics=demographics,
-        aliases=aliases,
-        extra_categories=tuple(extra_categories),
-    )
+    _check_keys(doc, _KEYS[""], "")
+    sections: dict[str, Mapping | None] = {"": doc}
+    values: dict[str, Any] = {}
+    for path, name, (_, decode) in _MANIFEST:
+        section, _, key = path.rpartition(".")
+        if section not in sections:
+            sections[section] = _section(doc, section)
+        obj = sections[section]
+        if obj is not None and key in obj:
+            values[name] = decode(obj[key], path)
+        elif path in _REQUIRED:
+            raise SchemaError(path, "required key is missing")
+    return LabelManifest(**values)
 
 
 def load_label_manifest(path: str | Path) -> LabelManifest:
@@ -523,6 +452,8 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
         header = next(reader)
     except StopIteration:
         raise EmptyFileError("predictions file has no header row") from None
+    except csv.Error as exc:
+        raise BadValueError(0, "(row)", f"unreadable CSV row: {exc}") from None
     names = [h.strip() for h in header]
     lowered = [n.lower() for n in names]
 
@@ -564,40 +495,45 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     # Per category: cell index, column name, group column, and a memo from raw cell to group.
     group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
     seen_ids: set[str] = set()
-    for row_no, row in enumerate(reader, start=1):
-        if len(row) > width:
-            raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        rid = row[id_idx].strip()
-        if not rid:
-            raise BadValueError(row_no, "id", "empty id")
-        if rid in seen_ids:
-            raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
-        seen_ids.add(rid)
-        ids.append(rid)
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) > width:
+                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            rid = row[id_idx].strip()
+            if not rid:
+                raise BadValueError(row_no, "id", "empty id")
+            if rid in seen_ids:
+                raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
+            seen_ids.add(rid)
+            ids.append(rid)
 
-        truth_text = row[truth_idx].strip()
-        if not truth_text:
-            raise BadValueError(row_no, "y_true", "empty value")
-        truth.append(truth_text if classification else _parse_number(truth_text, row_no, "y_true"))
+            truth_text = row[truth_idx].strip()
+            if not truth_text:
+                raise BadValueError(row_no, "y_true", "empty value")
+            truth.append(truth_text if classification
+                         else _parse_number(truth_text, row_no, "y_true"))
 
-        if prediction is not None:
-            pred_text = row[pred_idx].strip()
-            if not pred_text:
-                raise BadValueError(row_no, "y_pred", "empty value")
-            prediction.append(pred_text if classification
-                              else _parse_number(pred_text, row_no, "y_pred"))
+            if prediction is not None:
+                pred_text = row[pred_idx].strip()
+                if not pred_text:
+                    raise BadValueError(row_no, "y_pred", "empty value")
+                prediction.append(pred_text if classification
+                                  else _parse_number(pred_text, row_no, "y_pred"))
 
-        if score is not None:
-            score.append(_parse_number(row[score_idx].strip(), row_no, "score"))
+            if score is not None:
+                score.append(_parse_number(row[score_idx].strip(), row_no, "score"))
 
-        for idx, column, category, values, memo in group_cols:
-            raw = row[idx]
-            group = memo.get(raw, _UNSEEN)
-            if group is _UNSEEN:
-                group = memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
-            values.append(group)
+            for idx, column, category, values, memo in group_cols:
+                raw = row[idx]
+                group = memo.get(raw, _UNSEEN)
+                if group is _UNSEEN:
+                    group = memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
+                values.append(group)
+    except csv.Error as exc:  # raised while reading the row after the last one numbered
+        raise BadValueError(row_no + 1, "(row)", f"unreadable CSV row: {exc}") from None
 
     if not ids:
         raise EmptyFileError("predictions file has no data rows")

@@ -231,6 +231,48 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command, error):
     assert f"error: {error}" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("command, golden", [
+    (["declare", "--manifest"], "void.manifest.json"),
+    (["render", "--format", "html", "-o", "out.html"], "void.label.json"),
+    (["render", "--format", "text"], "void.label.json"),
+], ids=["declare", "render-to-file", "render-to-stdout"])
+def test_lone_surrogate_escape_exits_2(tmp_path, capsys, command, golden):
+    bad = tmp_path / "bad.json"  # plain ASCII on disk; the escape decodes to U+DC80
+    bad.write_bytes(read_golden(golden).replace(b"Identify", b"Identify \\udc80"))
+    args = [str(tmp_path / a) if a == "out.html" else a for a in command]
+    assert main([*args, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "error: SCHEMA_ERROR: at '(document)'" in captured.err
+    assert "internal error" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out.html").exists()
+
+
+def test_surrogate_pair_escape_is_read(tmp_path, capsys):
+    label = tmp_path / "pair.json"  # an escaped pair, and an escaped backslash before "udc80"
+    label.write_bytes(read_golden("void.label.json").replace(
+        b"Identify", b"Identify \\ud83d\\ude00 \\\\udc80"))
+    assert main(["render", str(label), "--format", "text"]) == 0
+    assert "Identify \U0001F600 \\udc80" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, argument", [
+    (["validate", "{void}", "--width", "10"], "--width"),
+    (["validate", "{void}", "--max-lines", "3"], "--max-lines"),
+    (["compare", "{void}", "{void}"], "labels"),
+    (["audit", "{void}", "--reference", "{reference}", "--threshold-pp", "nan"], "--threshold-pp"),
+    (["audit", "{void}", "--reference", "{reference}", "--threshold-pp", "inf"], "--threshold-pp"),
+    (["audit", "{void}", "--reference", "{reference}", "--threshold-pp", "-1"], "--threshold-pp"),
+], ids=["narrow-width", "few-lines", "repeated-label", "nan-threshold", "infinite-threshold",
+        "negative-threshold"])
+def test_out_of_bounds_argument_exits_2_naming_it(reference_file, capsys, args, argument):
+    paths = {"void": str(GOLDEN_DIR / "void.label.json"), "reference": reference_file}
+    with pytest.raises(SystemExit) as done:
+        main([a.format(**paths) for a in args])
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {argument}: " in captured.err and captured.out == ""
+
+
 def test_generate_reads_a_csv_with_byte_order_mark(tmp_path, capsys):
     csv_text = "id,y_true,y_pred,gender\na,1,1,F\nb,0,0,M\nc,1,0,F\n"
     (tmp_path / "plain.csv").write_text(csv_text, encoding="utf-8")

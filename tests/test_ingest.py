@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -24,7 +25,7 @@ from modelfacts.ingest import (
     parse_label_manifest,
     parse_predictions,
 )
-from modelfacts.label import ModelType, PartialDate, ProvenanceState
+from modelfacts.label import MeanStd, ModelType, PartialDate, Provenance, ProvenanceState
 from modelfacts.metrics import Direction
 
 AGE_BUCKET_ORDER = ("<17", "18-24", "25-34", "35-49", "50+")
@@ -211,6 +212,16 @@ class TestParsePredictions:
         assert (err.value.row, err.value.column) == (1500, "(row)")
         assert "not UTF-8" in err.value.reason
 
+    @pytest.mark.parametrize("text, row", [
+        ("id,y_true,y_pred\na,1," + "x" * 131_073 + "\nb,0,0\n", 1),
+        ("id,y_true,y_pred," + "x" * 131_073 + "\na,1,1\n", 0),
+    ], ids=["data-row", "header"])
+    def test_oversized_field_is_bad_value_at_its_row(self, text, row):
+        with pytest.raises(BadValueError) as err:
+            parse_csv(text)
+        assert (err.value.row, err.value.column) == (row, "(row)")
+        assert "field larger than field limit" in err.value.reason
+
 
 NOT_UTF8 = b'{"name": "caf\xe9"}'
 
@@ -229,6 +240,14 @@ def test_document_that_is_not_utf8_is_schema_error(tmp_path, entry):
         entry(tmp_path)
     assert err.value.path == "(document)"
     assert "UTF-8" in err.value.reason
+
+
+@pytest.mark.parametrize("entry", [parse_label_manifest, load_reference_population])
+def test_lone_surrogate_escape_is_schema_error(entry):
+    with pytest.raises(SchemaError) as err:
+        entry('{"name": "caf\\udc80"}')
+    assert err.value.path == "(document)"
+    assert "lone surrogate" in err.value.reason
 
 
 def write_bytes(path, data: bytes):
@@ -333,6 +352,31 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as err:
             parse_label_manifest(doc.replace("0.5", text))
         assert err.value.path == "optimized_metric.baseline"
+
+    def test_cross_field_rules_hold_for_hand_built_manifests(self):
+        manifest = parse_label_manifest(json.dumps(minimal_manifest(
+            optimized_metric={"name": "Accuracy", "baseline_policy": "majority-class"})))
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, baseline=0.5)
+        assert err.value.path == "optimized_metric"
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, model_type=ModelType.REGRESSION)
+        assert err.value.path == "optimized_metric.baseline_policy"
+        with pytest.raises(UnknownMetricError):
+            dataclasses.replace(manifest, optimized_name="Sharpness", optimized_direction=None)
+        row = {"target": Provenance.reported(MeanStd(1.0, 0.5))}
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, baseline_policy=None, demographics={"Site": {"A": row}})
+        assert err.value.path == "demographics.Site.rows.A.target"
+
+    @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
+    def test_null_means_absent(self, key):
+        doc = minimal_manifest(optimized_metric={"name": "Accuracy"})
+        target = doc if key == "positive_class" else doc["optimized_metric"]
+        target[key] = None
+        manifest = parse_label_manifest(json.dumps(doc))
+        assert getattr(manifest, key) is None
+        assert key not in json.dumps(manifest.to_dict())
 
     def test_round_trip_is_lossless(self):
         for name in ("void.manifest.json", "suicide_risk.manifest.json"):

@@ -1,6 +1,6 @@
 """Property tests: the document parsers end in a value or a typed error, the
-canonical label JSON round-trips byte for byte, group breakdowns agree with a
-brute-force recount, and generated labels hold only finite numbers."""
+canonical label JSON and generated manifests round-trip, group breakdowns agree
+with a brute-force recount, and generated labels hold only finite numbers."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from modelfacts.assemble import generate_label, load_reference_population
 from modelfacts.errors import ModelFactsError
 from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
 from modelfacts.label import (
+    CANONICAL_CATEGORY_ORDER,
     AccuracySection,
     ApplicationInfo,
     DatasetInfo,
@@ -32,6 +33,7 @@ from modelfacts.label import (
     PctTarget,
     Provenance,
     ProvenanceState,
+    canonical_groups,
 )
 from modelfacts.metrics import group_breakdown, make_scorer
 from modelfacts.render import from_canonical_json, to_canonical_json
@@ -153,6 +155,102 @@ def test_generated_label_round_trips_byte_for_byte(label):
     again = from_canonical_json(data)
     assert again == label
     assert to_canonical_json(again) == data
+
+
+STATE_NAMES = [state.value for state in ProvenanceState if state is not ProvenanceState.REPORTED]
+finite = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+names = st.text(min_size=1, max_size=8)
+
+
+def cell_docs(values):
+    """A manifest cell: a bare value, a tagged reported value, or a value-less state."""
+    return (values | values.map(lambda v: {"state": "reported", "value": v})
+            | st.sampled_from(STATE_NAMES).map(lambda s: {"state": s}))
+
+
+@st.composite
+def category_docs(draw, category: str, classification: bool):
+    """A declared category: an optional state, with rows that override it or spell out all."""
+    target = (finite.map(lambda p: {"pct_target": p}) if classification
+              else st.tuples(finite, finite).map(lambda t: {"mean": t[0], "std": t[1]}))
+    stats = {"pct_in_test": cell_docs(finite), "accuracy": cell_docs(finite),
+             "target": cell_docs(target)}
+    state = draw(st.none() | st.sampled_from(STATE_NAMES))
+    canonical = canonical_groups(category) or ()
+    extra = draw(st.lists(names, min_size=0 if canonical else 1, max_size=2, unique=True))
+    rows = {}
+    for group in [*canonical, *extra]:
+        if state is not None and group in canonical and draw(st.booleans()):
+            continue  # the category state fills a canonical row
+        if draw(st.booleans()):
+            rows[group] = {"state": draw(st.sampled_from(STATE_NAMES))}
+        else:
+            rows[group] = {stat: draw(cells) for stat, cells in stats.items()
+                           if state is None or draw(st.booleans())}
+    doc = {} if state is None else {"state": state}
+    if rows or state is None:
+        doc["rows"] = rows
+    return doc
+
+
+@st.composite
+def manifest_docs(draw):
+    """Valid manifest documents of every model type, optional parts present or absent."""
+    model_type = draw(st.sampled_from(ModelType))
+    classification = model_type.is_classification
+    dates = date_ranges().map(lambda r: r.start.isoformat() if r.start == r.end
+                              else {"start": r.start.isoformat(), "end": r.end.isoformat()})
+    doc = {"schema_version": "1.0", "application": draw(text.filter(str.strip)),
+           "model_type": model_type.value,
+           "model_train_date": draw(partial_dates()).isoformat(),
+           "test_data_range": draw(dates), "warnings": draw(st.lists(text, max_size=3))}
+    if draw(st.booleans()):
+        doc["positive_class"] = draw(st.none() | text)
+    optimized = ({"name": draw(st.sampled_from(["AUC", "f1", "Accuracy", "R2", "MSE", "LogLoss"]))}
+                 if draw(st.booleans()) else
+                 {"name": draw(names), "direction": draw(st.sampled_from(["maximize", "minimize"]))})
+    for key in ("raw", "pct_over_baseline"):
+        if draw(st.booleans()):
+            optimized[key] = draw(cell_docs(finite))
+    choice = draw(st.sampled_from(["none", "null", "baseline"]
+                                  + (["policy"] if classification else [])))
+    if choice == "null":
+        optimized.update(baseline=None, baseline_policy=None)
+    elif choice == "baseline":
+        optimized["baseline"] = draw(finite.filter(bool))
+    elif choice == "policy":
+        optimized["baseline_policy"] = "majority-class"
+    doc["optimized_metric"] = optimized
+    if draw(st.booleans()):
+        doc["standard_metric"] = {key: draw(values) for key, values in [
+            ("name", names), ("raw", cell_docs(finite)), ("pct_over_baseline", cell_docs(finite))]
+            if draw(st.booleans())}
+    if draw(st.booleans()):
+        pct = cell_docs(st.floats(0, 100))
+        doc["dataset"] = {key: draw(values) for key, values in [
+            ("count", cell_docs(st.integers(0, 10**9))), ("train_pct", pct), ("test_pct", pct)]
+            if draw(st.booleans())}
+    extensions = names.filter(lambda name: canonical_groups(name) is None)
+    if draw(st.booleans()):
+        categories = draw(st.lists(st.sampled_from(CANONICAL_CATEGORY_ORDER) | extensions,
+                                   max_size=4, unique=True))
+        doc["demographics"] = {c: draw(category_docs(c, classification)) for c in categories}
+    if draw(st.booleans()):
+        doc["aliases"] = draw(st.dictionaries(names, st.dictionaries(text, text, max_size=3),
+                                              max_size=2))
+    if draw(st.booleans()):
+        doc["extra_categories"] = draw(st.lists(extensions, max_size=3))
+    return doc
+
+
+@PROPERTY_SETTINGS
+@given(doc=manifest_docs())
+def test_generated_manifest_round_trips(doc):
+    manifest = parse_label_manifest(json.dumps(doc))
+    assert parse_label_manifest(manifest.to_dict()) == manifest
+    again = parse_label_manifest(json.dumps(manifest.to_dict()))
+    assert again == manifest
+    assert again.to_dict() == manifest.to_dict()
 
 
 GENDERS = ("Female", "Male", "Trans Female", "Trans Male", "Nonbinary", "Other")
