@@ -55,7 +55,6 @@ from .label import (
 from .metrics import (
     ConfusionCounts,
     Direction,
-    GroupStats,
     RegressionStats,
     auc,
     group_breakdown,

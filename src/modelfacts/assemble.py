@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .codec import load_json_document, require_number
-from .errors import (DeclaredConflictError, NoOverlapError, SchemaError, UnknownMetricError,
-                     ZeroBaselineError)
-from .ingest import DeclaredRow, LabelManifest, PredictionDataset
+from .errors import (BadArgumentError, DeclaredConflictError, NoOverlapError, SchemaError,
+                     UnknownMetricError, ZeroBaselineError)
+from .ingest import _PATHS, DeclaredRow, LabelManifest, PredictionDataset
 from .label import (
     CANONICAL_CATEGORY_ORDER,
     ApplicationInfo,
@@ -35,7 +36,6 @@ from .metrics import (
     metric_direction,
     metric_spec,
     percent_over_baseline,
-    select_standard_metric,
 )
 
 # Declared values may disagree with computed ones by at most this much,
@@ -95,7 +95,7 @@ def _pct_over_cell(dataset: PredictionDataset, manifest: LabelManifest, name: st
     if baseline is not None:
         pct = percent_over_baseline(raw, baseline, direction)
         if declared is not None and declared.is_reported:
-            _conflict("optimized_metric.pct_over_baseline", declared.value, pct, scale=100.0)
+            _conflict(_PATHS["optimized_pct_over"], declared.value, pct, scale=100.0)
         return Provenance.reported(pct)
     if manifest.baseline_policy == "majority-class" and raw is not None:
         try:
@@ -117,7 +117,7 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
     scorer = _checked_scorer(manifest.optimized_name, dataset, manifest)
     optimized_raw = scorer(Rows(dataset))
     if manifest.optimized_raw is not None and manifest.optimized_raw.is_reported:
-        _conflict("optimized_metric.raw", manifest.optimized_raw.value, optimized_raw)
+        _conflict(_PATHS["optimized_raw"], manifest.optimized_raw.value, optimized_raw)
     optimized = MetricValue(
         manifest.optimized_name, Provenance.reported(optimized_raw),
         _pct_over_cell(dataset, manifest, manifest.optimized_name, optimized_raw,
@@ -148,13 +148,13 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
 
 
 def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> MetricValue:
-    name = manifest.standard_name or select_standard_metric(manifest.model_type)
+    name = manifest.standard_metric_name
     spec = metric_spec(name)
     raw_value = None
     if (dataset.has_scores if spec and spec.needs_score else dataset.has_predictions):
         raw_value = _checked_scorer(name, dataset, manifest)(Rows(dataset))
         if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
-            _conflict("standard_metric.raw", manifest.standard_raw.value, raw_value)
+            _conflict(_PATHS["standard_raw"], manifest.standard_raw.value, raw_value)
         raw_cell = Provenance.reported(raw_value)
     else:
         raw_cell = manifest.standard_raw or Provenance.not_collected()
@@ -175,8 +175,8 @@ def _assemble_demographics(dataset: PredictionDataset, manifest: LabelManifest,
         declared = manifest.demographics.get(name, {})
         if name in dataset.attribute_schema:
             computed = group_breakdown(dataset, name, scorer)
-            rows = [_merge_row(row, declared.get(row.group_name), f"demographics.{name}")
-                    for row in computed]
+            path = f"{_PATHS['demographics']}.{name}"
+            rows = [_merge_row(row, declared.get(row.group_name), path) for row in computed]
             seen = {row.group_name for row in computed}
             rows += [_declared_row(group, cells)
                      for group, cells in declared.items() if group not in seen]
@@ -232,36 +232,35 @@ def build_declared_label(manifest: LabelManifest) -> ModelFactsLabel:
     and all three canonical demographic categories, each with an explicit
     provenance state.
     """
-    def require(cell: Provenance | None, path: str) -> Provenance:
+    def require(name: str, cell: Provenance | None) -> Provenance:
         if cell is None:
-            raise SchemaError(path, "required for a declared label")
+            raise SchemaError(_PATHS[name], "required for a declared label")
         return cell
 
-    optimized_raw = require(manifest.optimized_raw, "optimized_metric.raw")
+    optimized_raw = require("optimized_raw", manifest.optimized_raw)
     optimized_pct = manifest.optimized_pct_over
     if optimized_pct is None and manifest.baseline is not None and optimized_raw.is_reported:
         optimized_pct = Provenance.reported(percent_over_baseline(
             optimized_raw.value, manifest.baseline, manifest.optimized_direction))
     optimized = MetricValue(manifest.optimized_name, optimized_raw,
-                            require(optimized_pct, "optimized_metric.pct_over_baseline"))
+                            require("optimized_pct_over", optimized_pct))
 
-    standard_name = manifest.standard_name or select_standard_metric(manifest.model_type)
     standard = MetricValue(
-        standard_name,
-        require(manifest.standard_raw, "standard_metric.raw"),
-        require(manifest.standard_pct_over, "standard_metric.pct_over_baseline"),
+        manifest.standard_metric_name,
+        require("standard_raw", manifest.standard_raw),
+        require("standard_pct_over", manifest.standard_pct_over),
     )
 
     info = DatasetInfo(
-        sample_count=require(manifest.sample_count, "dataset.count"),
-        train_pct=require(manifest.train_pct, "dataset.train_pct"),
-        test_pct=require(manifest.test_pct, "dataset.test_pct"),
+        sample_count=require("sample_count", manifest.sample_count),
+        train_pct=require("train_pct", manifest.train_pct),
+        test_pct=require("test_pct", manifest.test_pct),
     )
 
     categories = []
     for name in CANONICAL_CATEGORY_ORDER:
         if name not in manifest.demographics:
-            raise SchemaError(f"demographics.{name}", "required for a declared label")
+            raise SchemaError(f"{_PATHS['demographics']}.{name}", "required for a declared label")
     order = list(CANONICAL_CATEGORY_ORDER)
     order += [name for name in manifest.demographics if name not in order]
     for name in order:
@@ -302,6 +301,14 @@ def _normalized_text(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
+def check_identifiers(identifiers: Sequence[str]) -> None:
+    """Labels to compare: at least one, each identifier given once; else BAD_ARGUMENT."""
+    if not identifiers:
+        raise BadArgumentError("compare_labels needs at least one label")
+    if len(set(identifiers)) != len(identifiers):
+        raise BadArgumentError("label identifiers must be unique")
+
+
 def compare_labels(labels: Sequence[tuple[str, ModelFactsLabel]]) -> ComparisonReport:
     """Rank labels by optimized raw score and surface comparability caveats.
 
@@ -311,11 +318,7 @@ def compare_labels(labels: Sequence[tuple[str, ModelFactsLabel]]) -> ComparisonR
     not support: differing applications, differing dataset sizes, or metrics
     optimized in different directions.
     """
-    if not labels:
-        raise ValueError("compare_labels needs at least one label")
-    identifiers = [ident for ident, _ in labels]
-    if len(set(identifiers)) != len(identifiers):
-        raise ValueError("label identifiers must be unique")
+    check_identifiers([ident for ident, _ in labels])
 
     entries = tuple(
         ComparisonEntry(
@@ -431,6 +434,13 @@ class AuditReport:
         return tuple(e for e in self.entries if e.flagged)
 
 
+def check_threshold_pp(threshold_pp: float) -> float:
+    """An audit threshold: a finite, nonnegative number of percentage points; else BAD_ARGUMENT."""
+    if not (math.isfinite(threshold_pp) and threshold_pp >= 0):
+        raise BadArgumentError(f"expected a finite, nonnegative number, got {threshold_pp!r}")
+    return threshold_pp
+
+
 def representation_audit(label: ModelFactsLabel, reference: ReferencePopulation,
                          threshold_pp: float = 5.0) -> AuditReport:
     """Compare the label's test-data shares against a reference population.
@@ -440,6 +450,7 @@ def representation_audit(label: ModelFactsLabel, reference: ReferencePopulation,
     Groups without a reported share are unauditable, never flagged, and
     noted, since unreported demographics may hide representation bias.
     """
+    check_threshold_pp(threshold_pp)
     ref_by_lower = {cat.lower(): cat for cat in reference.distributions}
     matched = [cat for cat in label.demographics if cat.category_name.lower() in ref_by_lower]
     if not matched:

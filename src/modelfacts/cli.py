@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -21,6 +20,8 @@ from typing import Any, Callable
 from . import __version__
 from .assemble import (
     build_declared_label,
+    check_identifiers,
+    check_threshold_pp,
     compare_labels,
     generate_label,
     load_reference_population_file,
@@ -208,29 +209,29 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reason(exc: ValueError) -> str:
+    """The error's message, without a ModelFactsError's code prefix."""
+    return exc.message if isinstance(exc, ModelFactsError) else str(exc)
+
+
 def _argument(convert: Callable[[str], Any]) -> Callable[[str], Any]:
     """An argparse type: a ValueError from convert names the argument and exits 2."""
     def parse(text: str) -> Any:
         try:
             return convert(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise argparse.ArgumentTypeError(_reason(exc)) from None
     return parse
-
-
-def _threshold(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"expected a finite, nonnegative number, got {text!r}")
-    return value
 
 
 class _Distinct(argparse.Action):
     """Store the values; giving one twice is an error naming the argument."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if len(set(values)) < len(values):
-            raise argparse.ArgumentError(self, "each label file may be given only once")
+        try:
+            check_identifiers(values)
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, _reason(exc)) from None
         setattr(namespace, self.dest, values)
 
 
@@ -280,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit demographic representation against a reference")
     p.add_argument("label", help="canonical label JSON")
     p.add_argument("--reference", required=True, help="reference population JSON")
-    p.add_argument("--threshold-pp", type=_argument(_threshold), default=5.0,
+    p.add_argument("--threshold-pp", default=5.0,
+                   type=_argument(lambda text: check_threshold_pp(float(text))),
                    help="flag gaps larger than this many percentage points")
     p.add_argument("--strict", action="store_true", help="exit 1 when any group is flagged")
     p.add_argument("--json", action="store_true", help="machine-readable report")

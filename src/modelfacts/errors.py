@@ -117,3 +117,9 @@ class DeclaredConflictError(ModelFactsError):
 
 class NoOverlapError(ModelFactsError):
     code = "NO_OVERLAP"
+
+
+class BadArgumentError(ModelFactsError, ValueError):
+    """A library call got an argument outside its domain; also a ValueError."""
+
+    code = "BAD_ARGUMENT"

@@ -39,7 +39,7 @@ from .label import (
 # The dataset types live beside the scorers that read their columns; this
 # module builds them and re-exports both.
 from .metrics import (Direction, PredictionDataset, PredictionRecord, metric_direction,
-                      metric_spec)
+                      metric_spec, select_standard_metric)
 
 MANIFEST_SCHEMA_VERSION = "1.0"
 
@@ -131,6 +131,11 @@ class LabelManifest:
                         f"{_PATHS['demographics']}.{category}.rows.{group}.target",
                         "classification labels report a target percentage" if classification
                         else "regression labels report mean and std")
+
+    @property
+    def standard_metric_name(self) -> str:
+        """The standard metric's name: the declared one, else the model type's mandated one."""
+        return self.standard_name or select_standard_metric(self.model_type)
 
     def known_categories(self) -> list[str]:
         """Categories this manifest can bind prediction columns to."""
@@ -431,13 +436,14 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     """Parse a delimited predictions file into a validated dataset.
 
     Requires columns `id` and `y_true`; `score` when the optimized metric is
-    scored from it (AUC), otherwise `y_pred`.  Any further column whose name
-    matches a manifest-known category becomes a demographic attribute: `age`
-    is bucketed from integer years and other values are normalized against
-    the canonical group names plus the manifest's alias map, with unmatched
-    values mapped to "Other".  Each distinct raw value is normalized once.
-    Row counts are never silently reduced.  A file is read as UTF-8, with or
-    without a byte-order mark.
+    scored from it (AUC), otherwise `y_pred`.  Every `score` cell is checked,
+    but the column is kept only when the optimized or the standard metric
+    scores from it.  Any further column whose name matches a manifest-known
+    category becomes a demographic attribute: `age` is bucketed from integer
+    years and other values are normalized against the canonical group names
+    plus the manifest's alias map, with unmatched values mapped to "Other".
+    Each distinct raw value is normalized once.  Row counts are never silently
+    reduced.  A file is read as UTF-8, with or without a byte-order mark.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -491,7 +497,11 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     ids: list[str] = []
     truth: list = []
     prediction: list | None = None if pred_idx is None else []
-    score: list[float] | None = None if score_idx is None else []
+    # A score column sets the dataset's sample order (see metrics), so it is
+    # kept only for a metric that scores from it.
+    standard = metric_spec(manifest.standard_metric_name)
+    keeps_score = needs_score or standard is not None and standard.needs_score
+    score: list[float] | None = [] if score_idx is not None and keeps_score else None
     # Per category: cell index, column name, group column, and a memo from raw cell to group.
     group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
     seen_ids: set[str] = set()
@@ -523,8 +533,10 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
                 prediction.append(pred_text if classification
                                   else _parse_number(pred_text, row_no, "y_pred"))
 
-            if score is not None:
-                score.append(_parse_number(row[score_idx].strip(), row_no, "score"))
+            if score_idx is not None:
+                value = _parse_number(row[score_idx].strip(), row_no, "score")
+                if score is not None:
+                    score.append(value)
 
             for idx, column, category, values, memo in group_cols:
                 raw = row[idx]

@@ -1,10 +1,12 @@
 """Numeric quantities behind a label: scores, baselines, and group breakdowns.
 
-A dataset is held as parallel columns.  Scorers read them through `Rows`, a
-subset of row indices; every AUC in a label reads one sort of the score
-column.  All functions are pure and deterministic; record order never
-changes a result.  Scores are plain Python floats computed with stdlib
-arithmetic.
+A dataset is held as parallel columns with one sample order: ascending score
+when it has a score column, else record order.  Scorers read the columns
+through `Rows`, row indices in that order, so every AUC reads one sort and
+each category is bucketed in one pass.  Counts do not depend on the order,
+but sums do: ingest keeps a score column only for a metric scored from it,
+so a regression's sums stay in record order.  All functions are pure and
+deterministic; scores are plain Python floats from stdlib arithmetic.
 """
 
 from __future__ import annotations
@@ -121,33 +123,28 @@ class PredictionDataset:
                              {c: col[i] for c, col in columns if col[i] is not None})
             for i in range(self.n))
 
-    def score_order(self) -> list[int]:
-        """Row indices in ascending score order, sorted on first use and kept."""
+    def sample_order(self) -> Sequence[int]:
+        """Row indices in the order every scorer reads them: record order, or ascending
+        score when there is a score column (sorted on first use and kept)."""
+        if self.score is None:
+            return range(self.n)
         if self._score_order is None:
-            if self.score is None:
-                raise MissingColumnError("score")
             self._score_order = _sort_by_score(self.score, range(self.n))
         return self._score_order
 
 
 class Rows:
-    """The rows one score covers, as indices into a dataset's columns in record order.
+    """The rows one score covers, as indices into a dataset's columns in its sample order."""
 
-    `by_score()` lists the same rows in ascending score order; for a subset
-    it comes from the dataset's one sort, so no scorer sorts again.
-    """
+    __slots__ = ("dataset", "indices")
 
-    __slots__ = ("dataset", "indices", "by_score")
-
-    def __init__(self, dataset: PredictionDataset, indices: Sequence[int] | None = None,
-                 by_score: Callable[[], list[int]] | None = None):
+    def __init__(self, dataset: PredictionDataset, indices: Sequence[int] | None = None):
         self.dataset = dataset
-        self.indices = range(dataset.n) if indices is None else indices
-        self.by_score = dataset.score_order if indices is None else by_score
+        self.indices = dataset.sample_order() if indices is None else indices
 
     def take(self, column: Sequence) -> Sequence:
-        """These rows' entries of a dataset column, in record order."""
-        if len(self.indices) == len(column):
+        """These rows' entries of a dataset column, in sample order."""
+        if self.indices == range(len(column)):  # every row, in record order
             return column
         return [column[i] for i in self.indices]
 
@@ -228,24 +225,24 @@ def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     it stays exact and fast on large datasets.
     """
     _check_pair(truth, scores)
-    return _ranked_auc(_sort_by_score(scores, range(len(scores))), scores, truth, positive_class)
+    order = _sort_by_score(scores, range(len(scores)))
+    return _ranked_auc([scores[i] for i in order], [truth[i] for i in order], positive_class)
 
 
-def _ranked_auc(order: Sequence[int], scores: Sequence[float], truth: Sequence,
-                positive_class) -> float:
-    """AUC of the rows `order` lists, in ascending score order, in one pass.
+def _ranked_auc(ranked_scores: Sequence[float], truth: Sequence, positive_class) -> float:
+    """AUC of scores in ascending order, each with its truth label, in one pass.
 
     A run of tied scores at 0-based positions lo..hi-1 shares the mean
     1-based rank (lo + hi + 1) / 2, so twice the positives' rank sum is an
     exact integer, and the result equals that of summing the ranks as floats.
     """
-    ranked = [scores[i] for i in order]
-    positives = [scores[i] for i in order if truth[i] == positive_class]
+    positives = [s for s, t in zip(ranked_scores, truth) if t == positive_class]
     n_pos = len(positives)
-    n_neg = len(ranked) - n_pos
+    n_neg = len(ranked_scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs at least one positive and one negative sample")
-    twice_rank_sum = sum(bisect_left(ranked, s) + bisect_right(ranked, s) + 1 for s in positives)
+    twice_rank_sum = sum(bisect_left(ranked_scores, s) + bisect_right(ranked_scores, s) + 1
+                         for s in positives)
     return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -268,23 +265,28 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
-def target_mean_std(truth: Sequence[float]) -> tuple[float, float]:
-    """Mean and population (divisor N) standard deviation."""
+def _mean_ss(truth: Sequence[float]) -> tuple[float, float, float]:
+    """Mean, population (divisor N) standard deviation, and sum of squared deviations."""
     if len(truth) == 0:
         raise EmptyDatasetError("no samples")
     mean = sum(truth) / len(truth)
     try:
-        var = sum((t - mean) ** 2 for t in truth) / len(truth)
+        ss_tot = sum((t - mean) ** 2 for t in truth)
     except OverflowError:  # float ** raises where + and * return inf
-        var = math.inf
-    return mean, math.sqrt(_finite("the truth's variance", var))
+        ss_tot = math.inf
+    return mean, math.sqrt(_finite("the truth's variance", ss_tot / len(truth))), ss_tot
+
+
+def target_mean_std(truth: Sequence[float]) -> tuple[float, float]:
+    """Mean and population (divisor N) standard deviation."""
+    mean, std, _ = _mean_ss(truth)
+    return mean, std
 
 
 def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> RegressionStats:
     """R2 = 1 - SS_res/SS_tot over the test data, with the truth's mean/std."""
     _check_pair(truth, predicted)
-    mean, std = target_mean_std(truth)
-    ss_tot = sum((t - mean) ** 2 for t in truth)
+    mean, std, ss_tot = _mean_ss(truth)
     if ss_tot == 0.0:
         return RegressionStats(r2=None, target_mean=mean, target_std=std)
     try:
@@ -307,15 +309,6 @@ def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> 
     return _finite("the percent over baseline", 100.0 * gain / baseline)
 
 
-def select_standard_metric(model_type: ModelType) -> str:
-    """The mandated standard score for a model type."""
-    return {
-        ModelType.BALANCED_CLASSIFICATION: "Accuracy",
-        ModelType.IMBALANCED_CLASSIFICATION: "F1",
-        ModelType.REGRESSION: "R2",
-    }[model_type]
-
-
 def _predicted(rows: Rows) -> tuple[Sequence, Sequence]:
     """The rows' truth and y_pred values."""
     dataset = rows.dataset
@@ -325,8 +318,10 @@ def _predicted(rows: Rows) -> tuple[Sequence, Sequence]:
 
 
 def _rows_auc(rows: Rows, positive_class) -> float:
-    order = rows.by_score()  # MISSING_COLUMN without a score column
-    return _ranked_auc(order, rows.dataset.score, rows.dataset.truth, positive_class)
+    dataset = rows.dataset
+    if dataset.score is None:
+        raise MissingColumnError("score")
+    return _ranked_auc(rows.take(dataset.score), rows.take(dataset.truth), positive_class)
 
 
 def _r2(rows: Rows, positive_class) -> float:
@@ -358,7 +353,8 @@ class MetricSpec:
     scorer(rows, positive_class) scores the rows from `score` when needs_score
     is set, else from `y_pred`.  majority_baseline(counts, majority,
     positive_class) scores, from the truth-label counts, predicting the
-    majority everywhere.
+    majority everywhere.  standard_for is the model type whose labels must
+    report this metric as their standard score.
     A metric without a scorer may be named on a label but not computed.
     """
 
@@ -369,6 +365,7 @@ class MetricSpec:
     needs_score: bool = False
     scorer: Callable[[Rows, Any], float] | None = None
     majority_baseline: Callable[[Counter, Any, Any], float] | None = None
+    standard_for: ModelType | None = None
 
 
 def _canon_metric_name(name: str) -> str:
@@ -379,14 +376,17 @@ _UNIT = (0.0, 1.0)
 METRIC_SPECS: dict[str, MetricSpec] = {_canon_metric_name(spec.name): spec for spec in (
     MetricSpec("Accuracy", Direction.MAXIMIZE, True, _UNIT,
                scorer=lambda rows, _: standard_accuracy(*_predicted(rows)),
-               majority_baseline=lambda counts, majority, _: counts[majority] / counts.total()),
+               majority_baseline=lambda counts, majority, _: counts[majority] / counts.total(),
+               standard_for=ModelType.BALANCED_CLASSIFICATION),
     MetricSpec("F1", Direction.MAXIMIZE, True, _UNIT,
                scorer=lambda rows, pos: precision_recall_f1(*_predicted(rows), pos)[2],
-               majority_baseline=_f1_baseline),
+               majority_baseline=_f1_baseline,
+               standard_for=ModelType.IMBALANCED_CLASSIFICATION),
     MetricSpec("AUC", Direction.MAXIMIZE, True, _UNIT, needs_score=True,
                scorer=_rows_auc,
                majority_baseline=_auc_baseline),
-    MetricSpec("R2", Direction.MAXIMIZE, False, (None, 1.0), scorer=_r2),
+    MetricSpec("R2", Direction.MAXIMIZE, False, (None, 1.0), scorer=_r2,
+               standard_for=ModelType.REGRESSION),
     # Known by name only: a direction, and a range rule where one applies.
     *(MetricSpec(name, Direction.MAXIMIZE, True, _UNIT) for name in ("Precision", "Recall")),
     *(MetricSpec(name, Direction.MINIMIZE, True) for name in ("LogLoss", "CrossEntropy", "Brier")),
@@ -397,6 +397,11 @@ METRIC_SPECS: dict[str, MetricSpec] = {_canon_metric_name(spec.name): spec for s
 def metric_spec(name: str) -> MetricSpec | None:
     """The table entry for a metric name in any spelling (case, "-", "_", spaces), else None."""
     return METRIC_SPECS.get(_canon_metric_name(name))
+
+
+def select_standard_metric(model_type: ModelType) -> str:
+    """The mandated standard score for a model type."""
+    return next(spec.name for spec in METRIC_SPECS.values() if spec.standard_for is model_type)
 
 
 def metric_direction(name: str) -> Direction | None:
@@ -442,17 +447,6 @@ def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> flo
     return spec.majority_baseline(counts, majority, dataset.positive_class)
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Computed statistics for one demographic group with n > 0 records."""
-
-    group_name: str
-    n: int
-    pct_in_test: float
-    score: float | None  # None when the scorer is undefined on the group
-    target: PctTarget | MeanStd
-
-
 def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -> list[DemographicGroupRow]:
     """Per-group rows for one demographic category.
 
@@ -469,23 +463,11 @@ def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -
     column = dataset.groups[category]
     name_of = {value: value if value and (canon is None or value in canon) else "Other"
                for value in set(column)}
+    groups: dict[str, list[int]] = defaultdict(list)
+    for i in dataset.sample_order():
+        groups[name_of[column[i]]].append(i)
 
-    def bucket(rows: Iterable[int]) -> dict[str, list[int]]:
-        buckets = defaultdict(list)
-        for i in rows:
-            buckets[name_of[column[i]]].append(i)
-        return buckets
-
-    groups = bucket(range(dataset.n))
-    ranked: dict[str, list[int]] = {}
-
-    def by_score(name: str) -> list[int]:
-        # One pass over the dataset's score order buckets every group at once.
-        if not ranked:
-            ranked.update(bucket(dataset.score_order()))
-        return ranked[name]
-
-    classification = dataset.positive_class is not None
+    positive_class = dataset.positive_class
     ordered = list(canon) if canon is not None else []
     ordered += sorted(g for g in groups if g not in ordered)
 
@@ -494,36 +476,19 @@ def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -
         if name not in groups:
             rows.append(DemographicGroupRow.all_not_collected(name))
             continue
-        members = Rows(dataset, groups[name], lambda name=name: by_score(name))
-        stats = _stats_for_group(name, members, classification, dataset.positive_class, scorer)
-        score_cell = (Provenance.reported(stats.score) if stats.score is not None
-                      else Provenance.unknown_availability())
+        members = Rows(dataset, groups[name])
+        try:
+            score_cell = Provenance.reported(scorer(members))
+        except ModelFactsError:
+            score_cell = Provenance.unknown_availability()
+        n = len(members.indices)
+        truth = members.take(dataset.truth)
+        target = (PctTarget(100.0 * truth.count(positive_class) / n) if positive_class is not None
+                  else MeanStd(*target_mean_std(truth)))
         rows.append(DemographicGroupRow(
             group_name=name,
-            pct_in_test=Provenance.reported(stats.pct_in_test),
+            pct_in_test=Provenance.reported(100.0 * n / dataset.n),
             group_accuracy=score_cell,
-            target_stat=Provenance.reported(stats.target),
+            target_stat=Provenance.reported(target),
         ))
     return rows
-
-
-def _stats_for_group(name: str, members: Rows, classification: bool, positive_class,
-                     scorer: Scorer) -> GroupStats:
-    try:
-        score = scorer(members)
-    except ModelFactsError:
-        score = None
-    n = len(members.indices)
-    truth = members.take(members.dataset.truth)
-    if classification:
-        target = PctTarget(100.0 * truth.count(positive_class) / n)
-    else:
-        mean, std = target_mean_std(truth)
-        target = MeanStd(mean, std)
-    return GroupStats(
-        group_name=name,
-        n=n,
-        pct_in_test=100.0 * n / members.dataset.n,
-        score=score,
-        target=target,
-    )

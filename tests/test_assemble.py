@@ -17,7 +17,8 @@ from modelfacts.assemble import (
     load_reference_population,
     representation_audit,
 )
-from modelfacts.errors import DeclaredConflictError, NoOverlapError, SchemaError, UnknownMetricError
+from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError, SchemaError,
+                               UnknownMetricError)
 from modelfacts.ingest import parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
@@ -206,6 +207,11 @@ class TestBuildDeclaredLabel:
         label = build_declared_label(parse_label_manifest(json.dumps(doc)))
         assert [v.code for v in validate_label(label)] == [ViolationCode.STANDARD_METRIC_MISMATCH]
 
+    def test_standard_name_defaults_to_the_model_types_mandate(self):
+        manifest = parse_label_manifest((GOLDEN_DIR / "void.manifest.json").read_text())
+        assert manifest.standard_name is None and manifest.standard_metric_name == "F1"
+        assert build_declared_label(manifest).accuracy.standard.name == "F1"
+
     def test_suicide_risk_matches_golden_render(self):
         manifest = parse_label_manifest((GOLDEN_DIR / "suicide_risk.manifest.json").read_text())
         label = build_declared_label(manifest)
@@ -217,6 +223,18 @@ class TestBuildDeclaredLabel:
         with pytest.raises(SchemaError) as err:
             build_declared_label(parse_label_manifest(doc))
         assert "dataset" in err.value.path
+
+    @pytest.mark.parametrize("path", [
+        "optimized_metric.raw", "optimized_metric.pct_over_baseline", "standard_metric.raw",
+        "standard_metric.pct_over_baseline", "dataset.count", "dataset.train_pct",
+        "dataset.test_pct", "demographics.Race"])
+    def test_missing_cell_is_an_error_at_its_manifest_path(self, path):
+        doc = json.loads((GOLDEN_DIR / "void.manifest.json").read_text())
+        section, key = path.split(".")
+        doc[section].pop(key)
+        with pytest.raises(SchemaError) as err:
+            build_declared_label(parse_label_manifest(doc))
+        assert err.value.path == path
 
     def test_missing_canonical_category(self):
         doc = json.loads((GOLDEN_DIR / "void.manifest.json").read_text())
@@ -301,6 +319,12 @@ class TestCompareLabels:
         with pytest.raises(ValueError):
             compare_labels([])
 
+    @pytest.mark.parametrize("labels", [[], [("a", make_label()), ("a", make_label())]],
+                             ids=["empty", "repeated-identifier"])
+    def test_bad_input_is_a_typed_error(self, labels):
+        with pytest.raises(BadArgumentError):
+            compare_labels(labels)
+
 
 def reference(**categories) -> ReferencePopulation:
     return ReferencePopulation(name="test-reference", distributions=categories)
@@ -362,6 +386,12 @@ class TestRepresentationAudit:
         label = from_canonical_json(read_golden("void.label.json"))
         with pytest.raises(NoOverlapError):
             representation_audit(label, reference(Creed={"A": 60.0, "B": 40.0}))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        with pytest.raises(BadArgumentError):
+            representation_audit(label_with_gender_shares(60.0), gender_reference(),
+                                 threshold_pp=threshold)
 
     def test_threshold_monotone(self):
         label = label_with_gender_shares(60.0)

@@ -273,6 +273,23 @@ def test_out_of_bounds_argument_exits_2_naming_it(reference_file, capsys, args, 
     assert f"error: argument {argument}: " in captured.err and captured.out == ""
 
 
+def test_unused_score_column_leaves_a_regression_label_unchanged(tmp_path, capsys):
+    manifest = json.loads(Path(VOID_MANIFEST).read_text())
+    manifest.update(model_type="regression", optimized_metric={"name": "R2"})
+    manifest.pop("standard_metric")
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    truth = [0.1, 2.7, 3.3, 1e-3, 45.5, 0.7, 8.25, 3.1]
+    rows = [(f"r{i}", t, t * 0.9 + 0.3, 1.0 - i / 8, "FM"[i % 2]) for i, t in enumerate(truth)]
+    (tmp_path / "plain.csv").write_text("id,y_true,y_pred,gender\n" + "".join(
+        f"{i},{t},{p},{g}\n" for i, t, p, _, g in rows))
+    (tmp_path / "scored.csv").write_text("id,y_true,y_pred,score,gender\n" + "".join(
+        f"{i},{t},{p},{s},{g}\n" for i, t, p, s, g in rows))
+    for name in ("plain", "scored"):
+        assert main(["generate", "--data", str(tmp_path / f"{name}.csv"), "--manifest",
+                     str(tmp_path / "m.json"), "-o", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "scored.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_generate_reads_a_csv_with_byte_order_mark(tmp_path, capsys):
     csv_text = "id,y_true,y_pred,gender\na,1,1,F\nb,0,0,M\nc,1,0,F\n"
     (tmp_path / "plain.csv").write_text(csv_text, encoding="utf-8")

@@ -102,6 +102,17 @@ class TestParsePredictions:
             parse_csv("id,y_true,y_pred\na,1,1\n", doc)
         assert err.value.column == "score"
 
+    @pytest.mark.parametrize("standard, kept", [(None, False), ("F1", False), ("AUC", True)])
+    def test_score_column_is_kept_only_for_a_metric_scored_from_it(self, standard, kept):
+        doc = minimal_manifest(optimized_metric={"name": "F1"})
+        if standard:
+            doc["standard_metric"] = {"name": standard}
+        dataset = parse_csv("id,y_true,y_pred,score\na,1,1,0.5\nb,0,0,0.25\n", doc)
+        assert dataset.has_scores is kept
+        with pytest.raises(BadValueError) as err:
+            parse_csv("id,y_true,y_pred,score\na,1,1,0.5\nb,0,0,high\n", doc)
+        assert (err.value.row, err.value.column) == (2, "score")
+
     def test_bad_score_names_row_and_column(self):
         rows = "".join(f"r{i},1,{i/20}\n" for i in range(16))
         text = "id,y_true,score\n" + rows + "r17,0,abc\n"

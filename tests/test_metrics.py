@@ -363,6 +363,25 @@ class TestGroupBreakdown:
         assert rows["Male"].group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
         assert rows["Male"].pct_in_test.value == pytest.approx(50.0)
 
+    def test_scorer_runs_once_per_non_empty_group(self):
+        # Scored rows in sample (score) order; Male is single-class, so its AUC fails.
+        records = (
+            _record(0, "1", None, "Female", score=0.9),
+            _record(1, "0", None, "Male", score=0.1),
+            _record(2, "0", None, "Female", score=0.2),
+            _record(3, "0", None, "Male", score=0.6),
+            _record(4, "1", None, "unknown", score=0.3),
+            _record(5, "0", None, "", score=0.7),
+        )
+        calls = []
+        inner = make_scorer("AUC", "1")
+
+        def scorer(rows):
+            calls.append(list(rows.indices))
+            return inner(rows)
+        group_breakdown(PredictionDataset(records, "1", ("Gender",)), "Gender", scorer)
+        assert calls == [[2, 0], [1, 3], [4, 5]]  # Female, Male, Other
+
     def test_order_insensitive(self):
         dataset = ten_record_dataset()
         shuffled = list(dataset.records)

@@ -1,6 +1,7 @@
 """Property tests: the document parsers end in a value or a typed error, the
-canonical label JSON and generated manifests round-trip, group breakdowns agree
-with a brute-force recount, and generated labels hold only finite numbers."""
+canonical label JSON and generated manifests round-trip, group breakdowns of every
+scored metric agree with a brute-force recount, and generated labels hold only
+finite numbers."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from modelfacts.label import (
     ProvenanceState,
     canonical_groups,
 )
-from modelfacts.metrics import group_breakdown, make_scorer
+from modelfacts.metrics import group_breakdown, make_scorer, regression_stats
 from modelfacts.render import from_canonical_json, to_canonical_json
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -265,10 +266,19 @@ def classification_records(draw):
     return [PredictionRecord(
         id=str(i),
         truth=draw(st.sampled_from(["0", "1", "2"])),
+        prediction=draw(st.sampled_from(["0", "1", "2"])),
         score=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2)),
         attributes={} if draw(st.booleans()) and draw(st.booleans())
         else {"Gender": draw(st.sampled_from(groups + [""]))},
     ) for i in range(n)]
+
+
+@st.composite
+def regression_records(draw):
+    """Like classification_records, with float truths and predictions and no score column."""
+    values = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-1e3, 1e3)
+    return [PredictionRecord(r.id, draw(values), draw(values), attributes=r.attributes)
+            for r in draw(classification_records())]
 
 
 def pair_count_auc(scores, truth) -> float | None:
@@ -281,11 +291,39 @@ def pair_count_auc(scores, truth) -> float | None:
         len(pos) * len(neg))
 
 
+def recount_f1(truth, predicted) -> float:
+    """F1 of the positive class "1" from a recount of the confusion cells."""
+    tp = sum(1 for t, p in zip(truth, predicted) if t == p == "1")
+    fp = sum(1 for t, p in zip(truth, predicted) if p == "1" != t)
+    fn = sum(1 for t, p in zip(truth, predicted) if t == "1" != p)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def recount_group(metric: str, members: list) -> tuple[float | None, object]:
+    """The group's score (None where undefined) and target stat, recounted from its records."""
+    truth = [r.truth for r in members]
+    predicted = [r.prediction for r in members]
+    if metric == "R2":  # record order, as the dataset's sample order is without a score column
+        stats = regression_stats(truth, predicted)
+        return stats.r2, MeanStd(stats.target_mean, stats.target_std)
+    target = PctTarget(100.0 * truth.count("1") / len(members))
+    if metric == "AUC":
+        return pair_count_auc([r.score for r in members], truth), target
+    if metric == "F1":
+        return recount_f1(truth, predicted), target
+    return sum(1 for t, p in zip(truth, predicted) if t == p) / len(members), target
+
+
 @PROPERTY_SETTINGS
-@given(records=classification_records(), seed=st.integers(0, 2**32 - 1))
-def test_group_breakdown_matches_a_brute_force_recount(records, seed):
-    rows = group_breakdown(PredictionDataset(records, "1", ("Gender",)), "Gender",
-                           make_scorer("AUC", "1"))
+@given(data=st.data(), metric=st.sampled_from(["AUC", "Accuracy", "F1", "R2"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_group_breakdown_matches_a_brute_force_recount(data, metric, seed):
+    records = data.draw(regression_records() if metric == "R2" else classification_records())
+    positive_class = None if metric == "R2" else "1"
+    rows = group_breakdown(PredictionDataset(records, positive_class, ("Gender",)), "Gender",
+                           make_scorer(metric, positive_class))
     assert [row.group_name for row in rows] == list(GENDERS)
     for row in rows:
         members = [r for r in records
@@ -295,18 +333,18 @@ def test_group_breakdown_matches_a_brute_force_recount(records, seed):
             assert row == row.all_not_collected(row.group_name)
             continue
         assert row.pct_in_test.value == 100.0 * len(members) / len(records)
-        positives = sum(1 for r in members if r.truth == "1")
-        assert row.target_stat.value == PctTarget(100.0 * positives / len(members))
-        expected = pair_count_auc([r.score for r in members], [r.truth for r in members])
+        expected, target = recount_group(metric, members)
+        assert row.target_stat.value == target
         if expected is None:
             assert row.group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
         else:
             assert row.group_accuracy.value == expected
 
-    shuffled = list(records)
-    random.Random(seed).shuffle(shuffled)
-    assert group_breakdown(PredictionDataset(shuffled, "1", ("Gender",)), "Gender",
-                           make_scorer("AUC", "1")) == rows
+    if metric != "R2":  # regression sums follow row order, so a shuffle may move last digits
+        shuffled = list(records)
+        random.Random(seed).shuffle(shuffled)
+        assert group_breakdown(PredictionDataset(shuffled, positive_class, ("Gender",)),
+                               "Gender", make_scorer(metric, positive_class)) == rows
 
 
 def finite_numbers_only(node) -> bool:
