@@ -29,7 +29,7 @@ from .label import (
 )
 from .metrics import (
     Direction,
-    Rows,
+    MetricSpec,
     group_breakdown,
     majority_class_baseline,
     make_scorer,
@@ -73,13 +73,13 @@ def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float)
             f"{path}: declared {declared!r} has a different shape than computed {computed!r}")
 
 
-def _checked_scorer(name: str, dataset: PredictionDataset, manifest: LabelManifest):
-    """make_scorer, after checking that a listed metric fits the model type."""
+def _fitting_spec(name: str, manifest: LabelManifest) -> MetricSpec | None:
+    """The metric's table entry, after checking that a listed metric fits the model type."""
     spec = metric_spec(name)
     if spec is not None and spec.classification != manifest.model_type.is_classification:
         raise UnknownMetricError(
             f"metric '{name}' does not apply to {manifest.model_type.display_name} models")
-    return make_scorer(name, dataset.positive_class)
+    return spec
 
 
 def _pct_over_cell(dataset: PredictionDataset, manifest: LabelManifest, name: str,
@@ -114,8 +114,9 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
     cross-checked against computed values: a declared number that contradicts
     its computed counterpart is an error, not a silent override.
     """
-    scorer = _checked_scorer(manifest.optimized_name, dataset, manifest)
-    optimized_raw = scorer(Rows(dataset))
+    _fitting_spec(manifest.optimized_name, manifest)
+    scorer = make_scorer(manifest.optimized_name, dataset.positive_class)
+    optimized_raw = scorer(dataset)
     if manifest.optimized_raw is not None and manifest.optimized_raw.is_reported:
         _conflict(_PATHS["optimized_raw"], manifest.optimized_raw.value, optimized_raw)
     optimized = MetricValue(
@@ -148,11 +149,13 @@ def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> Model
 
 
 def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> MetricValue:
+    """Computed if the metric has a scorer and the dataset its column, else declared."""
     name = manifest.standard_metric_name
-    spec = metric_spec(name)
+    spec = _fitting_spec(name, manifest)
     raw_value = None
-    if (dataset.has_scores if spec and spec.needs_score else dataset.has_predictions):
-        raw_value = _checked_scorer(name, dataset, manifest)(Rows(dataset))
+    if spec is None or spec.scorer is not None and (
+            dataset.has_scores if spec.needs_score else dataset.has_predictions):
+        raw_value = make_scorer(name, dataset.positive_class)(dataset)
         if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
             _conflict(_PATHS["standard_raw"], manifest.standard_raw.value, raw_value)
         raw_cell = Provenance.reported(raw_value)

@@ -553,6 +553,7 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     if classification and positive not in truth and (prediction is None or positive not in prediction):
         raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
 
+    del seen_ids  # freed before the columns are sorted, which holds one column twice
     present = {cat for _, cat in category_cols}
     schema = [c for c in CANONICAL_CATEGORY_ORDER if c in present]
     schema += [cat for _, cat in category_cols if cat not in schema]

@@ -1,12 +1,12 @@
 """Numeric quantities behind a label: scores, baselines, and group breakdowns.
 
-A dataset is held as parallel columns with one sample order: ascending score
-when it has a score column, else record order.  Scorers read the columns
-through `Rows`, row indices in that order, so every AUC reads one sort and
-each category is bucketed in one pass.  Counts do not depend on the order,
-but sums do: ingest keeps a score column only for a metric scored from it,
-so a regression's sums stay in record order.  All functions are pure and
-deterministic; scores are plain Python floats from stdlib arithmetic.
+A dataset's columns are stored in its sample order: ascending score when it
+has a score column, else record order.  So every AUC reads the one sort, and
+a demographic group is a smaller dataset gathered in one pass.  Counts do not
+depend on the order, but sums do: ingest keeps a score column only for a
+metric scored from it, so a regression's sums stay in record order.  All
+functions are pure and deterministic; scores are plain Python floats from
+stdlib arithmetic.
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ class PredictionDataset:
     `prediction` and `score` are None when the data has no such column.
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
-    when every record has a value.
+    when every record has a value.  The columns are stored in sample order,
+    ascending score (a stable sort: ties keep record order) or else record
+    order, and never change.  A group's dataset has no ids or group columns.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
-                 "attribute_schema", "_score_order")
+                 "attribute_schema")
 
     def __init__(self, records: Iterable[PredictionRecord], positive_class: str | None,
                  attribute_schema: Iterable[str]):
@@ -83,6 +85,7 @@ class PredictionDataset:
     def from_columns(cls, ids: list[str], truth: list, prediction: list | None,
                      score: list[float] | None, groups: dict[str, list[str | None]],
                      positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
+        """A dataset of columns given in record order, which it takes over and sorts in place."""
         dataset = cls.__new__(cls)
         dataset._fill(ids, truth, prediction, score, groups, positive_class, attribute_schema)
         return dataset
@@ -90,6 +93,11 @@ class PredictionDataset:
     def _fill(self, ids, truth, prediction, score, groups, positive_class, attribute_schema):
         if not truth:
             raise EmptyDatasetError("a prediction dataset needs at least one record")
+        if score is not None:  # into sample order, one column at a time
+            order = _sort_by_score(score, range(len(score)))
+            for column in (ids, truth, prediction, score, *groups.values()):
+                if column is not None:
+                    column[:] = [column[i] for i in order]
         self.ids = ids
         self.truth = truth
         self.prediction = prediction
@@ -97,7 +105,6 @@ class PredictionDataset:
         self.groups = groups
         self.positive_class = positive_class
         self.attribute_schema = attribute_schema
-        self._score_order: list[int] | None = None
 
     @property
     def n(self) -> int:
@@ -123,33 +130,19 @@ class PredictionDataset:
                              {c: col[i] for c, col in columns if col[i] is not None})
             for i in range(self.n))
 
-    def sample_order(self) -> Sequence[int]:
-        """Row indices in the order every scorer reads them: record order, or ascending
-        score when there is a score column (sorted on first use and kept)."""
-        if self.score is None:
-            return range(self.n)
-        if self._score_order is None:
-            self._score_order = _sort_by_score(self.score, range(self.n))
-        return self._score_order
+    def _group(self, rows: list[int]) -> "PredictionDataset":
+        """The dataset of these rows, for a group's scorer.  Ascending row indices
+        keep sample order, so the gathered columns are not sorted again."""
+        group = PredictionDataset.__new__(PredictionDataset)
+        group.truth, group.prediction, group.score = (
+            None if column is None else [column[i] for i in rows]
+            for column in (self.truth, self.prediction, self.score))
+        group.ids, group.groups, group.attribute_schema = None, {}, ()
+        group.positive_class = self.positive_class
+        return group
 
 
-class Rows:
-    """The rows one score covers, as indices into a dataset's columns in its sample order."""
-
-    __slots__ = ("dataset", "indices")
-
-    def __init__(self, dataset: PredictionDataset, indices: Sequence[int] | None = None):
-        self.dataset = dataset
-        self.indices = dataset.sample_order() if indices is None else indices
-
-    def take(self, column: Sequence) -> Sequence:
-        """These rows' entries of a dataset column, in sample order."""
-        if self.indices == range(len(column)):  # every row, in record order
-            return column
-        return [column[i] for i in self.indices]
-
-
-Scorer = Callable[[Union[Rows, Sequence[PredictionRecord]]], float]
+Scorer = Callable[[Union[PredictionDataset, Sequence[PredictionRecord]]], float]
 
 
 class Direction(Enum):
@@ -309,23 +302,21 @@ def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> 
     return _finite("the percent over baseline", 100.0 * gain / baseline)
 
 
-def _predicted(rows: Rows) -> tuple[Sequence, Sequence]:
-    """The rows' truth and y_pred values."""
-    dataset = rows.dataset
+def _predicted(dataset: PredictionDataset) -> tuple[Sequence, Sequence]:
+    """The dataset's truth and y_pred columns."""
     if dataset.prediction is None:
         raise MissingColumnError("y_pred")
-    return rows.take(dataset.truth), rows.take(dataset.prediction)
+    return dataset.truth, dataset.prediction
 
 
-def _rows_auc(rows: Rows, positive_class) -> float:
-    dataset = rows.dataset
+def _dataset_auc(dataset: PredictionDataset, positive_class) -> float:
     if dataset.score is None:
         raise MissingColumnError("score")
-    return _ranked_auc(rows.take(dataset.score), rows.take(dataset.truth), positive_class)
+    return _ranked_auc(dataset.score, dataset.truth, positive_class)
 
 
-def _r2(rows: Rows, positive_class) -> float:
-    stats = regression_stats(*_predicted(rows))
+def _r2(dataset: PredictionDataset, positive_class) -> float:
+    stats = regression_stats(*_predicted(dataset))
     if stats.r2 is None:
         raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
     return stats.r2
@@ -350,7 +341,7 @@ def _auc_baseline(counts: Counter, majority, positive_class) -> float:
 class MetricSpec:
     """What the package knows about one metric; METRIC_SPECS lists them all.
 
-    scorer(rows, positive_class) scores the rows from `score` when needs_score
+    scorer(dataset, positive_class) scores a dataset from `score` when needs_score
     is set, else from `y_pred`.  majority_baseline(counts, majority,
     positive_class) scores, from the truth-label counts, predicting the
     majority everywhere.  standard_for is the model type whose labels must
@@ -363,7 +354,7 @@ class MetricSpec:
     classification: bool  # applies to classification models, else to regression
     score_range: tuple[float | None, float] | None = None  # validator's (low or None, high)
     needs_score: bool = False
-    scorer: Callable[[Rows, Any], float] | None = None
+    scorer: Callable[[PredictionDataset, Any], float] | None = None
     majority_baseline: Callable[[Counter, Any, Any], float] | None = None
     standard_for: ModelType | None = None
 
@@ -375,15 +366,15 @@ def _canon_metric_name(name: str) -> str:
 _UNIT = (0.0, 1.0)
 METRIC_SPECS: dict[str, MetricSpec] = {_canon_metric_name(spec.name): spec for spec in (
     MetricSpec("Accuracy", Direction.MAXIMIZE, True, _UNIT,
-               scorer=lambda rows, _: standard_accuracy(*_predicted(rows)),
+               scorer=lambda dataset, _: standard_accuracy(*_predicted(dataset)),
                majority_baseline=lambda counts, majority, _: counts[majority] / counts.total(),
                standard_for=ModelType.BALANCED_CLASSIFICATION),
     MetricSpec("F1", Direction.MAXIMIZE, True, _UNIT,
-               scorer=lambda rows, pos: precision_recall_f1(*_predicted(rows), pos)[2],
+               scorer=lambda dataset, pos: precision_recall_f1(*_predicted(dataset), pos)[2],
                majority_baseline=_f1_baseline,
                standard_for=ModelType.IMBALANCED_CLASSIFICATION),
     MetricSpec("AUC", Direction.MAXIMIZE, True, _UNIT, needs_score=True,
-               scorer=_rows_auc,
+               scorer=_dataset_auc,
                majority_baseline=_auc_baseline),
     MetricSpec("R2", Direction.MAXIMIZE, False, (None, 1.0), scorer=_r2,
                standard_for=ModelType.REGRESSION),
@@ -417,7 +408,7 @@ def metric_direction(name: str) -> Direction | None:
 
 
 def make_scorer(metric_name: str, positive_class=None) -> Scorer:
-    """Build a scorer mapping rows, or a record sequence, to the named metric's value.
+    """Build a scorer mapping a dataset, or a record sequence, to the named metric's value.
 
     Records are turned into a dataset's columns first.
     """
@@ -425,10 +416,10 @@ def make_scorer(metric_name: str, positive_class=None) -> Scorer:
     if spec is None or spec.scorer is None:
         raise UnknownMetricError(f"no scorer for metric '{metric_name}'")
 
-    def score(rows):
-        if not isinstance(rows, Rows):
-            rows = Rows(PredictionDataset(rows, positive_class, ()))
-        return spec.scorer(rows, positive_class)
+    def score(dataset):
+        if not isinstance(dataset, PredictionDataset):
+            dataset = PredictionDataset(dataset, positive_class, ())
+        return spec.scorer(dataset, positive_class)
     return score
 
 
@@ -450,7 +441,7 @@ def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> flo
 def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -> list[DemographicGroupRow]:
     """Per-group rows for one demographic category.
 
-    Rows with unrecognized or missing group values fall under "Other".
+    Records with unrecognized or missing group values fall under "Other".
     Canonical rows always appear, with not-collected stats when the group is
     empty; a scorer failure on a group (e.g. a single-class AUC) marks that
     row's score as unknown availability rather than fabricating a number.
@@ -463,31 +454,29 @@ def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -
     column = dataset.groups[category]
     name_of = {value: value if value and (canon is None or value in canon) else "Other"
                for value in set(column)}
-    groups: dict[str, list[int]] = defaultdict(list)
-    for i in dataset.sample_order():
-        groups[name_of[column[i]]].append(i)
+    members: dict[str, list[int]] = defaultdict(list)
+    for i, value in enumerate(column):
+        members[name_of[value]].append(i)
 
     positive_class = dataset.positive_class
     ordered = list(canon) if canon is not None else []
-    ordered += sorted(g for g in groups if g not in ordered)
+    ordered += sorted(g for g in members if g not in ordered)
 
     rows = []
     for name in ordered:
-        if name not in groups:
+        if name not in members:
             rows.append(DemographicGroupRow.all_not_collected(name))
             continue
-        members = Rows(dataset, groups[name])
+        group = dataset._group(members[name])
         try:
-            score_cell = Provenance.reported(scorer(members))
+            score_cell = Provenance.reported(scorer(group))
         except ModelFactsError:
             score_cell = Provenance.unknown_availability()
-        n = len(members.indices)
-        truth = members.take(dataset.truth)
-        target = (PctTarget(100.0 * truth.count(positive_class) / n) if positive_class is not None
-                  else MeanStd(*target_mean_std(truth)))
+        target = (PctTarget(100.0 * group.truth.count(positive_class) / group.n)
+                  if positive_class is not None else MeanStd(*target_mean_std(group.truth)))
         rows.append(DemographicGroupRow(
             group_name=name,
-            pct_in_test=Provenance.reported(100.0 * n / dataset.n),
+            pct_in_test=Provenance.reported(100.0 * group.n / dataset.n),
             group_accuracy=score_cell,
             target_stat=Provenance.reported(target),
         ))

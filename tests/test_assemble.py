@@ -137,8 +137,10 @@ class TestGenerateLabel:
         ("imbalanced_classification", "R2", None, TEN_ROW_CSV),
         ("balanced_classification", "Accuracy", "r-2", TEN_ROW_CSV),
         ("balanced_classification", "MSE", None, TEN_ROW_CSV),
+        ("regression", "R2", "AUC", REGRESSION_CSV),
     ], ids=["f1-on-regression", "accuracy-standard-on-regression", "r2-on-classification",
-            "r2-standard-on-classification", "mse-on-classification"])
+            "r2-standard-on-classification", "mse-on-classification",
+            "auc-standard-on-regression"])
     def test_computed_metric_must_fit_model_type(self, model_type, optimized, standard, csv_text):
         doc = manifest_doc(model_type=model_type, optimized_metric={"name": optimized})
         if standard is not None:
@@ -151,13 +153,27 @@ class TestGenerateLabel:
         ({}, Provenance.not_collected()),
         ({"raw": 0.8}, Provenance.reported(0.8)),
         ({"raw": {"state": "unknown_availability"}}, Provenance.unknown_availability()),
+        ({"name": "Precision"}, Provenance.not_collected()),
+        ({"name": "Precision", "raw": 0.8}, Provenance.reported(0.8)),
     ])
     def test_standard_metric_without_its_column_falls_back(self, declared, expected):
-        # TEN_ROW_CSV has y_pred but no score column, which AUC is scored from.
-        label = build(TEN_ROW_CSV, manifest_doc(standard_metric={"name": "AUC", **declared}))
-        assert label.accuracy.standard.name == "AUC"
+        # TEN_ROW_CSV has y_pred but no score column, which AUC is scored from;
+        # Precision has no scorer, so its y_pred column does not matter.
+        standard = {"name": "AUC", **declared}
+        label = build(TEN_ROW_CSV, manifest_doc(standard_metric=standard))
+        assert label.accuracy.standard.name == standard["name"]
         assert label.accuracy.standard.raw_score == expected
         assert label.accuracy.standard.pct_over_baseline == Provenance.not_collected()
+
+    @pytest.mark.parametrize("csv_text", [
+        "id,y_true,score\na,1,0.9\nb,0,0.2\n",
+        "id,y_true,y_pred,score\na,1,1,0.9\nb,0,0,0.2\n",
+    ], ids=["without-y_pred", "with-y_pred"])
+    def test_unknown_standard_metric_is_an_error_whatever_the_columns(self, csv_text):
+        doc = manifest_doc(optimized_metric={"name": "AUC"}, standard_metric={"name": "Kappa"})
+        with pytest.raises(UnknownMetricError) as err:
+            build(csv_text, doc)
+        assert "no scorer" in err.value.message
 
     def test_declared_cells_fill_missing_category(self):
         doc = manifest_doc(demographics={"Race": {"state": "available_unreported"}})

@@ -376,11 +376,11 @@ class TestGroupBreakdown:
         calls = []
         inner = make_scorer("AUC", "1")
 
-        def scorer(rows):
-            calls.append(list(rows.indices))
-            return inner(rows)
+        def scorer(group):
+            calls.append(list(group.score))
+            return inner(group)
         group_breakdown(PredictionDataset(records, "1", ("Gender",)), "Gender", scorer)
-        assert calls == [[2, 0], [1, 3], [4, 5]]  # Female, Male, Other
+        assert calls == [[0.2, 0.9], [0.1, 0.6], [0.3, 0.7]]  # Female, Male, Other
 
     def test_order_insensitive(self):
         dataset = ten_record_dataset()
@@ -518,6 +518,40 @@ class TestColumnarDataset:
         assert make_scorer("Accuracy")(records) == 1.0
         with pytest.raises(MissingColumnError):
             make_scorer("AUC", "1")(records)
+
+    # Six rows in record order: id, truth, y_pred, score, gender (blank is None).
+    ROWS = [("r0", "1", "1", 0.9, "Female"), ("r1", "0", "1", 0.5, "Male"),
+            ("r2", "0", "0", 0.1, None), ("r3", "1", "0", 0.5, "Nonbinary"),
+            ("r4", "0", "0", 0.5, "Female"), ("r5", "1", "1", 0.2, "Male")]
+
+    def _datasets(self, scored: bool):
+        """The ROWS dataset built from records and through parse_predictions."""
+        records = tuple(PredictionRecord(i, t, p, s if scored else None,
+                                         {"Gender": g} if g else {})
+                        for i, t, p, s, g in self.ROWS)
+        header = "id,y_true,y_pred," + ("score," if scored else "") + "gender"
+        lines = [",".join([i, t, p, *([str(s)] if scored else []), g or ""])
+                 for i, t, p, s, g in self.ROWS]
+        manifest = _manifest_for("AUC" if scored else "F1", True)
+        return (PredictionDataset(records, "1", ("Gender",)),
+                parse_predictions(io.StringIO("\n".join([header, *lines]) + "\n"), manifest))
+
+    @staticmethod
+    def _columns(dataset):
+        return [dataset.ids, dataset.truth, dataset.prediction, dataset.score,
+                dataset.groups["Gender"]]
+
+    def test_a_scored_dataset_holds_its_columns_in_score_order(self):
+        order = [2, 5, 1, 3, 4, 0]  # ascending score; the tied 0.5 rows keep record order
+        expected = [list(column) for column in zip(*(self.ROWS[i] for i in order))]
+        for dataset in self._datasets(scored=True):
+            assert self._columns(dataset) == expected
+            assert [r.id for r in dataset.records] == expected[0]
+
+    def test_a_dataset_without_scores_keeps_record_order(self):
+        ids, truth, prediction, _, gender = (list(column) for column in zip(*self.ROWS))
+        for dataset in self._datasets(scored=False):
+            assert self._columns(dataset) == [ids, truth, prediction, None, gender]
 
 
 def test_generate_label_sorts_the_score_column_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests: the document parsers end in a value or a typed error, the
 canonical label JSON and generated manifests round-trip, group breakdowns of every
-scored metric agree with a brute-force recount, and generated labels hold only
-finite numbers."""
+scored metric agree with a brute-force recount, generated labels hold only
+finite numbers, and a classification label does not depend on the row order."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import read_golden
 from modelfacts.assemble import generate_label, load_reference_population
-from modelfacts.errors import ModelFactsError
+from modelfacts.errors import ModelFactsError, NumericOverflowError
 from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
@@ -36,7 +36,7 @@ from modelfacts.label import (
     ProvenanceState,
     canonical_groups,
 )
-from modelfacts.metrics import group_breakdown, make_scorer, regression_stats
+from modelfacts.metrics import group_breakdown, make_scorer, regression_stats, target_mean_std
 from modelfacts.render import from_canonical_json, to_canonical_json
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -306,8 +306,11 @@ def recount_group(metric: str, members: list) -> tuple[float | None, object]:
     truth = [r.truth for r in members]
     predicted = [r.prediction for r in members]
     if metric == "R2":  # record order, as the dataset's sample order is without a score column
-        stats = regression_stats(truth, predicted)
-        return stats.r2, MeanStd(stats.target_mean, stats.target_std)
+        try:
+            r2 = regression_stats(truth, predicted).r2
+        except NumericOverflowError:  # a near-constant truth can put R2 beyond a float
+            r2 = None
+        return r2, MeanStd(*target_mean_std(truth))
     target = PctTarget(100.0 * truth.count("1") / len(members))
     if metric == "AUC":
         return pair_count_auc([r.score for r in members], truth), target
@@ -321,6 +324,16 @@ def recount_group(metric: str, members: list) -> tuple[float | None, object]:
        seed=st.integers(0, 2**32 - 1))
 def test_group_breakdown_matches_a_brute_force_recount(data, metric, seed):
     records = data.draw(regression_records() if metric == "R2" else classification_records())
+    check_group_breakdown(records, metric, seed)
+
+
+def test_group_breakdown_reports_an_overflowing_r2_as_unknown():
+    records = [PredictionRecord("0", 0.0, 0.0, attributes={"Gender": "Female"}),
+               PredictionRecord("1", 1.0663576658120332e-155, 1.0, attributes={"Gender": "Female"})]
+    check_group_breakdown(records, "R2", seed=0)
+
+
+def check_group_breakdown(records: list, metric: str, seed: int) -> None:
     positive_class = None if metric == "R2" else "1"
     rows = group_breakdown(PredictionDataset(records, positive_class, ("Gender",)), "Gender",
                            make_scorer(metric, positive_class))
@@ -397,3 +410,40 @@ def test_generate_emits_only_finite_numbers(data, setup, n):
     except ModelFactsError:
         return
     assert finite_numbers_only(json.loads(to_canonical_json(label)))
+
+
+def generated_bytes(doc: dict, lines: list[str]) -> bytes | str:
+    """What `generate` writes for this manifest and CSV: the label bytes, or the error code."""
+    try:
+        manifest = parse_label_manifest(json.dumps(doc))
+        dataset = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+        return to_canonical_json(generate_label(dataset, manifest))
+    except ModelFactsError as exc:
+        return exc.code
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), setup=st.sampled_from([  # model type, optimized metric, standard metric
+    ("imbalanced_classification", "AUC", None),
+    ("imbalanced_classification", "F1", "AUC"),
+    ("balanced_classification", "Accuracy", "AUC"),
+]), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_shuffled_rows_give_the_same_classification_label(data, setup, n, seed):
+    # Regression sums still follow row order (math.fsum would remove that), so R2 is left out.
+    model_type, optimized, standard = setup
+    doc = {"schema_version": "1.0", "application": "Scores intake cases",
+           "model_type": model_type, "model_train_date": "2020", "test_data_range": "2021",
+           "positive_class": "1", "warnings": [],
+           "optimized_metric": {"name": optimized, "baseline_policy": "majority-class"}}
+    if standard:
+        doc["standard_metric"] = {"name": standard}
+    labels = st.sampled_from(["0", "1", "2"])
+    scores = st.sampled_from(["0", "0.25", "0.5", "1"]) | st.floats(-2, 2).map(repr)
+    rows = [f"r{i},{data.draw(labels)},{data.draw(labels)},{data.draw(scores)},"
+            f"{data.draw(st.sampled_from(['F', 'M', 'x', '']))},"
+            f"{data.draw(st.sampled_from(['White', 'Asian', 'Martian', '']))},"
+            f"{data.draw(st.integers(0, 90))}" for i in range(n)]
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    header = "id,y_true,y_pred,score,gender,race,age"
+    assert generated_bytes(doc, [header, *shuffled]) == generated_bytes(doc, [header, *rows])
