@@ -49,17 +49,6 @@ def _conflict(path: str, declared: float, computed: float, scale: float = 1.0) -
             f"{path}: declared {declared!r} contradicts computed {computed!r}")
 
 
-def _merge_cell(computed: Provenance, declared: Provenance | None, path: str,
-                scale: float = 1.0) -> Provenance:
-    """Computed wins; a declared reported value must agree, and declared
-    states fill cells the dataset could not produce."""
-    if computed.is_reported:
-        if declared is not None and declared.is_reported:
-            _check_value_conflict(path, declared.value, computed.value, scale)
-        return computed
-    return declared if declared is not None else computed
-
-
 def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float) -> None:
     if isinstance(declared, PctTarget) and isinstance(computed, PctTarget):
         _conflict(f"{path}.pct_target", declared.pct, computed.pct, scale=100.0)
@@ -73,6 +62,29 @@ def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float)
             f"{path}: declared {declared!r} has a different shape than computed {computed!r}")
 
 
+def _cell(computed: Provenance | None, declared: Provenance | None, path: str,
+          required: bool, scale: float = 1.0) -> Provenance:
+    """The one rule that decides every cell of a label.
+
+    A computed reported value wins, and a declared reported value must agree
+    with it.  Otherwise the declared cell stands, else the computed state (a
+    scorer failure or an empty group), else not_collected.  A declared label
+    (`required`) may leave no cell to that default.  `path` is the cell's
+    manifest path.
+    """
+    if computed is not None and computed.is_reported:
+        if declared is not None and declared.is_reported:
+            _check_value_conflict(path, declared.value, computed.value, scale)
+        return computed
+    if declared is not None:
+        return declared
+    if computed is not None:
+        return computed
+    if required:
+        raise SchemaError(path, "required for a declared label")
+    return Provenance.not_collected()
+
+
 def _fitting_spec(name: str, manifest: LabelManifest) -> MetricSpec | None:
     """The metric's table entry, after checking that a listed metric fits the model type."""
     spec = metric_spec(name)
@@ -82,194 +94,95 @@ def _fitting_spec(name: str, manifest: LabelManifest) -> MetricSpec | None:
     return spec
 
 
-def _pct_over_cell(dataset: PredictionDataset, manifest: LabelManifest, name: str,
-                   raw: float | None, direction: Direction, declared: Provenance | None,
-                   baseline: float | None = None) -> Provenance:
-    """The percent-over-baseline cell of one metric, optimized or standard.
+def _metric(manifest: LabelManifest, dataset: PredictionDataset | None, role: str, name: str,
+            raw: float | None, direction: Direction, baseline: float | None) -> MetricValue:
+    """The optimized or the standard metric's cells; `raw` is its computed score, if any.
 
-    A declared percent must agree with one computed from an explicit baseline
-    (only the optimized metric has one).  A majority-class baseline of zero
-    (F1 on a negative majority) leaves the percent undefined, so the declared
-    cell or not_collected stands in.
+    The percent over an explicit baseline (only the optimized metric has one)
+    is computed from the raw cell, declared or computed.  Under the
+    majority-class policy it is computed from the computed score, unless the
+    majority baseline is zero (F1 on a negative majority), which leaves the
+    percent undefined.
     """
-    if baseline is not None:
-        pct = percent_over_baseline(raw, baseline, direction)
-        if declared is not None and declared.is_reported:
-            _conflict(_PATHS["optimized_pct_over"], declared.value, pct, scale=100.0)
-        return Provenance.reported(pct)
-    if manifest.baseline_policy == "majority-class" and raw is not None:
+    required = dataset is None
+    raw_cell = _cell(None if raw is None else Provenance.reported(raw),
+                     getattr(manifest, f"{role}_raw"), _PATHS[f"{role}_raw"], required)
+    pct = None
+    if baseline is not None and raw_cell.is_reported:
+        pct = Provenance.reported(percent_over_baseline(raw_cell.value, baseline, direction))
+    elif manifest.baseline_policy == "majority-class" and raw is not None:
         try:
-            return Provenance.reported(percent_over_baseline(
+            pct = Provenance.reported(percent_over_baseline(
                 raw, majority_class_baseline(dataset, name), direction))
         except ZeroBaselineError:
             pass
-    return declared or Provenance.not_collected()
+    return MetricValue(name, raw_cell, _cell(pct, getattr(manifest, f"{role}_pct_over"),
+                                             _PATHS[f"{role}_pct_over"], required, scale=100.0))
 
 
-def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> ModelFactsLabel:
-    """Assemble a label by computing every cell the dataset supports.
-
-    Declared manifest cells fill the holes computation cannot reach (splits,
-    absent demographic columns, a standard score without its column) and are
-    cross-checked against computed values: a declared number that contradicts
-    its computed counterpart is an error, not a silent override.
-    """
-    _fitting_spec(manifest.optimized_name, manifest)
-    scorer = make_scorer(manifest.optimized_name, dataset.positive_class)
-    optimized_raw = scorer(dataset)
-    if manifest.optimized_raw is not None and manifest.optimized_raw.is_reported:
-        _conflict(_PATHS["optimized_raw"], manifest.optimized_raw.value, optimized_raw)
-    optimized = MetricValue(
-        manifest.optimized_name, Provenance.reported(optimized_raw),
-        _pct_over_cell(dataset, manifest, manifest.optimized_name, optimized_raw,
-                       manifest.optimized_direction, manifest.optimized_pct_over,
-                       baseline=manifest.baseline))
-    standard = _standard_metric(dataset, manifest)
-
-    info = DatasetInfo(
-        sample_count=manifest.sample_count or Provenance.reported(dataset.n),
-        train_pct=manifest.train_pct or Provenance.not_collected(),
-        test_pct=manifest.test_pct or Provenance.not_collected(),
-    )
-
-    demographics = _assemble_demographics(dataset, manifest, scorer)
-
-    return ModelFactsLabel(
-        application=ApplicationInfo(
-            application=manifest.application,
-            model_type=manifest.model_type,
-            model_train_date=manifest.model_train_date,
-            test_data_range=manifest.test_data_range,
-        ),
-        accuracy=AccuracySection(optimized=optimized, standard=standard),
-        dataset=info,
-        demographics=tuple(demographics),
-        warnings=manifest.warnings,
-    )
-
-
-def _standard_metric(dataset: PredictionDataset, manifest: LabelManifest) -> MetricValue:
-    """Computed if the metric has a scorer and the dataset its column, else declared."""
-    name = manifest.standard_metric_name
-    spec = _fitting_spec(name, manifest)
-    raw_value = None
-    if spec is None or spec.scorer is not None and (
-            dataset.has_scores if spec.needs_score else dataset.has_predictions):
-        raw_value = make_scorer(name, dataset.positive_class)(dataset)
-        if manifest.standard_raw is not None and manifest.standard_raw.is_reported:
-            _conflict(_PATHS["standard_raw"], manifest.standard_raw.value, raw_value)
-        raw_cell = Provenance.reported(raw_value)
-    else:
-        raw_cell = manifest.standard_raw or Provenance.not_collected()
-    direction = metric_direction(name) or Direction.MAXIMIZE
-    return MetricValue(name, raw_cell, _pct_over_cell(
-        dataset, manifest, name, raw_value, direction, manifest.standard_pct_over))
-
-
-def _assemble_demographics(dataset: PredictionDataset, manifest: LabelManifest,
-                           scorer) -> list[DemographicCategory]:
-    order = list(CANONICAL_CATEGORY_ORDER)
-    for name in list(dataset.attribute_schema) + list(manifest.demographics):
-        if name not in order:
-            order.append(name)
-
-    categories = []
-    for name in order:
-        declared = manifest.demographics.get(name, {})
-        if name in dataset.attribute_schema:
-            computed = group_breakdown(dataset, name, scorer)
-            path = f"{_PATHS['demographics']}.{name}"
-            rows = [_merge_row(row, declared.get(row.group_name), path) for row in computed]
-            seen = {row.group_name for row in computed}
-            rows += [_declared_row(group, cells)
-                     for group, cells in declared.items() if group not in seen]
-        else:
-            rows = _declared_category_rows(name, declared)
-            if rows is None:
-                continue
-        categories.append(DemographicCategory(name, tuple(rows)))
-    return categories
-
-
-def _declared_category_rows(name: str, declared: dict[str, DeclaredRow]) -> list[DemographicGroupRow] | None:
-    canon = canonical_groups(name)
-    if canon is None and not declared:
-        return None
-    groups = list(canon) if canon is not None else []
-    groups += [g for g in declared if g not in groups]
-    return [_declared_row(group, declared.get(group)) for group in groups]
-
-
-def _declared_row(group: str, cells: DeclaredRow | None) -> DemographicGroupRow:
-    if cells is None:
-        return DemographicGroupRow.all_not_collected(group)
+def _row(group: str, computed: DemographicGroupRow | None, declared: DeclaredRow | None,
+         path: str) -> DemographicGroupRow:
+    """One demographic row, each cell by `_cell`'s rule; a row with one side only is that side."""
+    if declared is None:
+        return computed or DemographicGroupRow.all_not_collected(group)
+    if computed is None:
+        return DemographicGroupRow(group, declared["pct_in_test"], declared["accuracy"],
+                                   declared["target"])
+    path = f"{path}.rows.{group}"
     return DemographicGroupRow(
         group_name=group,
-        pct_in_test=cells["pct_in_test"],
-        group_accuracy=cells["accuracy"],
-        target_stat=cells["target"],
+        pct_in_test=_cell(computed.pct_in_test, declared.get("pct_in_test"),
+                          f"{path}.pct_in_test", False, scale=100.0),
+        group_accuracy=_cell(computed.group_accuracy, declared.get("accuracy"),
+                             f"{path}.accuracy", False),
+        target_stat=_cell(computed.target_stat, declared.get("target"), f"{path}.target", False),
     )
 
 
-def _merge_row(computed: DemographicGroupRow, declared: DeclaredRow | None,
-               path: str) -> DemographicGroupRow:
-    if declared is None:
-        return computed
-    base = f"{path}.{computed.group_name}"
-    return DemographicGroupRow(
-        group_name=computed.group_name,
-        pct_in_test=_merge_cell(computed.pct_in_test, declared.get("pct_in_test"),
-                                f"{base}.pct_in_test", scale=100.0),
-        group_accuracy=_merge_cell(computed.group_accuracy, declared.get("accuracy"),
-                                   f"{base}.accuracy"),
-        target_stat=_merge_cell(computed.target_stat, declared.get("target"),
-                                f"{base}.target"),
-    )
+def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> ModelFactsLabel:
+    """The label of a manifest and, for a generated label, its dataset; see `_cell`."""
+    required = dataset is None
+    standard_name = manifest.standard_metric_name
+    scorer = raw = standard_raw = None
+    if dataset is not None:
+        _fitting_spec(manifest.optimized_name, manifest)
+        scorer = make_scorer(manifest.optimized_name, dataset.positive_class)
+        raw = scorer(dataset)
+    optimized = _metric(manifest, dataset, "optimized", manifest.optimized_name, raw,
+                        manifest.optimized_direction, manifest.baseline)
+    if dataset is not None:
+        # A listed metric without a scorer or its column is left to its declared cell;
+        # an unlisted name is UNKNOWN_METRIC from make_scorer.
+        spec = _fitting_spec(standard_name, manifest)
+        if spec is None or spec.scorer is not None and (
+                dataset.has_scores if spec.needs_score else dataset.has_predictions):
+            standard_raw = make_scorer(standard_name, dataset.positive_class)(dataset)
+    standard = _metric(manifest, dataset, "standard", standard_name, standard_raw,
+                       metric_direction(standard_name) or Direction.MAXIMIZE, None)
 
-
-def build_declared_label(manifest: LabelManifest) -> ModelFactsLabel:
-    """Assemble a label purely from declarations, with no dataset.
-
-    Used for retrospective labels reconstructed from published results.  The
-    manifest must cover every cell: accuracy values, dataset size and split,
-    and all three canonical demographic categories, each with an explicit
-    provenance state.
-    """
-    def require(name: str, cell: Provenance | None) -> Provenance:
-        if cell is None:
-            raise SchemaError(_PATHS[name], "required for a declared label")
-        return cell
-
-    optimized_raw = require("optimized_raw", manifest.optimized_raw)
-    optimized_pct = manifest.optimized_pct_over
-    if optimized_pct is None and manifest.baseline is not None and optimized_raw.is_reported:
-        optimized_pct = Provenance.reported(percent_over_baseline(
-            optimized_raw.value, manifest.baseline, manifest.optimized_direction))
-    optimized = MetricValue(manifest.optimized_name, optimized_raw,
-                            require("optimized_pct_over", optimized_pct))
-
-    standard = MetricValue(
-        manifest.standard_metric_name,
-        require("standard_raw", manifest.standard_raw),
-        require("standard_pct_over", manifest.standard_pct_over),
-    )
-
+    # A declared count wins over the row count: it counts the whole dataset,
+    # and the CSV holds only its test rows.
+    count = None if dataset is None else Provenance.reported(dataset.n)
     info = DatasetInfo(
-        sample_count=require("sample_count", manifest.sample_count),
-        train_pct=require("train_pct", manifest.train_pct),
-        test_pct=require("test_pct", manifest.test_pct),
+        sample_count=_cell(None, manifest.sample_count or count, _PATHS["sample_count"], required),
+        train_pct=_cell(None, manifest.train_pct, _PATHS["train_pct"], required),
+        test_pct=_cell(None, manifest.test_pct, _PATHS["test_pct"], required),
     )
 
+    schema = () if dataset is None else dataset.attribute_schema
     categories = []
-    for name in CANONICAL_CATEGORY_ORDER:
-        if name not in manifest.demographics:
-            raise SchemaError(f"{_PATHS['demographics']}.{name}", "required for a declared label")
-    order = list(CANONICAL_CATEGORY_ORDER)
-    order += [name for name in manifest.demographics if name not in order]
-    for name in order:
-        rows = _declared_category_rows(name, manifest.demographics.get(name, {}))
-        if rows is not None:
-            categories.append(DemographicCategory(name, tuple(rows)))
+    for name in dict.fromkeys((*CANONICAL_CATEGORY_ORDER, *schema, *manifest.demographics)):
+        path = f"{_PATHS['demographics']}.{name}"
+        declared = manifest.demographics.get(name)
+        if declared is None and required:  # only a canonical category gets here
+            raise SchemaError(path, "required for a declared label")
+        computed = ({row.group_name: row for row in group_breakdown(dataset, name, scorer)}
+                    if name in schema else {})
+        declared = declared or {}
+        groups = dict.fromkeys((*(computed or canonical_groups(name) or ()), *declared))
+        if groups:
+            categories.append(DemographicCategory(name, tuple(
+                _row(group, computed.get(group), declared.get(group), path) for group in groups)))
 
     return ModelFactsLabel(
         application=ApplicationInfo(
@@ -283,6 +196,29 @@ def build_declared_label(manifest: LabelManifest) -> ModelFactsLabel:
         demographics=tuple(categories),
         warnings=manifest.warnings,
     )
+
+
+def generate_label(dataset: PredictionDataset, manifest: LabelManifest) -> ModelFactsLabel:
+    """Assemble a label by computing every cell the dataset supports.
+
+    Declared manifest cells fill the holes computation cannot reach (splits,
+    absent demographic columns, a standard score without its column) and are
+    cross-checked against computed values: a declared number that contradicts
+    its computed counterpart is an error, not a silent override.
+    """
+    return _assemble(manifest, dataset)
+
+
+def build_declared_label(manifest: LabelManifest) -> ModelFactsLabel:
+    """Assemble a label purely from declarations, with no dataset.
+
+    Used for retrospective labels reconstructed from published results.  The
+    manifest must cover every cell: accuracy values, dataset size and split,
+    and all three canonical demographic categories, each with an explicit
+    provenance state.  A percent over an explicit baseline is computed from
+    the declared raw score, and a declared percent must agree with it.
+    """
+    return _assemble(manifest, None)
 
 
 @dataclass(frozen=True)

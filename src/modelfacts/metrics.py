@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
+    BadValueError,
     EmptyDatasetError,
     LengthMismatchError,
     MissingColumnError,
@@ -60,9 +61,10 @@ class PredictionDataset:
     `prediction` and `score` are None when the data has no such column.
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
-    when every record has a value.  The columns are stored in sample order,
-    ascending score (a stable sort: ties keep record order) or else record
-    order, and never change.  A group's dataset has no ids or group columns.
+    when every record has a value, and every record needs a truth.  The
+    columns are stored in sample order, ascending score (a stable sort: ties
+    keep record order) or else record order, and never change.  A group's
+    dataset has no ids or group columns.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
@@ -76,7 +78,10 @@ class PredictionDataset:
         def column(values: list) -> list | None:
             return None if None in values else values
 
-        self._fill([r.id for r in records], [r.truth for r in records],
+        truth = [r.truth for r in records]
+        if None in truth:  # as ingest reports a blank y_true
+            raise BadValueError(truth.index(None) + 1, "y_true", "empty value")
+        self._fill([r.id for r in records], truth,
                    column([r.prediction for r in records]), column([r.score for r in records]),
                    {c: [r.attributes.get(c) for r in records] for c in schema},
                    positive_class, schema)

@@ -98,6 +98,27 @@ class TestGenerateLabel:
         with pytest.raises(DeclaredConflictError):
             build(csv_text, doc)
 
+    @pytest.mark.parametrize("section", ["optimized_metric", "standard_metric"])
+    def test_majority_class_percent_must_agree_with_its_declaration(self, section):
+        csv_text = "id,y_true,y_pred\na,1,1\nb,0,0\nc,1,1\nd,0,1\n"  # 0.75 over 0.5: 50%
+        doc = manifest_doc(model_type="balanced_classification", optimized_metric={
+            "name": "Accuracy", "baseline_policy": "majority-class"})
+        doc.setdefault(section, {})["pct_over_baseline"] = 99.0
+        with pytest.raises(DeclaredConflictError) as err:
+            build(csv_text, doc)
+        assert err.value.message.startswith(f"{section}.pct_over_baseline: declared 99.0 ")
+        doc[section]["pct_over_baseline"] = 50.0
+        assert build(csv_text, doc).accuracy.optimized.pct_over_baseline.value == 50.0
+
+    def test_demographic_conflict_names_its_manifest_path(self):
+        doc = manifest_doc(demographics={"Gender": {"state": "not_collected", "rows": {
+            "Female": {"pct_in_test": 40.0}}}})  # TEN_ROW_CSV is 60% Female
+        with pytest.raises(DeclaredConflictError) as err:
+            build(TEN_ROW_CSV, doc)
+        assert err.value.message.startswith("demographics.Gender.rows.Female.pct_in_test: ")
+        doc["demographics"]["Gender"]["rows"]["Female"]["pct_in_test"] = 60.0
+        assert build(TEN_ROW_CSV, doc).category("Gender").rows[0].pct_in_test.value == 60.0
+
     def test_declared_match_is_accepted(self):
         csv_text = "id,y_true,y_pred\na,1,1\nb,0,0\nc,1,0\nd,0,0\n"
         doc = manifest_doc(optimized_metric={"name": "Accuracy", "raw": 0.75})
@@ -270,6 +291,18 @@ class TestBuildDeclaredLabel:
         doc["optimized_metric"] = {"name": "AUC", "raw": 0.939, "baseline": 0.939 / 1.1}
         label = build_declared_label(parse_label_manifest(doc))
         assert label.accuracy.optimized.pct_over_baseline.value == pytest.approx(10.0, abs=1e-6)
+
+    def test_declared_pct_must_agree_with_the_baseline(self):
+        doc = json.loads((GOLDEN_DIR / "void.manifest.json").read_text())
+        doc["optimized_metric"] = {"name": "AUC", "raw": 0.939, "baseline": 0.939 / 1.1,
+                                   "pct_over_baseline": 50.0}
+        with pytest.raises(DeclaredConflictError) as err:
+            build_declared_label(parse_label_manifest(doc))
+        assert err.value.message.startswith("optimized_metric.pct_over_baseline: declared 50.0 ")
+        # A percent that agrees gives way to the computed one, as in a generated label.
+        doc["optimized_metric"]["pct_over_baseline"] = 10.0
+        label = build_declared_label(parse_label_manifest(doc))
+        assert label.accuracy.optimized.pct_over_baseline.value == 10.000000000000009
 
 
 class TestCompareLabels:

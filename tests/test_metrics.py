@@ -13,6 +13,7 @@ import pytest
 
 from conftest import make_label
 from modelfacts.errors import (
+    BadValueError,
     EmptyDatasetError,
     LengthMismatchError,
     MissingColumnError,
@@ -552,6 +553,17 @@ class TestColumnarDataset:
         ids, truth, prediction, _, gender = (list(column) for column in zip(*self.ROWS))
         for dataset in self._datasets(scored=False):
             assert self._columns(dataset) == [ids, truth, prediction, None, gender]
+
+    @pytest.mark.parametrize("truth", [("1", None, "0"), (1.5, None, 2.0)], ids=["labels", "floats"])
+    def test_a_record_without_a_truth_is_a_bad_value(self, truth):
+        # As ingest reports a blank y_true, at the record's 1-based row.
+        records = [_record(i, t, t, "Male", score=0.5) for i, t in enumerate(truth)]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, "1", ("Gender",))
+        assert (err.value.row, err.value.column, err.value.reason) == (2, "y_true", "empty value")
+        for metric in ("R2", "AUC", "Accuracy"):
+            with pytest.raises(BadValueError):
+                make_scorer(metric, "1")(records)
 
 
 def test_generate_label_sorts_the_score_column_once(monkeypatch):

@@ -1,7 +1,10 @@
 """Property tests: the document parsers end in a value or a typed error, the
 canonical label JSON and generated manifests round-trip, group breakdowns of every
 scored metric agree with a brute-force recount, generated labels hold only
-finite numbers, and a classification label does not depend on the row order."""
+finite numbers, a classification label does not depend on the row order, and
+label assembly follows one rule per cell: a generated label declared in its own
+manifest generates the same bytes, and a declared label holds its manifest's
+cells or names the manifest path at fault."""
 
 from __future__ import annotations
 
@@ -15,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
-from modelfacts.assemble import generate_label, load_reference_population
-from modelfacts.errors import ModelFactsError, NumericOverflowError
+from modelfacts.assemble import (CONFLICT_TOLERANCE, build_declared_label, generate_label,
+                                 load_reference_population)
+from modelfacts.codec import encode_provenance
+from modelfacts.errors import DeclaredConflictError, ModelFactsError, NumericOverflowError, SchemaError
 from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
@@ -36,7 +41,8 @@ from modelfacts.label import (
     ProvenanceState,
     canonical_groups,
 )
-from modelfacts.metrics import group_breakdown, make_scorer, regression_stats, target_mean_std
+from modelfacts.metrics import (group_breakdown, make_scorer, percent_over_baseline,
+                                regression_stats, target_mean_std)
 from modelfacts.render import from_canonical_json, to_canonical_json
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -380,9 +386,8 @@ GENERATE_SETUPS = [  # model type, optimized metric, standard metric, baseline o
 ]
 
 
-@PROPERTY_SETTINGS
-@given(data=st.data(), setup=st.sampled_from(GENERATE_SETUPS), n=st.integers(1, 12))
-def test_generate_emits_only_finite_numbers(data, setup, n):
+def generate_case(data, setup, n: int) -> tuple[dict, list[str]]:
+    """A manifest document and n CSV lines (header first) for one of GENERATE_SETUPS."""
     model_type, optimized, standard, policy = setup
     doc = {"schema_version": "1.0", "application": "Scores intake cases",
            "model_type": model_type, "model_train_date": "2020", "test_data_range": "2021",
@@ -399,10 +404,16 @@ def test_generate_emits_only_finite_numbers(data, setup, n):
     else:
         values = st.sampled_from(["0", "1.5", "-3", "1e300", "-1e300", "2.5e-308"])
     scores = st.sampled_from(["0", "0.5", "1", "1e-300", "-7"])
-    lines = ["id,y_true,y_pred,score,gender,age"] + [
+    return doc, ["id,y_true,y_pred,score,gender,age"] + [
         f"r{i},{data.draw(values)},{data.draw(values)},{data.draw(scores)},"
         f"{data.draw(st.sampled_from(['F', 'M', 'x', '']))},{data.draw(st.integers(0, 150))}"
         for i in range(n)]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), setup=st.sampled_from(GENERATE_SETUPS), n=st.integers(1, 12))
+def test_generate_emits_only_finite_numbers(data, setup, n):
+    doc, lines = generate_case(data, setup, n)
     try:
         manifest = parse_label_manifest(json.dumps(doc))
         label = generate_label(parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest),
@@ -410,6 +421,101 @@ def test_generate_emits_only_finite_numbers(data, setup, n):
     except ModelFactsError:
         return
     assert finite_numbers_only(json.loads(to_canonical_json(label)))
+
+
+def with_label_declared(doc: dict, label: ModelFactsLabel) -> dict:
+    """The manifest document with every cell of the label declared in it."""
+    doc = copy.deepcopy(doc)
+    for section, metric in (("optimized_metric", label.accuracy.optimized),
+                            ("standard_metric", label.accuracy.standard)):
+        doc.setdefault(section, {}).update(raw=encode_provenance(metric.raw_score),
+                                           pct_over_baseline=encode_provenance(
+                                               metric.pct_over_baseline))
+    info = label.dataset
+    doc["dataset"] = {"count": encode_provenance(info.sample_count),
+                      "train_pct": encode_provenance(info.train_pct),
+                      "test_pct": encode_provenance(info.test_pct)}
+    doc["demographics"] = {category.category_name: {"rows": {row.group_name: {
+        "pct_in_test": encode_provenance(row.pct_in_test),
+        "accuracy": encode_provenance(row.group_accuracy),
+        "target": encode_provenance(row.target_stat)} for row in category.rows}}
+        for category in label.demographics}
+    return doc
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), setup=st.sampled_from(GENERATE_SETUPS), n=st.integers(1, 12))
+def test_a_label_declared_in_its_own_manifest_generates_the_same_bytes(data, setup, n):
+    # Every declared value agrees with its computed one, and every state a
+    # computation left (unknown_availability, not_collected) is declared as it is.
+    doc, lines = generate_case(data, setup, n)
+    first = generated_bytes(doc, lines)
+    if isinstance(first, str):  # an error code
+        return
+    assert generated_bytes(with_label_declared(doc, from_canonical_json(first)), lines) == first
+
+
+DECLARED_CELL_PATHS = {"optimized_metric.raw", "optimized_metric.pct_over_baseline",
+                       "standard_metric.raw", "standard_metric.pct_over_baseline",
+                       "dataset.count", "dataset.train_pct", "dataset.test_pct",
+                       *(f"demographics.{name}" for name in CANONICAL_CATEGORY_ORDER)}
+
+
+@st.composite
+def declared_manifest_docs(draw):
+    """manifest_docs(), with most cells a declared label needs filled in when left out."""
+    doc = draw(manifest_docs())
+    classification = doc["model_type"] != "regression"
+    pct = st.floats(0, 100)
+    for section, key, values in [
+            ("optimized_metric", "raw", finite), ("optimized_metric", "pct_over_baseline", finite),
+            ("standard_metric", "raw", finite), ("standard_metric", "pct_over_baseline", finite),
+            ("dataset", "count", st.integers(0, 10**9)), ("dataset", "train_pct", pct),
+            ("dataset", "test_pct", pct)]:
+        if draw(st.integers(0, 19)):
+            doc.setdefault(section, {}).setdefault(key, draw(cell_docs(values)))
+    for category in CANONICAL_CATEGORY_ORDER:
+        if draw(st.integers(0, 19)):
+            doc.setdefault("demographics", {}).setdefault(
+                category, draw(category_docs(category, classification)))
+    return doc
+
+
+@PROPERTY_SETTINGS
+@given(doc=declared_manifest_docs())
+def test_a_declared_label_holds_its_manifest_cells_or_names_the_path_at_fault(doc):
+    manifest = parse_label_manifest(json.dumps(doc))
+    raw, declared_pct = manifest.optimized_raw, manifest.optimized_pct_over
+    computes_pct = manifest.baseline is not None and raw is not None and raw.is_reported
+    try:
+        label = build_declared_label(manifest)
+    except SchemaError as exc:
+        assert exc.path in DECLARED_CELL_PATHS
+        return
+    except DeclaredConflictError as exc:
+        assert computes_pct and exc.message.startswith("optimized_metric.pct_over_baseline: ")
+        return
+    except NumericOverflowError:  # a percent over a baseline near 5e-324
+        assert computes_pct
+        return
+
+    optimized, standard = label.accuracy.optimized, label.accuracy.standard
+    assert (optimized.name, optimized.raw_score) == (manifest.optimized_name, raw)
+    if computes_pct:  # the one cell a declared label computes
+        pct = percent_over_baseline(raw.value, manifest.baseline, manifest.optimized_direction)
+        assert optimized.pct_over_baseline == Provenance.reported(pct)
+        if declared_pct.is_reported:
+            assert abs(declared_pct.value - pct) / 100.0 <= CONFLICT_TOLERANCE
+    else:
+        assert optimized.pct_over_baseline == declared_pct
+    assert standard == MetricValue(manifest.standard_metric_name, manifest.standard_raw,
+                                   manifest.standard_pct_over)
+    assert label.dataset == DatasetInfo(manifest.sample_count, manifest.train_pct,
+                                        manifest.test_pct)
+    assert label.demographics == tuple(DemographicCategory(name, tuple(
+        DemographicGroupRow(group, row["pct_in_test"], row["accuracy"], row["target"])
+        for group, row in manifest.demographics[name].items()))
+        for name in dict.fromkeys((*CANONICAL_CATEGORY_ORDER, *manifest.demographics)))
 
 
 def generated_bytes(doc: dict, lines: list[str]) -> bytes | str:
