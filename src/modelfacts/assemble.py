@@ -45,8 +45,7 @@ CONFLICT_TOLERANCE = 1e-6
 
 def _conflict(path: str, declared: float, computed: float, scale: float = 1.0) -> None:
     if abs(declared - computed) / scale > CONFLICT_TOLERANCE:
-        raise DeclaredConflictError(
-            f"{path}: declared {declared!r} contradicts computed {computed!r}")
+        raise DeclaredConflictError(path, declared, computed)
 
 
 def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float) -> None:
@@ -58,8 +57,7 @@ def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float)
     elif is_finite_number(declared) and is_finite_number(computed):
         _conflict(path, declared, computed, scale)
     else:
-        raise DeclaredConflictError(
-            f"{path}: declared {declared!r} has a different shape than computed {computed!r}")
+        raise DeclaredConflictError(path, declared, computed, "has a different shape than")
 
 
 def _cell(computed: Provenance | None, declared: Provenance | None, path: str,

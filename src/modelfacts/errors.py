@@ -110,9 +110,16 @@ class UnknownCategoryError(ModelFactsError):
 
 
 class DeclaredConflictError(ModelFactsError):
-    """A manifest declared a value that contradicts the computed one."""
+    """A manifest cell, at its manifest ``path``, contradicts the computed value."""
 
     code = "DECLARED_CONFLICT"
+
+    def __init__(self, path: str, declared: object, computed: object,
+                 reason: str = "contradicts"):
+        super().__init__(f"{path}: declared {declared!r} {reason} computed {computed!r}")
+        self.path = path
+        self.declared = declared
+        self.computed = computed
 
 
 class NoOverlapError(ModelFactsError):

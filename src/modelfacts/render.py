@@ -65,8 +65,11 @@ def _fmt_target(value: Any) -> str:
 
 
 def _chunks(text: str, width: int) -> list[str]:
-    if text == "":
-        return [""]
+    # A text that fits is its own single line, as textwrap would return it,
+    # unless it has edge spaces or whitespace other than the space, for which
+    # isprintable() is False.  The empty text gives [""] either way.
+    if len(text) <= width and text.isprintable() and text.strip() == text:
+        return [text]
     return textwrap.wrap(text, width, break_long_words=True, break_on_hyphens=False) or [""]
 
 

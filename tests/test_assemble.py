@@ -115,6 +115,8 @@ class TestGenerateLabel:
             "Female": {"pct_in_test": 40.0}}}})  # TEN_ROW_CSV is 60% Female
         with pytest.raises(DeclaredConflictError) as err:
             build(TEN_ROW_CSV, doc)
+        assert err.value.path == "demographics.Gender.rows.Female.pct_in_test"
+        assert (err.value.declared, err.value.computed) == (40.0, 60.0)
         assert err.value.message.startswith("demographics.Gender.rows.Female.pct_in_test: ")
         doc["demographics"]["Gender"]["rows"]["Female"]["pct_in_test"] = 60.0
         assert build(TEN_ROW_CSV, doc).category("Gender").rows[0].pct_in_test.value == 60.0
