@@ -25,7 +25,6 @@ from .label import (
     Provenance,
     canonical_groups,
     completeness,
-    is_finite_number,
 )
 from .metrics import (
     Direction,
@@ -49,15 +48,15 @@ def _conflict(path: str, declared: float, computed: float, scale: float = 1.0) -
 
 
 def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float) -> None:
-    if isinstance(declared, PctTarget) and isinstance(computed, PctTarget):
+    """Both values have the model type's shape: the manifest checks its cells, and
+    `_assemble` checks that the dataset fits the model type."""
+    if isinstance(declared, PctTarget):
         _conflict(f"{path}.pct_target", declared.pct, computed.pct, scale=100.0)
-    elif isinstance(declared, MeanStd) and isinstance(computed, MeanStd):
+    elif isinstance(declared, MeanStd):
         _conflict(f"{path}.mean", declared.mean, computed.mean)
         _conflict(f"{path}.std", declared.std, computed.std)
-    elif is_finite_number(declared) and is_finite_number(computed):
-        _conflict(path, declared, computed, scale)
     else:
-        raise DeclaredConflictError(path, declared, computed, "has a different shape than")
+        _conflict(path, declared, computed, scale)
 
 
 def _cell(computed: Provenance | None, declared: Provenance | None, path: str,
@@ -143,16 +142,23 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
     standard_name = manifest.standard_metric_name
     scorer = raw = standard_raw = None
     if dataset is not None:
-        _fitting_spec(manifest.optimized_name, manifest)
+        if (dataset.positive_class is None) == manifest.model_type.is_classification:
+            raise BadArgumentError(
+                f"{manifest.model_type.display_name} labels need a dataset "
+                f"{'with' if dataset.positive_class is None else 'without'} a positive class")
+        optimized_spec = _fitting_spec(manifest.optimized_name, manifest)
         scorer = make_scorer(manifest.optimized_name, dataset.positive_class)
         raw = scorer(dataset)
     optimized = _metric(manifest, dataset, "optimized", manifest.optimized_name, raw,
                         manifest.optimized_direction, manifest.baseline)
     if dataset is not None:
-        # A listed metric without a scorer or its column is left to its declared cell;
-        # an unlisted name is UNKNOWN_METRIC from make_scorer.
+        # The optimized metric's score is reused, not computed again.  A listed metric
+        # without a scorer or its column is left to its declared cell; an unlisted name
+        # is UNKNOWN_METRIC from make_scorer.
         spec = _fitting_spec(standard_name, manifest)
-        if spec is None or spec.scorer is not None and (
+        if spec is optimized_spec:  # a table entry, or make_scorer would have raised
+            standard_raw = raw
+        elif spec is None or spec.scorer is not None and (
                 dataset.has_scores if spec.needs_score else dataset.has_predictions):
             standard_raw = make_scorer(standard_name, dataset.positive_class)(dataset)
     standard = _metric(manifest, dataset, "standard", standard_name, standard_raw,

@@ -9,11 +9,9 @@ Identical invocations on identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
 
@@ -69,6 +67,9 @@ def _write_label(label: ModelFactsLabel, output: str | None) -> None:
 
 
 def _write_stamp(output: str, command: str, inputs: list[str]) -> None:
+    import hashlib  # imported here: only --stamp needs them
+    from datetime import datetime, timezone
+
     stamp = {
         "command": command,
         "generated_at": datetime.now(timezone.utc).isoformat(),

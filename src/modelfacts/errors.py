@@ -114,9 +114,8 @@ class DeclaredConflictError(ModelFactsError):
 
     code = "DECLARED_CONFLICT"
 
-    def __init__(self, path: str, declared: object, computed: object,
-                 reason: str = "contradicts"):
-        super().__init__(f"{path}: declared {declared!r} {reason} computed {computed!r}")
+    def __init__(self, path: str, declared: object, computed: object):
+        super().__init__(f"{path}: declared {declared!r} contradicts computed {computed!r}")
         self.path = path
         self.declared = declared
         self.computed = computed

@@ -72,14 +72,27 @@ DeclaredRow = dict[str, Provenance]  # keys: pct_in_test, accuracy, target
 
 _STAT_KEYS = ("pct_in_test", "accuracy", "target")
 
+# What a reported top-level declared cell holds: (LabelManifest field, test, what it is).
+_REPORTED_VALUES = (
+    *((name, is_finite_number, "a finite number") for name in (
+        "optimized_raw", "optimized_pct_over", "standard_raw", "standard_pct_over",
+        "train_pct", "test_pct")),
+    ("sample_count", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+     "a nonnegative integer"),
+)
+
+
+def _is_finite_target(value: PctTarget | MeanStd) -> bool:
+    return all(map(is_finite_number, vars(value).values()))
+
 
 @dataclass(frozen=True)
 class LabelManifest:
     """Developer-declared metadata: everything a dataset alone cannot supply.
 
     The manifest document's shape is the table _MANIFEST; fields without a
-    default are its required keys.  Rules that span fields are checked here,
-    so a hand-built manifest obeys them too.
+    default are its required keys.  Rules that span fields, and the values of
+    reported cells, are checked here, so a hand-built manifest obeys them too.
     """
 
     schema_version: str
@@ -121,16 +134,27 @@ class LabelManifest:
             if not self.model_type.is_classification:
                 raise SchemaError(_PATHS["baseline_policy"],
                                   "the majority-class policy applies to classification only")
+        for name, valid, what in _REPORTED_VALUES:
+            cell = getattr(self, name)
+            if cell is not None and cell.is_reported and not valid(cell.value):
+                raise SchemaError(_PATHS[name], f"expected {what}, got {cell.value!r}")
         classification = self.model_type.is_classification
         variant = PctTarget if classification else MeanStd
         for category, rows in self.demographics.items():
             for group, row in rows.items():
-                target = row["target"]
-                if target.is_reported and not isinstance(target.value, variant):
-                    raise SchemaError(
-                        f"{_PATHS['demographics']}.{category}.rows.{group}.target",
-                        "classification labels report a target percentage" if classification
-                        else "regression labels report mean and std")
+                for stat, cell in row.items():
+                    value = cell.value  # None unless reported
+                    if value is None or (isinstance(value, variant) and _is_finite_target(value)
+                                         if stat == "target" else is_finite_number(value)):
+                        continue
+                    path = f"{_PATHS['demographics']}.{category}.rows.{group}.{stat}"
+                    if stat != "target":
+                        raise SchemaError(path, f"expected a finite number, got {value!r}")
+                    if not isinstance(value, variant):
+                        raise SchemaError(path, "classification labels report a target percentage"
+                                          if classification
+                                          else "regression labels report mean and std")
+                    raise SchemaError(path, f"expected finite numbers, got {value!r}")
 
     @property
     def standard_metric_name(self) -> str:

@@ -63,12 +63,13 @@ class PredictionDataset:
     where the cell was blank.  Built from records, a column is present only
     when every record has a value, and every record needs a truth.  The
     columns are stored in sample order, ascending score (a stable sort: ties
-    keep record order) or else record order, and never change.  A group's
-    dataset has no ids or group columns.
+    keep record order) or else record order, and never change, so the truth's
+    moments are computed on first use and kept.  A group's dataset has no ids
+    or group columns.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
-                 "attribute_schema")
+                 "attribute_schema", "_moments")
 
     def __init__(self, records: Iterable[PredictionRecord], positive_class: str | None,
                  attribute_schema: Iterable[str]):
@@ -110,6 +111,7 @@ class PredictionDataset:
         self.groups = groups
         self.positive_class = positive_class
         self.attribute_schema = attribute_schema
+        self._moments = None
 
     @property
     def n(self) -> int:
@@ -144,7 +146,14 @@ class PredictionDataset:
             for column in (self.truth, self.prediction, self.score))
         group.ids, group.groups, group.attribute_schema = None, {}, ()
         group.positive_class = self.positive_class
+        group._moments = None
         return group
+
+    def moments(self) -> tuple[float, float, float]:
+        """The truth's mean, population std and sum of squared deviations, summed once."""
+        if self._moments is None:
+            self._moments = _mean_ss(self.truth)
+        return self._moments
 
 
 Scorer = Callable[[Union[PredictionDataset, Sequence[PredictionRecord]]], float]
@@ -281,17 +290,22 @@ def target_mean_std(truth: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
-def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> RegressionStats:
-    """R2 = 1 - SS_res/SS_tot over the test data, with the truth's mean/std."""
-    _check_pair(truth, predicted)
-    mean, std, ss_tot = _mean_ss(truth)
+def _r2_from_ss(truth: Sequence[float], predicted: Sequence[float], ss_tot: float) -> float | None:
+    """R2 = 1 - SS_res/SS_tot given the truth's SS_tot; None when that is zero."""
     if ss_tot == 0.0:
-        return RegressionStats(r2=None, target_mean=mean, target_std=std)
+        return None
     try:
         ss_res = sum((t - p) ** 2 for t, p in zip(truth, predicted))
     except OverflowError:
         ss_res = math.inf
-    return RegressionStats(r2=_finite("R2", 1.0 - ss_res / ss_tot), target_mean=mean,
+    return _finite("R2", 1.0 - ss_res / ss_tot)
+
+
+def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> RegressionStats:
+    """R2 = 1 - SS_res/SS_tot over the test data, with the truth's mean/std."""
+    _check_pair(truth, predicted)
+    mean, std, ss_tot = _mean_ss(truth)
+    return RegressionStats(r2=_r2_from_ss(truth, predicted, ss_tot), target_mean=mean,
                            target_std=std)
 
 
@@ -321,10 +335,12 @@ def _dataset_auc(dataset: PredictionDataset, positive_class) -> float:
 
 
 def _r2(dataset: PredictionDataset, positive_class) -> float:
-    stats = regression_stats(*_predicted(dataset))
-    if stats.r2 is None:
+    truth, predicted = _predicted(dataset)
+    _check_pair(truth, predicted)
+    r2 = _r2_from_ss(truth, predicted, dataset.moments()[2])
+    if r2 is None:
         raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
-    return stats.r2
+    return r2
 
 
 def _f1_baseline(counts: Counter, majority, positive_class) -> float:
@@ -478,7 +494,7 @@ def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -
         except ModelFactsError:
             score_cell = Provenance.unknown_availability()
         target = (PctTarget(100.0 * group.truth.count(positive_class) / group.n)
-                  if positive_class is not None else MeanStd(*target_mean_std(group.truth)))
+                  if positive_class is not None else MeanStd(*group.moments()[:2]))
         rows.append(DemographicGroupRow(
             group_name=name,
             pct_in_test=Provenance.reported(100.0 * group.n / dataset.n),

@@ -19,7 +19,8 @@ from modelfacts.assemble import (
 )
 from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError, SchemaError,
                                UnknownMetricError)
-from modelfacts.ingest import parse_label_manifest, parse_predictions
+from modelfacts.ingest import (PredictionDataset, PredictionRecord, parse_label_manifest,
+                              parse_predictions)
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     DemographicCategory,
@@ -120,6 +121,17 @@ class TestGenerateLabel:
         assert err.value.message.startswith("demographics.Gender.rows.Female.pct_in_test: ")
         doc["demographics"]["Gender"]["rows"]["Female"]["pct_in_test"] = 60.0
         assert build(TEN_ROW_CSV, doc).category("Gender").rows[0].pct_in_test.value == 60.0
+
+    @pytest.mark.parametrize("model_type, metric, positive_class", [
+        ("imbalanced_classification", "Accuracy", None), ("regression", "R2", "1")])
+    def test_a_dataset_must_fit_the_manifests_model_type(self, model_type, metric, positive_class):
+        # A regression dataset has no positive class and a classification one has one, as
+        # ingest builds them; a group's target then has the shape the manifest declares.
+        manifest = parse_label_manifest(json.dumps(manifest_doc(
+            model_type=model_type, optimized_metric={"name": metric})))
+        records = [PredictionRecord(str(i), float(i % 2), 1.0) for i in range(4)]
+        with pytest.raises(BadArgumentError):
+            generate_label(PredictionDataset(records, positive_class, ()), manifest)
 
     def test_declared_match_is_accepted(self):
         csv_text = "id,y_true,y_pred\na,1,1\nb,0,0\nc,1,0\nd,0,0\n"

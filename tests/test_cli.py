@@ -301,13 +301,31 @@ def test_generate_reads_a_csv_with_byte_order_mark(tmp_path, capsys):
     assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source tree on its path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-m", "modelfacts", "--version"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "modelfacts", "--version")
     assert (done.returncode, done.stdout) == (0, f"modelfacts {__version__}\n")
+
+
+def test_importing_the_cli_leaves_the_stamp_modules_unloaded():
+    done = run_python("-c", "import sys, modelfacts.cli; "
+                            "print(sorted({'hashlib', 'datetime'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+def test_generate_reproduces_the_regression_golden(tmp_path):
+    out = tmp_path / "length_of_stay.label.json"
+    assert main(["generate", "--data", str(GOLDEN_DIR / "length_of_stay.csv"), "--manifest",
+                 str(GOLDEN_DIR / "length_of_stay.manifest.json"), "-o", str(out)]) == 0
+    assert out.read_bytes() == read_golden("length_of_stay.label.json")
 
 
 class TestValidate:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -25,7 +26,7 @@ from modelfacts.ingest import (
     parse_label_manifest,
     parse_predictions,
 )
-from modelfacts.label import MeanStd, ModelType, PartialDate, Provenance, ProvenanceState
+from modelfacts.label import MeanStd, ModelType, PartialDate, PctTarget, Provenance, ProvenanceState
 from modelfacts.metrics import Direction
 
 AGE_BUCKET_ORDER = ("<17", "18-24", "25-34", "35-49", "50+")
@@ -379,6 +380,37 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as err:
             dataclasses.replace(manifest, baseline_policy=None, demographics={"Site": {"A": row}})
         assert err.value.path == "demographics.Site.rows.A.target"
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("optimized_raw", "0.939", "optimized_metric.raw"),
+        ("optimized_pct_over", math.nan, "optimized_metric.pct_over_baseline"),
+        ("standard_raw", [0.067], "standard_metric.raw"),
+        ("standard_pct_over", math.inf, "standard_metric.pct_over_baseline"),
+        ("sample_count", -1, "dataset.count"),
+        ("sample_count", True, "dataset.count"),
+        ("sample_count", 100.0, "dataset.count"),
+        ("train_pct", 10**400, "dataset.train_pct"),
+        ("test_pct", MeanStd(1.0, 0.5), "dataset.test_pct"),
+    ])
+    def test_a_hand_built_reported_cell_must_hold_a_number(self, field, value, path):
+        manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, **{field: Provenance.reported(value)})
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("stat, value", [
+        ("pct_in_test", "12"), ("accuracy", math.nan), ("target", PctTarget(math.inf))])
+    def test_a_hand_built_declared_row_must_hold_numbers(self, stat, value):
+        manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
+        demographics = {category: {group: dict(row) for group, row in rows.items()}
+                        for category, rows in manifest.demographics.items()}
+        demographics["Race"]["Asian"][stat] = Provenance.reported(value)
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, demographics=demographics)
+        assert err.value.path == f"demographics.Race.rows.Asian.{stat}"
+        demographics["Race"]["Asian"][stat] = Provenance.reported(
+            PctTarget(12.5) if stat == "target" else 12.5)
+        assert dataclasses.replace(manifest, demographics=demographics).demographics == demographics
 
     @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
     def test_null_means_absent(self, key):

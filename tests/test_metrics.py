@@ -596,3 +596,76 @@ def test_generate_label_sorts_the_score_column_once(monkeypatch):
               if row.group_accuracy.is_reported]
     assert len(scored) >= 8
     assert sorted_lengths == [120]
+
+
+def test_a_regression_label_sums_each_truth_once(monkeypatch):
+    """The dataset's moments and each non-empty group's are computed once, for R2 and mean/std."""
+    from modelfacts import metrics
+    from modelfacts.assemble import generate_label
+
+    summed = []
+    real_mean_ss = metrics._mean_ss
+
+    def counting_mean_ss(truth):
+        summed.append(len(truth))
+        return real_mean_ss(truth)
+
+    monkeypatch.setattr(metrics, "_mean_ss", counting_mean_ss)
+    rng = random.Random(43)
+    lines = ["id,y_true,y_pred,gender,age,site"]
+    for i in range(90):
+        truth = round(rng.uniform(10.0, 90.0), 2)
+        site = rng.choice(["S1", "S2", "S3", ""])
+        if i < 4:  # a zero-variance group: R2 fails, the mean and std do not
+            site, truth = "S4", 7.5
+        lines.append(",".join([f"r{i}", str(truth), str(round(truth + rng.gauss(0, 5), 2)),
+                               rng.choice(["Female", "Male", "x"]),  # no Trans or Nonbinary rows
+                               str(rng.randint(18, 40)), site]))
+    manifest = dataclasses.replace(_manifest_for("R2", False), extra_categories=("Site",))
+    dataset = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+    label = generate_label(dataset, manifest)
+
+    rows = [row for category in label.demographics for row in category.rows]
+    groups = [row for row in rows if row.pct_in_test.is_reported]
+    assert any(row.pct_in_test.state is ProvenanceState.NOT_COLLECTED for row in rows)
+    assert any(not row.group_accuracy.is_reported for row in groups)  # S4
+    assert summed == [90] + [round(row.pct_in_test.value * 90 / 100) for row in groups]
+
+
+@pytest.mark.parametrize("optimized, standard, classification, full_set_scores", [
+    ("R2", None, False, 1),
+    ("F1", None, True, 1),  # an imbalanced classification's standard metric is F1
+    ("AUC", "F1", True, 2),
+])
+def test_the_full_set_is_scored_once_per_distinct_metric(monkeypatch, optimized, standard,
+                                                         classification, full_set_scores):
+    from modelfacts import assemble
+
+    full_set = []
+    real_make_scorer = assemble.make_scorer
+
+    def make_scorer(metric_name, positive_class=None):
+        inner = real_make_scorer(metric_name, positive_class)
+
+        def scorer(dataset):
+            if dataset is whole:
+                full_set.append(metric_name)
+            return inner(dataset)
+        return scorer
+
+    monkeypatch.setattr(assemble, "make_scorer", make_scorer)
+    rng = random.Random(47)
+    lines = ["id,y_true,y_pred,score,gender"]
+    for i in range(60):
+        truth = rng.choice("01") if classification else str(round(rng.uniform(0, 9), 2))
+        prediction = rng.choice("01") if classification else str(round(rng.uniform(0, 9), 2))
+        lines.append(f"r{i},{truth},{prediction},{round(rng.random(), 2)},"
+                     f"{rng.choice(['Female', 'Male'])}")
+    manifest = dataclasses.replace(_manifest_for(optimized, classification), standard_name=standard)
+    whole = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+    label = assemble.generate_label(whole, manifest)
+
+    assert len(full_set) == full_set_scores
+    assert label.accuracy.standard.raw_score.is_reported
+    if standard is None:
+        assert label.accuracy.standard.raw_score == label.accuracy.optimized.raw_score
