@@ -8,11 +8,13 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .codec import load_json_document, require_number
-from .errors import (BadArgumentError, DeclaredConflictError, NoOverlapError, SchemaError,
-                     UnknownMetricError, ZeroBaselineError)
+from .errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
+                     NumericOverflowError, SchemaError, UnknownMetricError, ZeroBaselineError)
 from .ingest import _PATHS, DeclaredRow, LabelManifest, PredictionDataset
 from .label import (
     CANONICAL_CATEGORY_ORDER,
+    DECLARED_CELLS,
+    ROW_CELLS,
     ApplicationInfo,
     AccuracySection,
     DatasetInfo,
@@ -23,6 +25,7 @@ from .label import (
     ModelFactsLabel,
     PctTarget,
     Provenance,
+    ProvenanceCell,
     canonical_groups,
     completeness,
 )
@@ -59,26 +62,27 @@ def _check_value_conflict(path: str, declared: Any, computed: Any, scale: float)
         _conflict(path, declared, computed, scale)
 
 
-def _cell(computed: Provenance | None, declared: Provenance | None, path: str,
-          required: bool, scale: float = 1.0) -> Provenance:
+def _cell(computed: Provenance | None, declared: Provenance | None, spec: ProvenanceCell,
+          required: bool, row: tuple[str, str] | tuple[()] = ()) -> Provenance:
     """The one rule that decides every cell of a label.
 
     A computed reported value wins, and a declared reported value must agree
     with it.  Otherwise the declared cell stands, else the computed state (a
     scorer failure or an empty group), else not_collected.  A declared label
-    (`required`) may leave no cell to that default.  `path` is the cell's
-    manifest path.
+    (`required`) may leave no cell to that default.  `spec` is the cell's
+    table entry, and `row` a row cell's (category, group).
     """
     if computed is not None and computed.is_reported:
         if declared is not None and declared.is_reported:
-            _check_value_conflict(path, declared.value, computed.value, scale)
+            _check_value_conflict(spec.manifest_path(*row), declared.value, computed.value,
+                                  spec.scale)
         return computed
     if declared is not None:
         return declared
     if computed is not None:
         return computed
     if required:
-        raise SchemaError(path, "required for a declared label")
+        raise SchemaError(spec.manifest_path(*row), "required for a declared label")
     return Provenance.not_collected()
 
 
@@ -102,8 +106,9 @@ def _metric(manifest: LabelManifest, dataset: PredictionDataset | None, role: st
     percent undefined.
     """
     required = dataset is None
+    raw_spec, pct_spec = DECLARED_CELLS[f"{role}_raw"], DECLARED_CELLS[f"{role}_pct_over"]
     raw_cell = _cell(None if raw is None else Provenance.reported(raw),
-                     getattr(manifest, f"{role}_raw"), _PATHS[f"{role}_raw"], required)
+                     getattr(manifest, raw_spec.declared), raw_spec, required)
     pct = None
     if baseline is not None and raw_cell.is_reported:
         pct = Provenance.reported(percent_over_baseline(raw_cell.value, baseline, direction))
@@ -113,27 +118,20 @@ def _metric(manifest: LabelManifest, dataset: PredictionDataset | None, role: st
                 raw, majority_class_baseline(dataset, name), direction))
         except ZeroBaselineError:
             pass
-    return MetricValue(name, raw_cell, _cell(pct, getattr(manifest, f"{role}_pct_over"),
-                                             _PATHS[f"{role}_pct_over"], required, scale=100.0))
+    return MetricValue(name, raw_cell,
+                       _cell(pct, getattr(manifest, pct_spec.declared), pct_spec, required))
 
 
-def _row(group: str, computed: DemographicGroupRow | None, declared: DeclaredRow | None,
-         path: str) -> DemographicGroupRow:
+def _row(category: str, group: str, computed: DemographicGroupRow | None,
+         declared: DeclaredRow | None) -> DemographicGroupRow:
     """One demographic row, each cell by `_cell`'s rule; a row with one side only is that side."""
     if declared is None:
         return computed or DemographicGroupRow.all_not_collected(group)
     if computed is None:
-        return DemographicGroupRow(group, declared["pct_in_test"], declared["accuracy"],
-                                   declared["target"])
-    path = f"{path}.rows.{group}"
-    return DemographicGroupRow(
-        group_name=group,
-        pct_in_test=_cell(computed.pct_in_test, declared.get("pct_in_test"),
-                          f"{path}.pct_in_test", False, scale=100.0),
-        group_accuracy=_cell(computed.group_accuracy, declared.get("accuracy"),
-                             f"{path}.accuracy", False),
-        target_stat=_cell(computed.target_stat, declared.get("target"), f"{path}.target", False),
-    )
+        return DemographicGroupRow(group, *[declared[spec.manifest] for spec in ROW_CELLS])
+    return DemographicGroupRow(group, *[
+        _cell(getattr(computed, spec.label), declared.get(spec.manifest), spec, False,
+              (category, group)) for spec in ROW_CELLS])
 
 
 def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> ModelFactsLabel:
@@ -168,9 +166,10 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
     # and the CSV holds only its test rows.
     count = None if dataset is None else Provenance.reported(dataset.n)
     info = DatasetInfo(
-        sample_count=_cell(None, manifest.sample_count or count, _PATHS["sample_count"], required),
-        train_pct=_cell(None, manifest.train_pct, _PATHS["train_pct"], required),
-        test_pct=_cell(None, manifest.test_pct, _PATHS["test_pct"], required),
+        sample_count=_cell(None, manifest.sample_count or count, DECLARED_CELLS["sample_count"],
+                           required),
+        train_pct=_cell(None, manifest.train_pct, DECLARED_CELLS["train_pct"], required),
+        test_pct=_cell(None, manifest.test_pct, DECLARED_CELLS["test_pct"], required),
     )
 
     schema = () if dataset is None else dataset.attribute_schema
@@ -186,7 +185,7 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
         groups = dict.fromkeys((*(computed or canonical_groups(name) or ()), *declared))
         if groups:
             categories.append(DemographicCategory(name, tuple(
-                _row(group, computed.get(group), declared.get(group), path) for group in groups)))
+                _row(name, group, computed.get(group), declared.get(group)) for group in groups)))
 
     return ModelFactsLabel(
         application=ApplicationInfo(
@@ -315,7 +314,11 @@ class ReferencePopulation:
     distributions: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # A share outside [0, 100] is a SCHEMA_ERROR at its document path, as for a manifest.
         for category, groups in self.distributions.items():
+            for group, pct in groups.items():
+                if not 0 <= pct <= 100:
+                    raise SchemaError(f"categories.{category}.{group}", f"{pct} outside [0, 100]")
             total = sum(groups.values())
             if abs(total - 100.0) > 0.1:
                 raise ValueError(
@@ -437,8 +440,11 @@ def representation_audit(label: ModelFactsLabel, reference: ReferencePopulation,
     for category in label.demographics:
         accuracies = [row.group_accuracy.value for row in category.rows
                       if row.group_accuracy.is_reported]
-        disparity[category.category_name] = (
-            max(accuracies) - min(accuracies) if len(accuracies) >= 2 else None)
+        spread = max(accuracies) - min(accuracies) if len(accuracies) >= 2 else None
+        if spread is not None and not math.isfinite(spread):
+            raise NumericOverflowError(
+                f"the accuracy spread in {category.category_name} is too large for a float")
+        disparity[category.category_name] = spread
 
     return AuditReport(
         reference_name=reference.name,

@@ -27,6 +27,9 @@ from .errors import (
 from .label import (
     CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
+    DECLARED_CELLS,
+    LABEL_CELLS,
+    ROW_CELLS,
     DateRange,
     MeanStd,
     ModelType,
@@ -67,23 +70,28 @@ def bucket_age(age_years: int) -> str:
     return "50+"
 
 
-# One declared demographic row: provenance per stat cell.
-DeclaredRow = dict[str, Provenance]  # keys: pct_in_test, accuracy, target
+# One declared demographic row: provenance per stat cell, keyed by the row
+# cells' manifest keys (label.ROW_CELLS).
+DeclaredRow = dict[str, Provenance]
 
-_STAT_KEYS = ("pct_in_test", "accuracy", "target")
-
-# What a reported top-level declared cell holds: (LabelManifest field, test, what it is).
-_REPORTED_VALUES = (
-    *((name, is_finite_number, "a finite number") for name in (
-        "optimized_raw", "optimized_pct_over", "standard_raw", "standard_pct_over",
-        "train_pct", "test_pct")),
-    ("sample_count", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-     "a nonnegative integer"),
-)
+_STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
 
 
-def _is_finite_target(value: PctTarget | MeanStd) -> bool:
-    return all(map(is_finite_number, vars(value).values()))
+def _value_problem(kind: str, value: Any, variant: type) -> str | None:
+    """Why a reported declared value of this codec kind is not a finite number of its
+    shape, else None; `variant` is the model type's target shape."""
+    if kind == "number":
+        return None if is_finite_number(value) else f"expected a finite number, got {value!r}"
+    if kind == "count":
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            return None
+        return f"expected a nonnegative integer, got {value!r}"
+    if not isinstance(value, variant):
+        return ("classification labels report a target percentage" if variant is PctTarget
+                else "regression labels report mean and std")
+    if all(map(is_finite_number, vars(value).values())):
+        return None
+    return f"expected finite numbers, got {value!r}"
 
 
 @dataclass(frozen=True)
@@ -134,27 +142,16 @@ class LabelManifest:
             if not self.model_type.is_classification:
                 raise SchemaError(_PATHS["baseline_policy"],
                                   "the majority-class policy applies to classification only")
-        for name, valid, what in _REPORTED_VALUES:
-            cell = getattr(self, name)
-            if cell is not None and cell.is_reported and not valid(cell.value):
-                raise SchemaError(_PATHS[name], f"expected {what}, got {cell.value!r}")
-        classification = self.model_type.is_classification
-        variant = PctTarget if classification else MeanStd
-        for category, rows in self.demographics.items():
-            for group, row in rows.items():
-                for stat, cell in row.items():
-                    value = cell.value  # None unless reported
-                    if value is None or (isinstance(value, variant) and _is_finite_target(value)
-                                         if stat == "target" else is_finite_number(value)):
-                        continue
-                    path = f"{_PATHS['demographics']}.{category}.rows.{group}.{stat}"
-                    if stat != "target":
-                        raise SchemaError(path, f"expected a finite number, got {value!r}")
-                    if not isinstance(value, variant):
-                        raise SchemaError(path, "classification labels report a target percentage"
-                                          if classification
-                                          else "regression labels report mean and std")
-                    raise SchemaError(path, f"expected finite numbers, got {value!r}")
+        variant = PctTarget if self.model_type.is_classification else MeanStd
+        declared = [(spec, getattr(self, spec.declared), ()) for spec in LABEL_CELLS]
+        declared += [(spec, row.get(spec.manifest), (category, group))
+                     for category, rows in self.demographics.items()
+                     for group, row in rows.items() for spec in ROW_CELLS]
+        for spec, cell, where in declared:
+            value = None if cell is None else cell.value  # None unless reported
+            problem = None if value is None else _value_problem(spec.kind, value, variant)
+            if problem is not None:
+                raise SchemaError(spec.manifest_path(*where), problem)
 
     @property
     def standard_metric_name(self) -> str:
@@ -265,10 +262,10 @@ def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredR
         return dict.fromkeys(_STAT_KEYS, decode_cell({"state": spec["state"]}, f"{path}.state"))
     _check_keys(spec, set(_STAT_KEYS), path)
     row: DeclaredRow = {}
-    for stat in _STAT_KEYS:
+    for cell in ROW_CELLS:
+        stat = cell.manifest
         if stat in spec:
-            row[stat] = decode_cell(spec[stat], f"{path}.{stat}",
-                                    "target" if stat == "target" else "number")
+            row[stat] = decode_cell(spec[stat], f"{path}.{stat}", cell.kind)
         elif default is not None:
             row[stat] = default
         else:
@@ -297,6 +294,13 @@ def _aliases(raw: Any, path: str) -> dict[str, dict[str, str]]:
 
 
 _NUMBER: Codec = (encode_provenance, decode_cell)
+
+
+def _declared(name: str, codec: Codec = _NUMBER) -> tuple[str, str, Codec]:
+    """The _MANIFEST entry of a label-level cell's LabelManifest field, at its manifest path."""
+    return DECLARED_CELLS[name].manifest, name, codec
+
+
 _METRIC_NAME: Codec = (same, checked(lambda v: isinstance(v, str) and v,
                                      "must be a non-empty string"))
 
@@ -317,8 +321,8 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
      (same, _or_null(checked(lambda v: isinstance(v, str), "must be a string label")))),
     ("optimized_metric.name", "optimized_name", _METRIC_NAME),
     ("optimized_metric.direction", "optimized_direction", enum_codec(Direction)),
-    ("optimized_metric.raw", "optimized_raw", _NUMBER),
-    ("optimized_metric.pct_over_baseline", "optimized_pct_over", _NUMBER),
+    _declared("optimized_raw"),
+    _declared("optimized_pct_over"),
     ("optimized_metric.baseline", "baseline",
      (same, _or_null(checked(lambda v: is_finite_number(v) and v != 0,
                              "expected a finite, nonzero number, got {!r}")))),
@@ -326,11 +330,11 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
      (same, _or_null(checked(lambda v: v == "majority-class",
                              "unknown policy {!r} (only 'majority-class')")))),
     ("standard_metric.name", "standard_name", _METRIC_NAME),
-    ("standard_metric.raw", "standard_raw", _NUMBER),
-    ("standard_metric.pct_over_baseline", "standard_pct_over", _NUMBER),
-    ("dataset.count", "sample_count", (encode_provenance, _cell_in_range("count", 0, inf))),
-    ("dataset.train_pct", "train_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
-    ("dataset.test_pct", "test_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
+    _declared("standard_raw"),
+    _declared("standard_pct_over"),
+    _declared("sample_count", (encode_provenance, _cell_in_range("count", 0, inf))),
+    _declared("train_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
+    _declared("test_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
     ("demographics", "demographics", (_encode_demographics, _demographics)),
     ("warnings", "warnings", (list, _strings("must be a list of strings (may be empty)"))),
     ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, _aliases)),
@@ -593,5 +597,4 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     )
 
 
-def load_predictions(path: str | Path, manifest: LabelManifest) -> PredictionDataset:
-    return parse_predictions(path, manifest)
+load_predictions = parse_predictions

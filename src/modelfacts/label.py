@@ -16,7 +16,9 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import lru_cache
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .render import RenderBudget
@@ -265,26 +267,108 @@ class ModelFactsLabel:
         return None
 
 
-def iter_provenance_cells(label: ModelFactsLabel) -> Iterator[tuple[str, Provenance]]:
-    """Yield every provenance-bearing cell as (field path, cell), in label order.
+Rule = Callable[[Any, ModelFactsLabel], "str | None"]  # why a reported value breaks it, else None
 
-    The cell set is fixed: the four accuracy cells, the three dataset cells,
-    and the three stat cells of every demographic row.
-    """
-    acc = label.accuracy
-    yield "accuracy.optimized.raw_score", acc.optimized.raw_score
-    yield "accuracy.optimized.pct_over_baseline", acc.optimized.pct_over_baseline
-    yield "accuracy.standard.raw_score", acc.standard.raw_score
-    yield "accuracy.standard.pct_over_baseline", acc.standard.pct_over_baseline
-    yield "dataset.sample_count", label.dataset.sample_count
-    yield "dataset.train_pct", label.dataset.train_pct
-    yield "dataset.test_pct", label.dataset.test_pct
+
+def _outside(value: Any, low: float | None, high: float | None, what: str) -> str | None:
+    """Why value is not a finite number in [low, high], else None; a None bound is open."""
+    if is_finite_number(value) and (low is None or low <= value) and (high is None or value <= high):
+        return None
+    lower = "(-inf" if low is None else f"[{low}"
+    upper = "inf)" if high is None else f"{high}]"
+    return f"{what} {value!r} outside {lower}, {upper}"
+
+
+def _within(low: float, high: float, what: str) -> Rule:
+    return lambda value, label: _outside(value, low, high, what)
+
+
+@lru_cache(maxsize=64)
+def _score_range(name: str) -> tuple[float | None, float] | None:
+    from .metrics import metric_spec  # metrics imports this module
+
+    spec = metric_spec(name)
+    return None if spec is None else spec.score_range
+
+
+def _scored(side: str, what: str | None = None) -> Rule:
+    """In the score range of the label's optimized or standard metric, if it has one."""
+    def rule(value: Any, label: ModelFactsLabel) -> str | None:
+        name = getattr(label.accuracy, side).name
+        bounds = _score_range(name)
+        return None if bounds is None else _outside(value, *bounds, what or f"{name} raw score")
+    return rule
+
+
+def _count(value: Any, label: ModelFactsLabel) -> str | None:
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return None
+    return f"sample count {value!r} must be a nonnegative integer"
+
+
+def _target(value: Any, label: ModelFactsLabel) -> str | None:
+    if isinstance(value, PctTarget):
+        return _outside(value.pct, 0, 100, "target percentage")
+    if isinstance(value, MeanStd):
+        return _outside(value.std, 0, None, "standard deviation")
+    return None
+
+
+class ProvenanceCell(NamedTuple):
+    """One provenance cell of every label; PROVENANCE_CELLS lists them."""
+
+    label: str  # its label path; a row cell's continues its row's
+    manifest: str  # its manifest path; a row cell's is its key in a DeclaredRow
+    declared: str | None  # the LabelManifest field declaring it; None for a row cell
+    rule: Rule | None  # the range rule of a reported value
+    kind: str = "number"  # the codec's value kind
+    scale: float = 1.0  # divides a declared-computed difference before the conflict tolerance
+
+    def manifest_path(self, category: str | None = None, group: str | None = None) -> str:
+        """The manifest path; a row cell's, in the given category and group."""
+        if category is None:
+            return self.manifest
+        return f"demographics.{category}.rows.{group}.{self.manifest}"
+
+
+# Every label's provenance cells, in label order: the accuracy and dataset
+# cells, then the cells of each demographic row.
+PROVENANCE_CELLS = (
+    ProvenanceCell("accuracy.optimized.raw_score", "optimized_metric.raw", "optimized_raw",
+                   _scored("optimized")),
+    ProvenanceCell("accuracy.optimized.pct_over_baseline", "optimized_metric.pct_over_baseline",
+                   "optimized_pct_over", None, scale=100.0),
+    ProvenanceCell("accuracy.standard.raw_score", "standard_metric.raw", "standard_raw",
+                   _scored("standard")),
+    ProvenanceCell("accuracy.standard.pct_over_baseline", "standard_metric.pct_over_baseline",
+                   "standard_pct_over", None, scale=100.0),
+    ProvenanceCell("dataset.sample_count", "dataset.count", "sample_count", _count, "count"),
+    ProvenanceCell("dataset.train_pct", "dataset.train_pct", "train_pct",
+                   _within(0, 100, "train_pct"), scale=100.0),
+    ProvenanceCell("dataset.test_pct", "dataset.test_pct", "test_pct",
+                   _within(0, 100, "test_pct"), scale=100.0),
+    ProvenanceCell("pct_in_test", "pct_in_test", None,
+                   _within(0, 100, "test-data percentage"), scale=100.0),
+    # A group's accuracy is the optimized metric's score on the group's rows.
+    ProvenanceCell("group_accuracy", "accuracy", None, _scored("optimized", "group accuracy")),
+    ProvenanceCell("target_stat", "target", None, _target, "target"),
+)
+LABEL_CELLS = tuple(cell for cell in PROVENANCE_CELLS if cell.declared is not None)
+ROW_CELLS = tuple(cell for cell in PROVENANCE_CELLS if cell.declared is None)
+DECLARED_CELLS = {cell.declared: cell for cell in LABEL_CELLS}
+_LABEL_GETTERS = tuple((cell, attrgetter(cell.label)) for cell in LABEL_CELLS)
+
+
+def iter_provenance_cells(
+        label: ModelFactsLabel) -> Iterator[tuple[str, Provenance, ProvenanceCell]]:
+    """Yield every provenance-bearing cell as (label path, cell, table entry), in label order."""
+    for spec, get in _LABEL_GETTERS:
+        yield spec.label, get(label), spec
     for cat in label.demographics:
         for row in cat.rows:
-            base = f"demographics.{cat.category_name}.{row.group_name}"
-            yield f"{base}.pct_in_test", row.pct_in_test
-            yield f"{base}.group_accuracy", row.group_accuracy
-            yield f"{base}.target_stat", row.target_stat
+            base = f"demographics.{cat.category_name}.{row.group_name}."
+            for spec in ROW_CELLS:
+                yield base + spec.label, getattr(row, spec.label), spec
 
 
 class ViolationCode(Enum):
@@ -343,17 +427,6 @@ def is_finite_number(value: Any) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _range_violations(value: Any, low: float | None, high: float | None,
-                      path: str, what: str) -> list[Violation]:
-    """VALUE_OUT_OF_RANGE unless value is a finite number in [low, high]; a None bound is open."""
-    if is_finite_number(value) and (low is None or low <= value) and (high is None or value <= high):
-        return []
-    lower = "(-inf" if low is None else f"[{low}"
-    upper = "inf)" if high is None else f"{high}]"
-    return [Violation(ViolationCode.VALUE_OUT_OF_RANGE,
-                      f"{what} {value!r} outside {lower}, {upper}", path)]
-
-
 def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None) -> list[Violation]:
     """Check a label against every publishability rule.
 
@@ -361,7 +434,7 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
     the label is publishable.  Honest gaps (non-Reported provenance states)
     are never violations; only broken structure or out-of-range values are.
     """
-    from .metrics import metric_spec, select_standard_metric
+    from .metrics import select_standard_metric
     from .render import RenderBudget, render_text
 
     if budget is None:
@@ -397,10 +470,6 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
                     ViolationCode.NON_NORMALIZED_METRIC,
                     f"{mv.name} raw score {v!r} is not in [0, 1] and no percentage accompanies it",
                     path))
-            spec = metric_spec(mv.name)
-            if spec is not None and spec.score_range is not None:
-                violations += _range_violations(v, *spec.score_range, f"{path}.raw_score",
-                                                f"{mv.name} raw score")
 
     # Standard metric must match the model type's mandate.
     mandated = select_standard_metric(label.application.model_type)
@@ -429,18 +498,8 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
                 f"category '{name}' must open with rows {list(canon)}",
                 f"demographics.{name}"))
 
-    # Dataset ranges and split consistency.
+    # Split consistency.
     ds = label.dataset
-    if ds.sample_count.is_reported:
-        v = ds.sample_count.value
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            violations.append(Violation(
-                ViolationCode.VALUE_OUT_OF_RANGE,
-                f"sample count {v!r} must be a nonnegative integer",
-                "dataset.sample_count"))
-    for part, cell in (("train_pct", ds.train_pct), ("test_pct", ds.test_pct)):
-        if cell.is_reported:
-            violations += _range_violations(cell.value, 0, 100, f"dataset.{part}", part)
     if ds.train_pct.is_reported and ds.test_pct.is_reported:
         total = ds.train_pct.value + ds.test_pct.value
         if total > 100.0 + 1e-9:
@@ -449,23 +508,12 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
                 f"train + test percentages sum to {total}, above 100",
                 "dataset"))
 
-    # Demographic cell ranges.
-    for cat in label.demographics:
-        for row in cat.rows:
-            base = f"demographics.{cat.category_name}.{row.group_name}"
-            if row.pct_in_test.is_reported:
-                violations += _range_violations(row.pct_in_test.value, 0, 100,
-                                                f"{base}.pct_in_test", "test-data percentage")
-            if row.group_accuracy.is_reported:
-                violations += _range_violations(row.group_accuracy.value, 0, 1,
-                                                f"{base}.group_accuracy", "group accuracy")
-            target = row.target_stat.value  # None unless reported
-            if isinstance(target, PctTarget):
-                violations += _range_violations(target.pct, 0, 100,
-                                                f"{base}.target_stat", "target percentage")
-            elif isinstance(target, MeanStd):
-                violations += _range_violations(target.std, 0, None,
-                                                f"{base}.target_stat", "standard deviation")
+    # Every reported cell obeys its range rule.
+    for path, cell, spec in iter_provenance_cells(label):
+        if cell.is_reported and spec.rule is not None:
+            problem = spec.rule(cell.value, label)
+            if problem is not None:
+                violations.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE, problem, path))
 
     violations.sort(key=lambda v: (v.location, v.code.value, v.message))
     return violations
@@ -486,7 +534,7 @@ class CompletenessReport:
 def completeness(label: ModelFactsLabel) -> CompletenessReport:
     """Tally every provenance cell per state and compute the reported fraction."""
     tally = {state: 0 for state in ProvenanceState}
-    for _, cell in iter_provenance_cells(label):
+    for _, cell, _ in iter_provenance_cells(label):
         tally[cell.state] += 1
     total = sum(tally.values())
     fraction = tally[ProvenanceState.REPORTED] / total if total else 0.0

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadValueError,
@@ -64,12 +64,12 @@ class PredictionDataset:
     when every record has a value, and every record needs a truth.  The
     columns are stored in sample order, ascending score (a stable sort: ties
     keep record order) or else record order, and never change, so the truth's
-    moments are computed on first use and kept.  A group's dataset has no ids
-    or group columns.
+    moments and label counts are computed on first use and kept.  A group's
+    dataset has no ids or group columns.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
-                 "attribute_schema", "_moments")
+                 "attribute_schema", "_moments", "_counts")
 
     def __init__(self, records: Iterable[PredictionRecord], positive_class: str | None,
                  attribute_schema: Iterable[str]):
@@ -111,7 +111,7 @@ class PredictionDataset:
         self.groups = groups
         self.positive_class = positive_class
         self.attribute_schema = attribute_schema
-        self._moments = None
+        self._moments = self._counts = None
 
     @property
     def n(self) -> int:
@@ -146,7 +146,7 @@ class PredictionDataset:
             for column in (self.truth, self.prediction, self.score))
         group.ids, group.groups, group.attribute_schema = None, {}, ()
         group.positive_class = self.positive_class
-        group._moments = None
+        group._moments = group._counts = None
         return group
 
     def moments(self) -> tuple[float, float, float]:
@@ -155,8 +155,14 @@ class PredictionDataset:
             self._moments = _mean_ss(self.truth)
         return self._moments
 
+    def truth_counts(self) -> Counter:
+        """How often each truth label occurs, counted once."""
+        if self._counts is None:
+            self._counts = Counter(self.truth)
+        return self._counts
 
-Scorer = Callable[[Union[PredictionDataset, Sequence[PredictionRecord]]], float]
+
+Scorer = Callable[[PredictionDataset], float]
 
 
 class Direction(Enum):
@@ -282,12 +288,6 @@ def _mean_ss(truth: Sequence[float]) -> tuple[float, float, float]:
     except OverflowError:  # float ** raises where + and * return inf
         ss_tot = math.inf
     return mean, math.sqrt(_finite("the truth's variance", ss_tot / len(truth))), ss_tot
-
-
-def target_mean_std(truth: Sequence[float]) -> tuple[float, float]:
-    """Mean and population (divisor N) standard deviation."""
-    mean, std, _ = _mean_ss(truth)
-    return mean, std
 
 
 def _r2_from_ss(truth: Sequence[float], predicted: Sequence[float], ss_tot: float) -> float | None:
@@ -429,19 +429,11 @@ def metric_direction(name: str) -> Direction | None:
 
 
 def make_scorer(metric_name: str, positive_class=None) -> Scorer:
-    """Build a scorer mapping a dataset, or a record sequence, to the named metric's value.
-
-    Records are turned into a dataset's columns first.
-    """
+    """Build a scorer mapping a dataset to the named metric's value."""
     spec = metric_spec(metric_name)
     if spec is None or spec.scorer is None:
         raise UnknownMetricError(f"no scorer for metric '{metric_name}'")
-
-    def score(dataset):
-        if not isinstance(dataset, PredictionDataset):
-            dataset = PredictionDataset(dataset, positive_class, ())
-        return spec.scorer(dataset, positive_class)
-    return score
+    return lambda dataset: spec.scorer(dataset, positive_class)
 
 
 def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> float:
@@ -454,7 +446,7 @@ def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> flo
     spec = metric_spec(metric_name)
     if spec is None or spec.majority_baseline is None:
         raise UnknownMetricError(f"no majority-class baseline for metric '{metric_name}'")
-    counts = Counter(dataset.truth)
+    counts = dataset.truth_counts()
     majority = min(counts, key=lambda label: (-counts[label], str(label)))
     return spec.majority_baseline(counts, majority, dataset.positive_class)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -17,20 +19,25 @@ from modelfacts.assemble import (
     load_reference_population,
     representation_audit,
 )
-from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError, SchemaError,
-                               UnknownMetricError)
+from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
+                               NumericOverflowError, SchemaError, UnknownMetricError)
 from modelfacts.ingest import (PredictionDataset, PredictionRecord, parse_label_manifest,
                               parse_predictions)
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
+    LABEL_CELLS,
+    ROW_CELLS,
     DemographicCategory,
     DemographicGroupRow,
+    MeanStd,
     PctTarget,
     Provenance,
     ProvenanceState,
     ViolationCode,
+    iter_provenance_cells,
     validate_label,
 )
+from modelfacts.metrics import percent_over_baseline
 from modelfacts.render import from_canonical_json, render_text
 
 
@@ -319,6 +326,81 @@ class TestBuildDeclaredLabel:
         assert label.accuracy.optimized.pct_over_baseline.value == 10.000000000000009
 
 
+def _declared_manifests() -> list[tuple[str, dict]]:
+    """The declared goldens' manifest documents, then the first seed-1 corpus manifests."""
+    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "perfbench"))
+    import gen
+
+    docs = [(name, json.loads((GOLDEN_DIR / f"{name}.manifest.json").read_text()))
+            for name in ("void", "suicide_risk")]
+    return docs + [(entry.name, entry.manifest) for entry in gen.make_corpus(1, 60)]
+
+
+def _other_value(kind: str, current, classification: bool):
+    """A valid reported value of this codec kind unequal to `current`: (label value, JSON)."""
+    if kind == "count":
+        value = 1234 if current != 1234 else 4321
+        return value, value
+    if kind == "number":
+        value = 0.625 if current != 0.625 else 0.375
+        return value, value
+    if classification:
+        pct = 12.5 if current != PctTarget(12.5) else 37.5
+        return PctTarget(pct), {"pct_target": pct}
+    mean = 3.5 if current != MeanStd(3.5, 1.25) else 7.5
+    return MeanStd(mean, 1.25), {"mean": mean, "std": 1.25}
+
+
+_DECLARED_MANIFESTS = _declared_manifests()
+
+
+@pytest.mark.parametrize("name, doc", _DECLARED_MANIFESTS,
+                         ids=[name for name, _ in _DECLARED_MANIFESTS])
+def test_a_manifest_cell_sets_the_label_cell_at_the_same_address(name, doc):
+    """Each cell's manifest path and label path, as the cell table spells them, are one cell."""
+    manifest = parse_label_manifest(json.dumps(doc))
+    label = build_declared_label(manifest)
+    cells = {path: cell for path, cell, _ in iter_provenance_cells(label)}
+    # (label path, where the manifest declares it, its table entry), for every cell.
+    addresses = [(spec.label, (*spec.manifest.split("."),), spec) for spec in LABEL_CELLS]
+    addresses += [(f"demographics.{category.category_name}.{row.group_name}.{spec.label}",
+                   ("demographics", category.category_name, row.group_name, spec.manifest), spec)
+                  for category in label.demographics for row in category.rows
+                  for spec in ROW_CELLS]
+    assert [path for path, _, _ in addresses] == list(cells)
+
+    classification = manifest.model_type.is_classification
+    for path, where, spec in addresses:
+        value, encoded = _other_value(spec.kind, cells[path].value, classification)
+        changed = copy.deepcopy(doc)
+        if len(where) == 2:
+            changed.setdefault(where[0], {})[where[1]] = encoded
+            manifest_path = spec.manifest
+        else:
+            _, category, group, key = where
+            rows = changed["demographics"][category].setdefault("rows", {})
+            row = rows.setdefault(group, {})
+            if "state" in row:  # a row-wide state becomes one per cell
+                rows[group] = row = {cell.manifest: {"state": row["state"]} for cell in ROW_CELLS}
+            row[key] = encoded
+            manifest_path = spec.manifest_path(category, group)
+        expected = {**cells, path: Provenance.reported(value)}
+        raw = cells["accuracy.optimized.raw_score"]
+        if manifest.baseline is not None and spec.declared == "optimized_pct_over" and raw.is_reported:
+            # A percent over an explicit baseline is computed from the raw score.
+            with pytest.raises(DeclaredConflictError) as err:
+                build_declared_label(parse_label_manifest(json.dumps(changed)))
+            assert err.value.path == manifest_path
+            continue
+        if manifest.baseline is not None and spec.declared == "optimized_raw":
+            changed["optimized_metric"].pop("pct_over_baseline", None)
+            expected["accuracy.optimized.pct_over_baseline"] = Provenance.reported(
+                percent_over_baseline(value, manifest.baseline, manifest.optimized_direction))
+        changed_label = build_declared_label(parse_label_manifest(json.dumps(changed)))
+        assert {path: cell for path, cell, _ in iter_provenance_cells(changed_label)} == expected, \
+            manifest_path
+
+
 class TestCompareLabels:
     def golden_pair(self):
         void = from_canonical_json(read_golden("void.label.json"))
@@ -398,7 +480,8 @@ def gender_reference() -> ReferencePopulation:
                              "Trans Male": 0.6, "Nonbinary": 0.5, "Other": 0.3})
 
 
-def label_with_gender_shares(female_pct: float):
+def label_with_gender_shares(female_pct: float, female_accuracy: float = 0.8,
+                             other_accuracy: float = 0.6):
     rows = []
     shares = {"Female": female_pct, "Male": 100.0 - female_pct}
     for group in ("Female", "Male", "Trans Female", "Trans Male", "Nonbinary", "Other"):
@@ -406,7 +489,7 @@ def label_with_gender_shares(female_pct: float):
         rows.append(DemographicGroupRow(
             group,
             Provenance.reported(share) if share is not None else Provenance.reported(0.0),
-            Provenance.reported(0.8 if group == "Female" else 0.6),
+            Provenance.reported(female_accuracy if group == "Female" else other_accuracy),
             Provenance.reported(PctTarget(10.0)),
         ))
     gender = DemographicCategory("Gender", tuple(rows))
@@ -483,6 +566,30 @@ class TestRepresentationAudit:
         with pytest.raises(SchemaError) as err:
             load_reference_population(text)
         assert err.value.path == "categories.Gender.Female"
+
+    @pytest.mark.parametrize("shares, group", [
+        ({"Asian": -1.7e308, "Hispanic": 1.7e308, "Black": 100}, "Asian"),
+        ({"Asian": 120.0, "Black": -20.0}, "Asian"),
+        ({"Asian": 60.0, "Black": 40.0001, "White": -0.0001}, "White"),
+    ])
+    def test_reference_share_must_lie_in_0_to_100(self, shares, group):
+        doc = {"name": "x", "categories": {"Race": shares}}
+        with pytest.raises(SchemaError) as err:
+            load_reference_population(json.dumps(doc))
+        assert err.value.path == f"categories.Race.{group}"
+        with pytest.raises(SchemaError) as err:
+            reference(Race=shares)
+        assert err.value.path == f"categories.Race.{group}"
+        doc["categories"]["Race"] = {"Asian": 0, "Black": 100}
+        assert load_reference_population(json.dumps(doc)).distributions["Race"]["Black"] == 100.0
+
+    def test_an_accuracy_spread_beyond_a_float_is_numeric_overflow(self):
+        label = label_with_gender_shares(60.0, female_accuracy=1.7e308, other_accuracy=-1.7e308)
+        with pytest.raises(NumericOverflowError) as err:
+            representation_audit(label, gender_reference())
+        assert "Gender" in err.value.message
+        label = label_with_gender_shares(60.0, female_accuracy=1.7e308, other_accuracy=0.0)
+        assert representation_audit(label, gender_reference()).disparity["Gender"] == 1.7e308
 
     def test_load_reference_population(self):
         doc = {"name": "urban-2020", "categories": {"Gender": {"Female": 52.0, "Male": 48.0}}}

@@ -13,7 +13,7 @@ import pytest
 from conftest import GOLDEN_DIR, make_label, read_golden
 from modelfacts import __version__
 from modelfacts.cli import main
-from modelfacts.render import to_canonical_json
+from modelfacts.render import from_canonical_json, to_canonical_json
 
 VOID_MANIFEST = str(GOLDEN_DIR / "void.manifest.json")
 SUICIDE_MANIFEST = str(GOLDEN_DIR / "suicide_risk.manifest.json")
@@ -22,6 +22,13 @@ SUICIDE_MANIFEST = str(GOLDEN_DIR / "suicide_risk.manifest.json")
 def write_label(path: Path, label) -> str:
     path.write_bytes(to_canonical_json(label))
     return str(path)
+
+
+def strict_json(text: str):
+    """json.loads, except that NaN and the infinities, which Python's json reads, are refused."""
+    def refuse(constant: str):
+        raise ValueError(f"non-finite number {constant} in JSON output")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture
@@ -328,6 +335,28 @@ def test_generate_reproduces_the_regression_golden(tmp_path):
     assert out.read_bytes() == read_golden("length_of_stay.label.json")
 
 
+def test_a_site_predicted_in_reverse_validates_clean(tmp_path, capsys):
+    """An honestly computed negative group R2 is not out of range: R2 lies in (-inf, 1]."""
+    header, *rows = (GOLDEN_DIR / "length_of_stay.csv").read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows]
+    truths = [float(c[1]) for c in cells if c[4] == "S02"]
+    mean = sum(truths) / len(truths)
+    for c in cells:
+        if c[4] == "S02":  # the truth mirrored about the site's mean: an R2 of about -3
+            c[2] = f"{2 * mean - float(c[1]):.2f}"
+    reversed_rows = [",".join(c) for c in cells]
+    (tmp_path / "reversed.csv").write_text("\n".join([header, *reversed_rows]) + "\n")
+    label = tmp_path / "label.json"
+    assert main(["generate", "--data", str(tmp_path / "reversed.csv"), "--manifest",
+                 str(GOLDEN_DIR / "length_of_stay.manifest.json"), "-o", str(label)]) == 0
+    site = next(category for category in from_canonical_json(label.read_bytes()).demographics
+                if category.category_name == "Site")
+    assert next(r for r in site.rows if r.group_name == "S02").group_accuracy.value < -2.9
+    capsys.readouterr()
+    assert main(["validate", str(label), "--json"]) == 0
+    assert strict_json(capsys.readouterr().out) == {"ok": True, "violations": []}
+
+
 class TestValidate:
     def test_clean_label_exits_0(self, tmp_path, capsys):
         path = write_label(tmp_path / "ok.json", make_label())
@@ -385,6 +414,31 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "unauditable" in out
         assert "0 group(s) flagged" in out
+
+    @pytest.mark.parametrize("shares, accuracies, error", [
+        ({"Female": -1.7e308, "Male": 1.7e308, "Nonbinary": 100}, (0.8, 0.6),
+         "SCHEMA_ERROR: at 'categories.Gender.Female'"),
+        ({"Female": 60.0, "Male": 40.0}, (1.7e308, -1.7e308), "NUMERIC_OVERFLOW"),
+        ({"Female": 60.0, "Male": 40.0}, (1.7e308, 0.0), None),
+    ], ids=["reference-share-overflow", "accuracy-spread-overflow", "largest-spread"])
+    def test_audit_json_prints_only_finite_numbers(self, tmp_path, capsys, shares, accuracies,
+                                                    error):
+        from test_assemble import label_with_gender_shares
+
+        # Female's share of 1.7e308 against a reference share of -1.7e308 is an
+        # infinite gap, unless the reference is refused.
+        label = label_with_gender_shares(1.7e308, *accuracies)
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({"name": "x", "categories": {"Gender": shares}}))
+        code = main(["audit", write_label(tmp_path / "label.json", label), "--json",
+                     "--reference", str(reference)])
+        captured = capsys.readouterr()
+        if error is None:
+            assert code == 0
+            assert strict_json(captured.out)["disparity"]["Gender"] == 1.7e308
+        else:
+            assert (code, captured.out) == (2, "")
+            assert f"error: {error}" in captured.err
 
     def test_strict_flags_exit_1(self, tmp_path, reference_file, capsys):
         from test_assemble import label_with_gender_shares

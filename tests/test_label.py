@@ -176,6 +176,28 @@ class TestValidateLabel:
         assert [v.code for v in violations] == [ViolationCode.VALUE_OUT_OF_RANGE]
         assert violations[0].location == "demographics.Race.Asian.pct_in_test"
 
+    @pytest.mark.parametrize("model_type, metric, accuracy, message", [
+        (ModelType.REGRESSION, "R2", -3.03, None),
+        (ModelType.REGRESSION, "R2", 1.2, "group accuracy 1.2 outside (-inf, 1.0]"),
+        (ModelType.IMBALANCED_CLASSIFICATION, "AUC", 1.2, "group accuracy 1.2 outside [0.0, 1.0]"),
+        (ModelType.IMBALANCED_CLASSIFICATION, "auc", -0.1, "group accuracy -0.1 outside [0.0, 1.0]"),
+        (ModelType.REGRESSION, "MSE", 12.5, None),  # a metric without a known range
+    ])
+    def test_group_accuracy_obeys_the_optimized_metrics_range(self, model_type, metric, accuracy,
+                                                              message):
+        # A group's accuracy is the optimized metric's score on the group: an R2 can be negative.
+        race = canonical_category("Race")
+        rows = (DemographicGroupRow("Asian", Provenance.reported(20.0), Provenance.reported(accuracy),
+                                    Provenance.not_collected()),) + race.rows[1:]
+        label = make_label(model_type=model_type,
+                           optimized=MetricValue(metric, Provenance.not_collected(),
+                                                 Provenance.not_collected()),
+                           demographics=(DemographicCategory("Race", rows),
+                                         canonical_category("Gender"), canonical_category("Age")))
+        violations = [(v.code, v.location, v.message) for v in validate_label(label)]
+        assert violations == ([] if message is None else [(
+            ViolationCode.VALUE_OUT_OF_RANGE, "demographics.Race.Asian.group_accuracy", message)])
+
     def test_honest_gaps_are_not_violations(self):
         label = make_label(
             optimized=MetricValue("AUC", Provenance.not_collected(), Provenance.not_collected()),

@@ -281,8 +281,8 @@ def test_every_spelling_reads_the_same_table_entry(spec, spelling):
             make_scorer(spelling, "1")
         return
     rows = "id,y_true,y_pred,score\na,1,1,0.9\nb,0,1,0.4\nc,1,0,0.3\nd,0,0,0.1\ne,1,1,0.2\n"
-    records = parse_predictions(io.StringIO(rows), manifest).records
-    assert make_scorer(spelling, "1")(records) == make_scorer(spec.name, "1")(records)
+    dataset = PredictionDataset(parse_predictions(io.StringIO(rows), manifest).records, "1", ())
+    assert make_scorer(spelling, "1")(dataset) == make_scorer(spec.name, "1")(dataset)
 
 
 def _record(i, truth, prediction, gender, score=None):
@@ -441,7 +441,8 @@ def record_copy_majority_baseline(dataset: PredictionDataset, metric_name: str) 
     counts = Counter(r.truth for r in dataset.records)
     majority = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
     naive = [dataclasses.replace(r, prediction=majority, score=0.0) for r in dataset.records]
-    return make_scorer(metric_name, dataset.positive_class)(naive)
+    return make_scorer(metric_name, dataset.positive_class)(
+        PredictionDataset(naive, dataset.positive_class, ()))
 
 
 def _outcome(compute):
@@ -516,9 +517,9 @@ class TestColumnarDataset:
         records = (_record(0, "1", "1", "Female", score=0.5), _record(1, "0", "0", "Male"))
         dataset = PredictionDataset(records, "1", ("Gender",))
         assert dataset.has_predictions and not dataset.has_scores
-        assert make_scorer("Accuracy")(records) == 1.0
+        assert make_scorer("Accuracy")(dataset) == 1.0
         with pytest.raises(MissingColumnError):
-            make_scorer("AUC", "1")(records)
+            make_scorer("AUC", "1")(dataset)
 
     # Six rows in record order: id, truth, y_pred, score, gender (blank is None).
     ROWS = [("r0", "1", "1", 0.9, "Female"), ("r1", "0", "1", 0.5, "Male"),
@@ -561,9 +562,8 @@ class TestColumnarDataset:
         with pytest.raises(BadValueError) as err:
             PredictionDataset(records, "1", ("Gender",))
         assert (err.value.row, err.value.column, err.value.reason) == (2, "y_true", "empty value")
-        for metric in ("R2", "AUC", "Accuracy"):
-            with pytest.raises(BadValueError):
-                make_scorer(metric, "1")(records)
+        with pytest.raises(BadValueError):  # with or without a group schema
+            PredictionDataset(records, "1", ())
 
 
 def test_generate_label_sorts_the_score_column_once(monkeypatch):
@@ -630,6 +630,40 @@ def test_a_regression_label_sums_each_truth_once(monkeypatch):
     assert any(row.pct_in_test.state is ProvenanceState.NOT_COLLECTED for row in rows)
     assert any(not row.group_accuracy.is_reported for row in groups)  # S4
     assert summed == [90] + [round(row.pct_in_test.value * 90 / 100) for row in groups]
+
+
+@pytest.mark.parametrize("optimized, majority_is_positive", [
+    ("AUC", False), ("AUC", True), ("F1", False), ("Accuracy", True)])
+def test_a_majority_baseline_label_counts_the_truth_once(monkeypatch, optimized,
+                                                         majority_is_positive):
+    """Both metrics' majority-class baselines read one count of the dataset's truth labels."""
+    from modelfacts import metrics
+    from modelfacts.assemble import generate_label
+
+    counted = []
+    real_counter = metrics.Counter
+
+    def counting_counter(values=()):
+        counted.append(len(values))
+        return real_counter(values)
+
+    monkeypatch.setattr(metrics, "Counter", counting_counter)
+    rng = random.Random(53)
+    positive_share = 0.8 if majority_is_positive else 0.2
+    lines = ["id,y_true,y_pred,score,gender"]
+    for i in range(80):
+        truth = "1" if rng.random() < positive_share else "0"
+        lines.append(f"r{i},{truth},{rng.choice('01')},{round(rng.random(), 2)},"
+                     f"{rng.choice(['Female', 'Male', 'Nonbinary'])}")
+    manifest = dataclasses.replace(_manifest_for(optimized, True), baseline_policy="majority-class")
+    dataset = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+    label = generate_label(dataset, manifest)
+
+    assert counted == [80]
+    # F1 over a negative majority has a zero baseline, so no percent.
+    pct = label.accuracy.optimized.pct_over_baseline
+    assert pct.is_reported == (optimized != "F1" or majority_is_positive)
+    assert dataset.truth_counts() == real_counter(dataset.truth)
 
 
 @pytest.mark.parametrize("optimized, standard, classification, full_set_scores", [

@@ -45,7 +45,7 @@ from modelfacts.label import (
     canonical_groups,
 )
 from modelfacts.metrics import (group_breakdown, make_scorer, percent_over_baseline,
-                                regression_stats, target_mean_std)
+                                regression_stats)
 from modelfacts.render import _chunks, from_canonical_json, to_canonical_json
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -308,6 +308,13 @@ def recount_f1(truth, predicted) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def target_mean_std(truth) -> tuple[float, float]:
+    """Mean and population (divisor N) standard deviation, summed in the package's order
+    and by its formula (mean first, then the squared deviations), so the floats match."""
+    mean = sum(truth) / len(truth)
+    return mean, math.sqrt(sum((t - mean) ** 2 for t in truth) / len(truth))
 
 
 def recount_group(metric: str, members: list) -> tuple[float | None, object]:
