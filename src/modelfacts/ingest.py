@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import islice
 from math import inf, isfinite
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Mapping
@@ -458,6 +459,24 @@ def _undecodable_row(path: str | Path) -> int:
 
 _UNSEEN = object()
 
+# Rows read and checked together; a block with any bad or short row is walked row by row.
+_BLOCK_ROWS = 256
+
+
+def _texts(cells: Iterable[str]) -> list[str] | None:
+    """The stripped cells, or None when one is blank."""
+    texts = list(map(str.strip, cells))
+    return texts if all(texts) else None
+
+
+def _numbers(texts: Iterable[str]) -> list[float] | None:
+    """The stripped texts as finite floats, as _parse_number reads them; None when one is not."""
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        return None
+    return values if all(map(isfinite, values)) else None
+
 
 def parse_predictions(source: str | Path | IO[str] | Iterable[str],
                       manifest: LabelManifest) -> PredictionDataset:
@@ -472,6 +491,10 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     plus the manifest's alias map, with unmatched values mapped to "Other".
     Each distinct raw value is normalized once.  Row counts are never silently
     reduced.  A file is read as UTF-8, with or without a byte-order mark.
+
+    The rows are read in blocks and checked a column at a time.  A block with
+    a bad, short or unreadable row is walked row by row instead, so an error
+    still names the first bad cell in file order: its row, then its column.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -533,9 +556,10 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     # Per category: cell index, column name, group column, and a memo from raw cell to group.
     group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
     seen_ids: set[str] = set()
-    row_no = 0
-    try:
-        for row_no, row in enumerate(reader, start=1):
+
+    def walk(rows: list[list[str]], first_no: int) -> None:
+        """The rules, row by row: append each row's cells, or raise at the first bad one."""
+        for row_no, row in enumerate(rows, start=first_no):
             if len(row) > width:
                 raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
             if len(row) < width:
@@ -572,8 +596,58 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
                 if group is _UNSEEN:
                     group = memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
                 values.append(group)
-    except csv.Error as exc:  # raised while reading the row after the last one numbered
-        raise BadValueError(row_no + 1, "(row)", f"unreadable CSV row: {exc}") from None
+
+    def take(block: list[list[str]]) -> bool:
+        """Append a block column by column if walk() would accept every row of it
+        with no padding, and say whether it did; a block with any doubt is left to walk()."""
+        if set(map(len, block)) != {width}:
+            return False
+        cells = list(zip(*block))
+        block_ids = _texts(cells[id_idx])
+        if (block_ids is None or len(set(block_ids)) != len(block_ids)
+                or not seen_ids.isdisjoint(block_ids)):
+            return False
+        staged: list[tuple[list, list]] = [(ids, block_ids)]
+        for idx, column in ((truth_idx, truth), (pred_idx, prediction)):
+            if column is not None:
+                texts = _texts(cells[idx])
+                values = texts if texts is None or classification else _numbers(texts)
+                if values is None:
+                    return False
+                staged.append((column, values))
+        if score_idx is not None:
+            values = _numbers(map(str.strip, cells[score_idx]))
+            if values is None:
+                return False
+            if score is not None:
+                staged.append((score, values))
+        for idx, column, category, values, memo in group_cols:
+            raws = cells[idx]
+            try:  # a raw value that raises is named, at its row, by walk()
+                for raw in set(raws).difference(memo):
+                    memo[raw] = _group_value(category, raw, manifest.aliases, 0, column)
+            except BadValueError:
+                return False
+            staged.append((values, list(map(memo.__getitem__, raws))))
+        seen_ids.update(block_ids)
+        for column, values in staged:
+            column += values
+        return True
+
+    rows_before = 0
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before a csv.Error
+        except csv.Error as exc:  # raised while reading the row after the block's last
+            walk(block, rows_before + 1)
+            raise BadValueError(rows_before + len(block) + 1, "(row)",
+                                f"unreadable CSV row: {exc}") from None
+        if not block:
+            break
+        if not take(block):
+            walk(block, rows_before + 1)
+        rows_before += len(block)
 
     if not ids:
         raise EmptyFileError("predictions file has no data rows")

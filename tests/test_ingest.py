@@ -73,6 +73,15 @@ def minimal_manifest(**overrides) -> dict:
     return doc
 
 
+OVERSIZED = "field larger than field limit"
+
+
+def rows_with(lines: dict[int, str], n: int = 400) -> str:
+    """A CSV of n good data rows (id, y_true, y_pred), some replaced by row number."""
+    return "id,y_true,y_pred\n" + "".join(
+        lines.get(i, f"r{i},{i % 2},1") + "\n" for i in range(1, n + 1))
+
+
 def parse_csv(text: str, manifest_doc: dict | None = None):
     manifest = parse_label_manifest(json.dumps(manifest_doc or minimal_manifest()))
     return parse_predictions(io.StringIO(text), manifest)
@@ -224,15 +233,19 @@ class TestParsePredictions:
         assert (err.value.row, err.value.column) == (1500, "(row)")
         assert "not UTF-8" in err.value.reason
 
-    @pytest.mark.parametrize("text, row", [
-        ("id,y_true,y_pred\na,1," + "x" * 131_073 + "\nb,0,0\n", 1),
-        ("id,y_true,y_pred," + "x" * 131_073 + "\na,1,1\n", 0),
-    ], ids=["data-row", "header"])
-    def test_oversized_field_is_bad_value_at_its_row(self, text, row):
+    @pytest.mark.parametrize("text, row, column, reason", [
+        ("id,y_true,y_pred\na,1," + "x" * 131_073 + "\nb,0,0\n", 1, "(row)", OVERSIZED),
+        ("id,y_true,y_pred," + "x" * 131_073 + "\na,1,1\n", 0, "(row)", OVERSIZED),
+        # Past the first few hundred rows, where the reader may have read ahead.
+        (rows_with({300: "r300,1," + "x" * 131_073}), 300, "(row)", OVERSIZED),
+        (rows_with({260: "r260,,1", 300: "r300,1," + "x" * 131_073}), 260, "y_true",
+         "empty value"),
+    ], ids=["data-row", "header", "row-300", "blank-before-oversized"])
+    def test_oversized_field_is_bad_value_at_its_row(self, text, row, column, reason):
         with pytest.raises(BadValueError) as err:
             parse_csv(text)
-        assert (err.value.row, err.value.column) == (row, "(row)")
-        assert "field larger than field limit" in err.value.reason
+        assert (err.value.row, err.value.column) == (row, column)
+        assert reason in err.value.reason
 
 
 NOT_UTF8 = b'{"name": "caf\xe9"}'

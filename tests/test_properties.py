@@ -4,12 +4,14 @@ scored metric agree with a brute-force recount, generated labels hold only
 finite numbers, a classification label does not depend on the row order,
 label assembly follows one rule per cell (a generated label declared in its own
 manifest generates the same bytes, and a declared label holds its manifest's
-cells or names the manifest path at fault), and the text layout splits a cell
+cells or names the manifest path at fault), the predictions parser reads a file
+in blocks as a plain loop over its rows does, and the text layout splits a cell
 into lines exactly as textwrap does."""
 
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import json
 import math
@@ -24,8 +26,10 @@ from conftest import read_golden
 from modelfacts.assemble import (CONFLICT_TOLERANCE, build_declared_label, generate_label,
                                  load_reference_population)
 from modelfacts.codec import encode_provenance
-from modelfacts.errors import DeclaredConflictError, ModelFactsError, NumericOverflowError, SchemaError
-from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
+from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
+                               ModelFactsError, NumericOverflowError, SchemaError)
+from modelfacts.ingest import (PredictionDataset, PredictionRecord, _group_value, _parse_number,
+                               parse_label_manifest, parse_predictions)
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     AccuracySection,
@@ -44,7 +48,7 @@ from modelfacts.label import (
     ProvenanceState,
     canonical_groups,
 )
-from modelfacts.metrics import (group_breakdown, make_scorer, percent_over_baseline,
+from modelfacts.metrics import (group_breakdown, make_scorer, metric_spec, percent_over_baseline,
                                 regression_stats)
 from modelfacts.render import _chunks, from_canonical_json, to_canonical_json
 
@@ -569,6 +573,160 @@ def test_shuffled_rows_give_the_same_classification_label(data, setup, n, seed):
     random.Random(seed).shuffle(shuffled)
     header = "id,y_true,y_pred,score,gender,race,age"
     assert generated_bytes(doc, [header, *shuffled]) == generated_bytes(doc, [header, *rows])
+
+
+# The reference predictions parser: one plain loop over the rows, which states
+# every rule of a data row.  The block reader in parse_predictions must give the
+# same dataset, or the same error at the same cell.
+def row_loop_dataset(text: str, manifest) -> PredictionDataset:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise BadValueError(0, "(row)", f"unreadable CSV row: {exc}") from None
+    names = [h.strip() for h in header]
+    lowered = [n.lower() for n in names]
+    id_idx, truth_idx, pred_idx = (lowered.index(c) for c in ("id", "y_true", "y_pred"))
+    score_idx = lowered.index("score") if "score" in lowered else None
+    known = {c.lower().replace("_", " "): c for c in manifest.known_categories()}
+    category_cols = [(idx, known[name]) for idx, name in enumerate(lowered)
+                     if idx not in (id_idx, truth_idx, pred_idx, score_idx) and name in known]
+    classification = manifest.model_type.is_classification
+    width = len(names)
+    ids, truth, prediction = [], [], []
+    standard = metric_spec(manifest.standard_metric_name)
+    keeps_score = (metric_spec(manifest.optimized_name).needs_score
+                   or standard is not None and standard.needs_score)
+    score = [] if score_idx is not None and keeps_score else None
+    group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
+    seen_ids = set()
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) > width:
+                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            rid = row[id_idx].strip()
+            if not rid:
+                raise BadValueError(row_no, "id", "empty id")
+            if rid in seen_ids:
+                raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
+            seen_ids.add(rid)
+            ids.append(rid)
+            truth_text = row[truth_idx].strip()
+            if not truth_text:
+                raise BadValueError(row_no, "y_true", "empty value")
+            truth.append(truth_text if classification
+                         else _parse_number(truth_text, row_no, "y_true"))
+            pred_text = row[pred_idx].strip()
+            if not pred_text:
+                raise BadValueError(row_no, "y_pred", "empty value")
+            prediction.append(pred_text if classification
+                              else _parse_number(pred_text, row_no, "y_pred"))
+            if score_idx is not None:
+                value = _parse_number(row[score_idx].strip(), row_no, "score")
+                if score is not None:
+                    score.append(value)
+            for idx, column, category, values, memo in group_cols:
+                raw = row[idx]
+                if raw not in memo:
+                    memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
+                values.append(memo[raw])
+    except csv.Error as exc:
+        raise BadValueError(row_no + 1, "(row)", f"unreadable CSV row: {exc}") from None
+    if not ids:
+        raise EmptyFileError("predictions file has no data rows")
+    positive = manifest.positive_class
+    if classification and positive not in truth and positive not in prediction:
+        raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
+    present = {cat for _, cat in category_cols}
+    schema = [c for c in CANONICAL_CATEGORY_ORDER if c in present]
+    schema += [cat for _, cat in category_cols if cat not in schema]
+    return PredictionDataset.from_columns(
+        ids, truth, prediction, score, {category: values for _, _, category, values, _ in group_cols},
+        positive_class=positive if classification else None, attribute_schema=tuple(schema))
+
+
+BLOCK_SETUPS = {  # optimized metric: (model type, standard metric, header, truth and prediction texts)
+    "AUC": ("imbalanced_classification", None, "id,y_true,y_pred,score,race,gender,age",
+            ["0", "1", " 1", "2 "]),
+    "F1": ("imbalanced_classification", "F1", "id,y_true,y_pred,score,gender,age",
+           ["0", "1", "1 "]),
+    "R2": ("regression", None, "id,y_true,y_pred,score,age,site",
+           ["0", "1.5", " -3", "2e3 ", "7"]),
+}
+GROUP_TEXTS = {"race": ["White", "white", " Black", "Martian", ""],
+               "gender": ["F", "M", "f ", "Female", "x", ""],
+               "age": ["0", "17", " 42", "150", "18-24", "50+ ", ""],
+               "site": ["S01", "S02 ", "s01", ""]}
+OVERSIZED_FIELD = "x" * 131_073
+FAULTS = ["none", "short row", "long row", "blank id", "duplicate id", "blank value",
+          "non-numeric value", "nan", "inf", "bad age", "implausible age", "oversized field"]
+
+
+def block_case(metric: str, n: int, fault: str, at: int, seed: int) -> tuple[dict, str]:
+    """A manifest and a CSV of n rows, with one fault planted in data row `at` (1-based)."""
+    model_type, standard, header, values = BLOCK_SETUPS[metric]
+    doc = {"schema_version": "1.0", "application": "Scores intake cases",
+           "model_type": model_type, "model_train_date": "2020", "test_data_range": "2021",
+           "optimized_metric": {"name": metric}, "warnings": [], "extra_categories": ["Site"],
+           "aliases": {"Gender": {"F": "Female", "M": "Male"}}}
+    if model_type != "regression":
+        doc["positive_class"] = "1"
+    if standard:
+        doc["standard_metric"] = {"name": standard}
+    rng = random.Random(seed)
+    columns = header.split(",")
+    rows = [[f"r{i}", rng.choice(values), rng.choice(values), rng.choice(["0.25", " 1", "-2e-3"]),
+             *(rng.choice(GROUP_TEXTS[name]) for name in columns[4:])] for i in range(1, n + 1)]
+    row = rows[at - 1]
+    pick = rng.choice
+    if fault == "short row":
+        del row[rng.randrange(1, len(row)):]
+    elif fault == "long row":
+        row.append("extra")
+    elif fault == "blank id":
+        row[0] = pick(["", "  "])
+    elif fault == "duplicate id":
+        row[0] = f" r{rng.randrange(1, at)}" if at > 1 else row[0]
+    elif fault == "blank value":
+        row[pick([1, 2, 3])] = pick(["", " "])
+    elif fault in ("non-numeric value", "nan", "inf"):
+        row[pick([1, 2, 3])] = {"non-numeric value": pick(["abc", "1,5", "0x1"]),
+                                "nan": pick(["nan", "NaN"]), "inf": pick(["inf", "-Infinity"])}[fault]
+    elif fault in ("bad age", "implausible age"):
+        row[columns.index("age")] = (pick(["abc", "12.5", "17-"]) if fault == "bad age"
+                                     else pick(["151", "200", "-1"]))
+    elif fault == "oversized field":
+        row[rng.randrange(len(row))] = OVERSIZED_FIELD
+    return doc, "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def dataset_or_error(parse, text: str, manifest) -> tuple:
+    """The parsed dataset's columns, or the error's type, code, row, column and message."""
+    try:
+        ds = parse(text, manifest)
+    except ModelFactsError as exc:
+        return (type(exc), exc.code, getattr(exc, "row", None), getattr(exc, "column", None),
+                str(exc))
+    return (ds.ids, ds.truth, ds.prediction, ds.score, ds.groups, ds.attribute_schema,
+            ds.positive_class)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric=st.sampled_from(sorted(BLOCK_SETUPS)),
+       n=st.integers(1, 1200) | st.integers(257, 1200),  # half of the files span blocks
+       fault=st.sampled_from(FAULTS), at=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(metric="AUC", n=400, fault="oversized field", at=0.75, seed=1)  # row 300
+@example(metric="R2", n=700, fault="duplicate id", at=1.0, seed=2)
+@example(metric="F1", n=600, fault="short row", at=0.5, seed=3)
+def test_the_block_reader_matches_the_row_loop(metric, n, fault, at, seed):
+    doc, text = block_case(metric, n, fault, max(1, round(at * n)), seed)
+    manifest = parse_label_manifest(json.dumps(doc))
+    expected = dataset_or_error(row_loop_dataset, text, manifest)
+    actual = dataset_or_error(lambda text, m: parse_predictions(io.StringIO(text), m), text, manifest)
+    assert actual == expected
 
 
 # Whitespace of each kind textwrap treats apart: the space; its own whitespace,
