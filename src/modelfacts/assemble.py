@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .codec import load_json_document, require_number
 from .errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
@@ -28,6 +28,7 @@ from .label import (
     ProvenanceCell,
     canonical_groups,
     completeness,
+    is_finite_number,
 )
 from .metrics import (
     Direction,
@@ -239,38 +240,40 @@ class ComparisonReport:
     caveats: tuple[str, ...]
 
 
-def _normalized_text(text: str) -> str:
-    return " ".join(text.split()).lower()
+_REPEATED_IDENTIFIER = "label identifiers must be unique"
 
 
 def check_identifiers(identifiers: Sequence[str]) -> None:
-    """Labels to compare: at least one, each identifier given once; else BAD_ARGUMENT."""
-    if not identifiers:
-        raise BadArgumentError("compare_labels needs at least one label")
+    """Each identifier given once, as `compare_labels` requires; else BAD_ARGUMENT."""
     if len(set(identifiers)) != len(identifiers):
-        raise BadArgumentError("label identifiers must be unique")
+        raise BadArgumentError(_REPEATED_IDENTIFIER)
 
 
-def compare_labels(labels: Sequence[tuple[str, ModelFactsLabel]]) -> ComparisonReport:
+def compare_labels(labels: Iterable[tuple[str, ModelFactsLabel]]) -> ComparisonReport:
     """Rank labels by optimized raw score and surface comparability caveats.
 
-    Ranking is a total order: direction-aware on the optimized metric, with
-    non-reported scores last and ties broken by identifier, so permuting the
-    input never changes the result.  Caveats flag comparisons the scores do
-    not support: differing applications, differing dataset sizes, or metrics
-    optimized in different directions.
+    Reads `labels` once, and a repeated identifier raises before the next pair
+    is read.  Ranking is a total order: direction-aware on the optimized metric,
+    with unreported or non-finite scores last and ties broken by identifier, so
+    permuting the input never changes the result.  Caveats flag comparisons the
+    scores do not support: differing applications (compared with case and
+    spacing ignored), differing dataset sizes, or metrics optimized in
+    different directions.
     """
-    check_identifiers([ident for ident, _ in labels])
-
-    entries = tuple(
-        ComparisonEntry(
-            identifier=ident,
-            optimized=label.accuracy.optimized,
-            standard=label.accuracy.standard,
-            completeness=completeness(label).reported_fraction,
-        )
-        for ident, label in labels
-    )
+    by_id: dict[str, ComparisonEntry] = {}
+    apps: set[str] = set()
+    counts: set[Any] = set()
+    for ident, label in labels:
+        if ident in by_id:
+            raise BadArgumentError(_REPEATED_IDENTIFIER)
+        by_id[ident] = ComparisonEntry(ident, label.accuracy.optimized, label.accuracy.standard,
+                                       completeness(label).reported_fraction)
+        apps.add(" ".join(label.application.application.split()).lower())
+        if label.dataset.sample_count.is_reported:
+            counts.add(label.dataset.sample_count.value)
+    if not by_id:
+        raise BadArgumentError("compare_labels needs at least one label")
+    entries = tuple(by_id.values())
 
     caveats: list[str] = []
     directions = {e.identifier: metric_direction(e.optimized.name) for e in entries}
@@ -282,13 +285,9 @@ def compare_labels(labels: Sequence[tuple[str, ModelFactsLabel]]) -> ComparisonR
     if len(known) > 1:
         caveats.append("labels optimize metrics in different directions; "
                        "ranking assumes higher raw scores are better")
-
-    apps = {_normalized_text(label.application.application) for _, label in labels}
     if len(apps) > 1:
         caveats.append("applications differ; raw scores are only comparable for models "
                        "tested on the same dataset and application")
-    counts = {label.dataset.sample_count.value
-              for _, label in labels if label.dataset.sample_count.is_reported}
     if len(counts) > 1:
         caveats.append("reported dataset sizes differ; the labels do not describe "
                        "the same test data")
@@ -297,7 +296,7 @@ def compare_labels(labels: Sequence[tuple[str, ModelFactsLabel]]) -> ComparisonR
 
     def sort_key(entry: ComparisonEntry):
         cell = entry.optimized.raw_score
-        if not cell.is_reported:
+        if not is_finite_number(cell.value):  # unreported cells carry no value
             return (1, 0.0, entry.identifier)
         value = cell.value if ascending else -cell.value
         return (0, value, entry.identifier)

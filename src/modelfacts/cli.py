@@ -137,7 +137,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare_labels([(path, _load_label(path)) for path in args.labels])
+    # A generator, so that one decoded label at a time is alive, not all of them.
+    report = compare_labels((path, _load_label(path)) for path in args.labels)
     if args.json:
         _emit_json({
             "entries": [

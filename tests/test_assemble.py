@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import io
+import itertools
 import json
 import random
 import sys
@@ -469,6 +470,54 @@ class TestCompareLabels:
     def test_bad_input_is_a_typed_error(self, labels):
         with pytest.raises(BadArgumentError):
             compare_labels(labels)
+
+
+def scored_label(name: str, raw):
+    from modelfacts.label import MetricValue
+
+    cell = Provenance.not_collected() if raw is None else Provenance.reported(raw)
+    return make_label(optimized=MetricValue(name, cell, Provenance.not_collected()))
+
+
+class TestCompareLabelsReadsOnce:
+    def varied_pairs(self):
+        void = from_canonical_json(read_golden("void.label.json"))
+        suicide = from_canonical_json(read_golden("suicide_risk.label.json"))
+        return [("void", void), ("suicide-risk", suicide), ("auc-0.7", scored_label("AUC", 0.7)),
+                ("blank", scored_label("AUC", None)), ("logloss", scored_label("LogLoss", 0.2)),
+                ("mystery", scored_label("Mystery", 0.8))]
+
+    def test_a_generator_gives_the_report_of_the_list(self):
+        pairs = self.varied_pairs()
+        assert compare_labels(pair for pair in pairs) == compare_labels(pairs)
+
+    def test_an_empty_generator_is_a_bad_argument(self):
+        with pytest.raises(BadArgumentError, match="at least one label"):
+            compare_labels(pair for pair in [])
+
+    def test_a_repeat_raises_before_the_next_label_is_read(self):
+        pairs = self.varied_pairs()
+        pairs.insert(3, ("void", pairs[1][1]))
+        read = []
+
+        def stream():
+            for pair in pairs:
+                read.append(pair[0])
+                yield pair
+
+        with pytest.raises(BadArgumentError, match="unique"):
+            compare_labels(stream())
+        assert read == ["void", "suicide-risk", "auc-0.7", "void"]
+
+    @pytest.mark.parametrize("name, finite_order", [("AUC", ["c", "a"]), ("LogLoss", ["a", "c"])])
+    def test_non_finite_scores_rank_last_in_every_input_order(self, name, finite_order):
+        # NaN compares false with everything, so ranking it as a score let the input order
+        # decide; it ranks with the unreported cells, by identifier, as do the infinities.
+        labels = {"a": 0.3, "b": float("nan"), "c": 0.9, "d": None, "e": float("inf"),
+                  "f": -float("inf")}
+        pairs = [(ident, scored_label(name, raw)) for ident, raw in labels.items()]
+        rankings = {compare_labels(order).ranking for order in itertools.permutations(pairs)}
+        assert rankings == {(*finite_order, "b", "d", "e", "f")}
 
 
 def reference(**categories) -> ReferencePopulation:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,31 @@ class TestCompare:
         assert [Path(p).name for p in doc["ranking"]] == [
             "void.label.json", "suicide_risk.label.json"]
         assert doc["entries"][0]["optimized"]["raw_score"]["value"] == 0.939
+
+
+def test_compare_holds_at_most_one_earlier_label(tmp_path, monkeypatch, capsys):
+    from modelfacts import cli
+
+    goldens = ("void.label.json", "suicide_risk.label.json")
+    paths = []
+    for i in range(8):
+        path = tmp_path / f"{i}-{goldens[i % 2]}"
+        path.write_bytes(read_golden(goldens[i % 2]))
+        paths.append(str(path))
+    alive_at_load = []  # per file, how many labels loaded before it are still alive
+    loaded = []
+    load_label = cli._load_label
+
+    def load(path):
+        alive_at_load.append(sum(ref() is not None for ref in loaded))
+        label = load_label(path)
+        loaded.append(weakref.ref(label))
+        return label
+
+    monkeypatch.setattr(cli, "_load_label", load)
+    assert main(["compare", "--json", *paths]) == 0
+    assert len(json.loads(capsys.readouterr().out)["ranking"]) == len(paths)
+    assert max(alive_at_load) <= 1, alive_at_load
 
 
 class TestAudit:
