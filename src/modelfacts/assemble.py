@@ -125,14 +125,11 @@ def _metric(manifest: LabelManifest, dataset: PredictionDataset | None, role: st
 
 def _row(category: str, group: str, computed: DemographicGroupRow | None,
          declared: DeclaredRow | None) -> DemographicGroupRow:
-    """One demographic row, each cell by `_cell`'s rule; a row with one side only is that side."""
-    if declared is None:
-        return computed or DemographicGroupRow.all_not_collected(group)
-    if computed is None:
-        return DemographicGroupRow(group, *[declared[spec.manifest] for spec in ROW_CELLS])
+    """One demographic row, each cell by `_cell`'s rule; either side may be absent."""
     return DemographicGroupRow(group, *[
-        _cell(getattr(computed, spec.label), declared.get(spec.manifest), spec, False,
-              (category, group)) for spec in ROW_CELLS])
+        _cell(None if computed is None else getattr(computed, spec.label),
+              None if declared is None else declared[spec.manifest], spec, False, (category, group))
+        for spec in ROW_CELLS])
 
 
 def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> ModelFactsLabel:

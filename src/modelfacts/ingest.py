@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from itertools import islice
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Mapping
 
@@ -26,7 +27,6 @@ from .errors import (
     UnknownMetricError,
 )
 from .label import (
-    CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
     DECLARED_CELLS,
     LABEL_CELLS,
@@ -37,6 +37,7 @@ from .label import (
     PartialDate,
     PctTarget,
     Provenance,
+    ProvenanceCell,
     canonical_groups,
     is_finite_number,
 )
@@ -48,8 +49,6 @@ from .metrics import (Direction, PredictionDataset, PredictionRecord, metric_dir
 MANIFEST_SCHEMA_VERSION = "1.0"
 
 _MAX_PLAUSIBLE_AGE = 150
-
-_AGE_BUCKETS = CANONICAL_CATEGORIES["Age"]  # ("<17", "18-24", "25-34", "35-49", "50+")
 
 
 def bucket_age(age_years: int) -> str:
@@ -78,15 +77,15 @@ DeclaredRow = dict[str, Provenance]
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
 
 
-def _value_problem(kind: str, value: Any, variant: type) -> str | None:
-    """Why a reported declared value of this codec kind is not a finite number of its
-    shape, else None; `variant` is the model type's target shape."""
-    if kind == "number":
+def _value_problem(spec: ProvenanceCell, value: Any, variant: type) -> str | None:
+    """Why a reported declared value does not fit its cell, else None; `variant` is the
+    model type's target shape.  A dataset cell is held to its own range rule, the one
+    validate_label applies (it reads no label); any other cell to a finite number of its
+    shape, leaving score and row ranges to the validator."""
+    if spec.label.startswith("dataset."):
+        return spec.rule(value, None)
+    if spec.kind == "number":
         return None if is_finite_number(value) else f"expected a finite number, got {value!r}"
-    if kind == "count":
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-            return None
-        return f"expected a nonnegative integer, got {value!r}"
     if not isinstance(value, variant):
         return ("classification labels report a target percentage" if variant is PctTarget
                 else "regression labels report mean and std")
@@ -100,8 +99,9 @@ class LabelManifest:
     """Developer-declared metadata: everything a dataset alone cannot supply.
 
     The manifest document's shape is the table _MANIFEST; fields without a
-    default are its required keys.  Rules that span fields, and the values of
-    reported cells, are checked here, so a hand-built manifest obeys them too.
+    default are its required keys.  Rules that span fields, the values of
+    reported cells and the stats of each declared row are checked here, so a
+    hand-built manifest obeys them too.
     """
 
     schema_version: str
@@ -150,9 +150,12 @@ class LabelManifest:
                      for group, row in rows.items() for spec in ROW_CELLS]
         for spec, cell, where in declared:
             value = None if cell is None else cell.value  # None unless reported
-            problem = None if value is None else _value_problem(spec.kind, value, variant)
+            problem = None if value is None else _value_problem(spec, value, variant)
             if problem is not None:
                 raise SchemaError(spec.manifest_path(*where), problem)
+        for spec, cell, where in declared:  # a declared row holds every stat
+            if cell is None and where:
+                raise SchemaError(spec.manifest_path(*where), "stat is missing")
 
     @property
     def standard_metric_name(self) -> str:
@@ -215,16 +218,6 @@ def _date_range(obj: Any, path: str) -> DateRange:
         return DateRange(*ends)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
-
-
-def _cell_in_range(kind: str, low: float, high: float) -> Callable[[Any, str], Provenance]:
-    """A provenance cell whose reported value lies in [low, high]."""
-    def decode(obj: Any, path: str) -> Provenance:
-        cell = decode_cell(obj, path, kind)
-        if cell.is_reported and not low <= cell.value <= high:
-            raise SchemaError(path, f"{cell.value} outside [{low}, {high}]")
-        return cell
-    return decode
 
 
 def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow]]:
@@ -294,12 +287,11 @@ def _aliases(raw: Any, path: str) -> dict[str, dict[str, str]]:
     return aliases
 
 
-_NUMBER: Codec = (encode_provenance, decode_cell)
-
-
-def _declared(name: str, codec: Codec = _NUMBER) -> tuple[str, str, Codec]:
-    """The _MANIFEST entry of a label-level cell's LabelManifest field, at its manifest path."""
-    return DECLARED_CELLS[name].manifest, name, codec
+def _declared(name: str) -> tuple[str, str, Codec]:
+    """The _MANIFEST entry of a label-level cell's LabelManifest field, at its manifest
+    path and decoded as its table entry's value kind."""
+    spec = DECLARED_CELLS[name]
+    return spec.manifest, name, (encode_provenance, partial(decode_cell, kind=spec.kind))
 
 
 _METRIC_NAME: Codec = (same, checked(lambda v: isinstance(v, str) and v,
@@ -333,9 +325,9 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
     ("standard_metric.name", "standard_name", _METRIC_NAME),
     _declared("standard_raw"),
     _declared("standard_pct_over"),
-    _declared("sample_count", (encode_provenance, _cell_in_range("count", 0, inf))),
-    _declared("train_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
-    _declared("test_pct", (encode_provenance, _cell_in_range("number", 0, 100))),
+    _declared("sample_count"),
+    _declared("train_pct"),
+    _declared("test_pct"),
     ("demographics", "demographics", (_encode_demographics, _demographics)),
     ("warnings", "warnings", (list, _strings("must be a list of strings (may be empty)"))),
     ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, _aliases)),
@@ -394,41 +386,30 @@ def load_label_manifest(path: str | Path) -> LabelManifest:
     return parse_label_manifest(Path(path).read_bytes())
 
 
-def _normalize_group(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]]) -> str | None:
-    """Canonical group name for a raw cell value; None when the cell is blank."""
+def _group_value(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]],
+                 row_no: int, column: str) -> str | None:
+    """The group a raw demographic cell stands for; None when the cell is blank.
+
+    A canonical category's cell names one of its groups in any case, after the
+    manifest's aliases, else it is "Other"; an extension category's cell is
+    its own group.  An Age cell, without aliases, names a bucket or holds the
+    integer years that bucket_age places.
+    """
     text = raw.strip()
     if not text:
         return None
-    alias_map = aliases.get(category, {})
-    if text.lower() in alias_map:
-        text = alias_map[text.lower()]
+    if category != "Age":
+        text = aliases.get(category, {}).get(text.lower(), text)
     canon = canonical_groups(category)
     if canon is None:
         return text
     for group in canon:
         if text.lower() == group.lower():
             return group
-    return "Other"
-
-
-def _parse_age_value(text: str) -> str:
-    for bucket in _AGE_BUCKETS:
-        if text.lower() == bucket.lower():
-            return bucket
-    years = int(text)  # ValueError propagates to the caller's BadValue wrapper
-    return bucket_age(years)
-
-
-def _group_value(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]],
-                 row_no: int, column: str) -> str | None:
-    """The group a raw demographic cell stands for: an age bucket for Age."""
     if category != "Age":
-        return _normalize_group(category, raw, aliases)
-    text = raw.strip()
-    if not text:
-        return None
+        return "Other"
     try:
-        return _parse_age_value(text)
+        return bucket_age(int(text))
     except ValueError:
         raise BadValueError(row_no, column, f"not an age: {text!r}") from None
     except ImplausibleAgeError as exc:

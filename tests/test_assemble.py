@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from conftest import GOLDEN_DIR, make_label, canonical_category, read_golden
+from modelfacts import assemble
 from modelfacts.assemble import (
     ReferencePopulation,
     build_declared_label,
@@ -252,6 +253,40 @@ class TestGenerateLabel:
         race = label.category("Race")
         total = sum(row.pct_in_test.value for row in race.rows if row.pct_in_test.is_reported)
         assert total == pytest.approx(100.0, abs=0.1)
+
+
+def count_cell_calls(monkeypatch) -> list:
+    """Wrap assemble._cell; the returned list gains one entry per call."""
+    calls = []
+    cell = assemble._cell
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(assemble, "_cell", counted)
+    return calls
+
+
+def row_count(label) -> int:
+    return sum(len(category.rows) for category in label.demographics)
+
+
+def test_every_cell_of_a_generated_label_goes_through_cell(monkeypatch):
+    calls = count_cell_calls(monkeypatch)
+    label = build(TEN_ROW_CSV, manifest_doc())  # no declared demographics
+    assert row_count(label) == 16
+    assert len(calls) == 7 + 3 * 16
+    assert calls[7:] == list(ROW_CELLS) * 16
+
+
+@pytest.mark.parametrize("name", ["void", "suicide_risk"])
+def test_every_cell_of_a_declared_label_goes_through_cell(monkeypatch, name):
+    manifest = parse_label_manifest((GOLDEN_DIR / f"{name}.manifest.json").read_text())
+    calls = count_cell_calls(monkeypatch)
+    label = build_declared_label(manifest)
+    assert len(calls) == 7 + 3 * row_count(label)
+    assert calls[7:] == list(ROW_CELLS) * row_count(label)
 
 
 class TestBuildDeclaredLabel:

@@ -404,6 +404,8 @@ class TestParseManifest:
         ("sample_count", 100.0, "dataset.count"),
         ("train_pct", 10**400, "dataset.train_pct"),
         ("test_pct", MeanStd(1.0, 0.5), "dataset.test_pct"),
+        ("train_pct", 150.0, "dataset.train_pct"),
+        ("test_pct", -5.0, "dataset.test_pct"),
     ])
     def test_a_hand_built_reported_cell_must_hold_a_number(self, field, value, path):
         manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
@@ -424,6 +426,16 @@ class TestParseManifest:
         demographics["Race"]["Asian"][stat] = Provenance.reported(
             PctTarget(12.5) if stat == "target" else 12.5)
         assert dataclasses.replace(manifest, demographics=demographics).demographics == demographics
+
+    @pytest.mark.parametrize("stat", ["pct_in_test", "accuracy", "target"])
+    def test_a_hand_built_declared_row_must_hold_every_stat(self, stat):
+        manifest = load_label_manifest(GOLDEN_DIR / "suicide_risk.manifest.json")
+        demographics = {category: {group: dict(row) for group, row in rows.items()}
+                        for category, rows in manifest.demographics.items()}
+        del demographics["Race"]["Asian"][stat]
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, demographics=demographics)
+        assert err.value.path == f"demographics.Race.rows.Asian.{stat}"
 
     @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
     def test_null_means_absent(self, key):
