@@ -75,6 +75,7 @@ def bucket_age(age_years: int) -> str:
 DeclaredRow = dict[str, Provenance]
 
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
+_NO_ROW = "row is missing and no category state is given"
 
 
 def _value_problem(spec: ProvenanceCell, value: Any, variant: type) -> str | None:
@@ -100,8 +101,9 @@ class LabelManifest:
 
     The manifest document's shape is the table _MANIFEST; fields without a
     default are its required keys.  Rules that span fields, the values of
-    reported cells and the stats of each declared row are checked here, so a
-    hand-built manifest obeys them too.
+    reported cells, the stats of each declared row and the groups of each
+    declared canonical category are checked here, so a hand-built manifest
+    obeys them too.
     """
 
     schema_version: str
@@ -156,6 +158,10 @@ class LabelManifest:
         for spec, cell, where in declared:  # a declared row holds every stat
             if cell is None and where:
                 raise SchemaError(spec.manifest_path(*where), "stat is missing")
+        for category, rows in self.demographics.items():  # a canonical category, every group
+            for group in canonical_groups(category) or ():
+                if group not in rows:
+                    raise SchemaError(f"demographics.{category}.rows.{group}", _NO_ROW)
 
     @property
     def standard_metric_name(self) -> str:
@@ -247,7 +253,7 @@ def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow]]:
 def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredRow:
     if spec is None:
         if default is None:
-            raise SchemaError(path, "row is missing and no category state is given")
+            raise SchemaError(path, _NO_ROW)
         return dict.fromkeys(_STAT_KEYS, default)
     if not isinstance(spec, dict):
         raise SchemaError(path, "expected an object")
@@ -438,25 +444,28 @@ def _undecodable_row(path: str | Path) -> int:
     return 0
 
 
-_UNSEEN = object()
-
-# Rows read and checked together; a block with any bad or short row is walked row by row.
+# Rows read and checked together; a block that raises is checked again a row at a time.
 _BLOCK_ROWS = 256
 
 
-def _texts(cells: Iterable[str]) -> list[str] | None:
-    """The stripped cells, or None when one is blank."""
+def _texts(cells: Iterable[str], row_no: int, column: str, problem: str) -> list[str]:
+    """The stripped cells; a blank one is a BadValueError at row_no."""
     texts = list(map(str.strip, cells))
-    return texts if all(texts) else None
+    if not all(texts):
+        raise BadValueError(row_no, column, problem)
+    return texts
 
 
-def _numbers(texts: Iterable[str]) -> list[float] | None:
-    """The stripped texts as finite floats, as _parse_number reads them; None when one is not."""
+def _numbers(texts: list[str], row_no: int, column: str) -> list[float]:
+    """The stripped texts as finite floats; else _parse_number's error for the first that
+    is not one, at row_no."""
     try:
         values = list(map(float, texts))
+        if all(map(isfinite, values)):
+            return values
     except ValueError:
-        return None
-    return values if all(map(isfinite, values)) else None
+        pass
+    return [_parse_number(text, row_no, column) for text in texts]  # raises
 
 
 def parse_predictions(source: str | Path | IO[str] | Iterable[str],
@@ -473,9 +482,11 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     Each distinct raw value is normalized once.  Row counts are never silently
     reduced.  A file is read as UTF-8, with or without a byte-order mark.
 
-    The rows are read in blocks and checked a column at a time.  A block with
-    a bad, short or unreadable row is walked row by row instead, so an error
-    still names the first bad cell in file order: its row, then its column.
+    The rows are read in blocks and checked a column at a time, a short row
+    padded with blank cells.  A block that breaks a rule is checked again a row
+    at a time by the same code, so an error names the first bad cell in file
+    order: its row, then its column (`id`, `y_true`, `y_pred`, `score`, then
+    the group columns).
     """
     if isinstance(source, (str, Path)):
         try:
@@ -538,97 +549,59 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     group_cols = [(idx, names[idx], category, [], {}) for idx, category in category_cols]
     seen_ids: set[str] = set()
 
-    def walk(rows: list[list[str]], first_no: int) -> None:
-        """The rules, row by row: append each row's cells, or raise at the first bad one."""
-        for row_no, row in enumerate(rows, start=first_no):
-            if len(row) > width:
-                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {len(row)}")
-            if len(row) < width:
+    def take(block: list[list[str]], row_no: int) -> None:
+        """Append a block's rows column by column, padding a short row with blank cells,
+        or raise the error of a cell that breaks a rule; the error names the block's
+        first row, `row_no`, so it is exact for a block of one row."""
+        lengths = set(map(len, block))
+        if lengths != {width}:
+            if max(lengths) > width:
+                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {max(lengths)}")
+            for row in block:
                 row += [""] * (width - len(row))
-            rid = row[id_idx].strip()
-            if not rid:
-                raise BadValueError(row_no, "id", "empty id")
-            if rid in seen_ids:
-                raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
-            seen_ids.add(rid)
-            ids.append(rid)
-
-            truth_text = row[truth_idx].strip()
-            if not truth_text:
-                raise BadValueError(row_no, "y_true", "empty value")
-            truth.append(truth_text if classification
-                         else _parse_number(truth_text, row_no, "y_true"))
-
-            if prediction is not None:
-                pred_text = row[pred_idx].strip()
-                if not pred_text:
-                    raise BadValueError(row_no, "y_pred", "empty value")
-                prediction.append(pred_text if classification
-                                  else _parse_number(pred_text, row_no, "y_pred"))
-
-            if score_idx is not None:
-                value = _parse_number(row[score_idx].strip(), row_no, "score")
-                if score is not None:
-                    score.append(value)
-
-            for idx, column, category, values, memo in group_cols:
-                raw = row[idx]
-                group = memo.get(raw, _UNSEEN)
-                if group is _UNSEEN:
-                    group = memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
-                values.append(group)
-
-    def take(block: list[list[str]]) -> bool:
-        """Append a block column by column if walk() would accept every row of it
-        with no padding, and say whether it did; a block with any doubt is left to walk()."""
-        if set(map(len, block)) != {width}:
-            return False
         cells = list(zip(*block))
-        block_ids = _texts(cells[id_idx])
-        if (block_ids is None or len(set(block_ids)) != len(block_ids)
-                or not seen_ids.isdisjoint(block_ids)):
-            return False
+        block_ids = _texts(cells[id_idx], row_no, "id", "empty id")
+        if len(set(block_ids)) != len(block_ids) or not seen_ids.isdisjoint(block_ids):
+            raise DuplicateIdError(f"id '{block_ids[0]}' appears more than once (row {row_no})")
         staged: list[tuple[list, list]] = [(ids, block_ids)]
-        for idx, column in ((truth_idx, truth), (pred_idx, prediction)):
+        for idx, column, name in ((truth_idx, truth, "y_true"), (pred_idx, prediction, "y_pred")):
             if column is not None:
-                texts = _texts(cells[idx])
-                values = texts if texts is None or classification else _numbers(texts)
-                if values is None:
-                    return False
-                staged.append((column, values))
+                texts = _texts(cells[idx], row_no, name, "empty value")
+                staged.append((column, texts if classification else _numbers(texts, row_no, name)))
         if score_idx is not None:
-            values = _numbers(map(str.strip, cells[score_idx]))
-            if values is None:
-                return False
+            values = _numbers(list(map(str.strip, cells[score_idx])), row_no, "score")
             if score is not None:
                 staged.append((score, values))
         for idx, column, category, values, memo in group_cols:
             raws = cells[idx]
-            try:  # a raw value that raises is named, at its row, by walk()
-                for raw in set(raws).difference(memo):
-                    memo[raw] = _group_value(category, raw, manifest.aliases, 0, column)
-            except BadValueError:
-                return False
+            for raw in set(raws).difference(memo):
+                memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
             staged.append((values, list(map(memo.__getitem__, raws))))
         seen_ids.update(block_ids)
         for column, values in staged:
             column += values
-        return True
 
-    rows_before = 0
-    while True:
+    rows_before, unreadable = 0, None
+    while unreadable is None:
         block: list[list[str]] = []
         try:
             block.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before a csv.Error
         except csv.Error as exc:  # raised while reading the row after the block's last
-            walk(block, rows_before + 1)
-            raise BadValueError(rows_before + len(block) + 1, "(row)",
-                                f"unreadable CSV row: {exc}") from None
+            unreadable = exc
         if not block:
             break
-        if not take(block):
-            walk(block, rows_before + 1)
+        retry: list[list[str]] = []
+        try:
+            take(block, rows_before + 1)
+        except (BadValueError, DuplicateIdError):
+            retry = block
+        # Again a row at a time: the good rows are kept, and the first bad cell raises,
+        # outside the handler so that the block's error is not chained to it.
+        for row_no, row in enumerate(retry, start=rows_before + 1):
+            take([row], row_no)
         rows_before += len(block)
+    if unreadable is not None:
+        raise BadValueError(rows_before + 1, "(row)", f"unreadable CSV row: {unreadable}")
 
     if not ids:
         raise EmptyFileError("predictions file has no data rows")

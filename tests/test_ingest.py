@@ -437,6 +437,24 @@ class TestParseManifest:
             dataclasses.replace(manifest, demographics=demographics)
         assert err.value.path == f"demographics.Race.rows.Asian.{stat}"
 
+    @pytest.mark.parametrize("category, kept", [("Gender", ["Female"]), ("Age", []),
+                                                ("Race", ["White", "Black", "Asian", "Other"])])
+    def test_a_hand_built_canonical_category_must_hold_every_group(self, category, kept):
+        manifest = load_label_manifest(GOLDEN_DIR / "suicide_risk.manifest.json")
+        rows = manifest.demographics[category]
+        missing = next(group for group in rows if group not in kept)
+        demographics = {**manifest.demographics,
+                        category: {group: rows[group] for group in kept}}
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, demographics=demographics)
+        assert err.value.path == f"demographics.{category}.rows.{missing}"
+        doc = manifest.to_dict()
+        doc["demographics"][category]["rows"] = {
+            group: row for group, row in doc["demographics"][category]["rows"].items() if group in kept}
+        with pytest.raises(SchemaError) as parsed:
+            parse_label_manifest(doc)
+        assert (parsed.value.path, parsed.value.message) == (err.value.path, err.value.message)
+
     @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
     def test_null_means_absent(self, key):
         doc = minimal_manifest(optimized_metric={"name": "Accuracy"})

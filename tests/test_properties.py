@@ -665,8 +665,9 @@ FAULTS = ["none", "short row", "long row", "blank id", "duplicate id", "blank va
           "non-numeric value", "nan", "inf", "bad age", "implausible age", "oversized field"]
 
 
-def block_case(metric: str, n: int, fault: str, at: int, seed: int) -> tuple[dict, str]:
-    """A manifest and a CSV of n rows, with one fault planted in data row `at` (1-based)."""
+def block_case(metric: str, n: int, faults: list[tuple[str, int]], seed: int) -> tuple[dict, str]:
+    """A manifest and a CSV of n rows, with each fault planted in its data row (1-based).
+    In a row, a fault that changes the row's length is planted after those that change a cell."""
     model_type, standard, header, values = BLOCK_SETUPS[metric]
     doc = {"schema_version": "1.0", "application": "Scores intake cases",
            "model_type": model_type, "model_train_date": "2020", "test_data_range": "2021",
@@ -680,10 +681,16 @@ def block_case(metric: str, n: int, fault: str, at: int, seed: int) -> tuple[dic
     columns = header.split(",")
     rows = [[f"r{i}", rng.choice(values), rng.choice(values), rng.choice(["0.25", " 1", "-2e-3"]),
              *(rng.choice(GROUP_TEXTS[name]) for name in columns[4:])] for i in range(1, n + 1)]
-    row = rows[at - 1]
+    for fault, at in sorted(faults, key=lambda f: f[0] in ("short row", "long row")):
+        plant(rows[at - 1], fault, at, columns, rng)
+    return doc, "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def plant(row: list[str], fault: str, at: int, columns: list[str], rng: random.Random) -> None:
+    """Put one fault into data row `at`."""
     pick = rng.choice
     if fault == "short row":
-        del row[rng.randrange(1, len(row)):]
+        del row[rng.randrange(1, max(2, len(row))):]
     elif fault == "long row":
         row.append("extra")
     elif fault == "blank id":
@@ -700,7 +707,6 @@ def block_case(metric: str, n: int, fault: str, at: int, seed: int) -> tuple[dic
                                      else pick(["151", "200", "-1"]))
     elif fault == "oversized field":
         row[rng.randrange(len(row))] = OVERSIZED_FIELD
-    return doc, "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def dataset_or_error(parse, text: str, manifest) -> tuple:
@@ -717,12 +723,17 @@ def dataset_or_error(parse, text: str, manifest) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(metric=st.sampled_from(sorted(BLOCK_SETUPS)),
        n=st.integers(1, 1200) | st.integers(257, 1200),  # half of the files span blocks
-       fault=st.sampled_from(FAULTS), at=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
-@example(metric="AUC", n=400, fault="oversized field", at=0.75, seed=1)  # row 300
-@example(metric="R2", n=700, fault="duplicate id", at=1.0, seed=2)
-@example(metric="F1", n=600, fault="short row", at=0.5, seed=3)
-def test_the_block_reader_matches_the_row_loop(metric, n, fault, at, seed):
-    doc, text = block_case(metric, n, fault, max(1, round(at * n)), seed)
+       faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.floats(0, 1)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(metric="AUC", n=400, faults=[("oversized field", 0.75)], seed=1)  # row 300
+@example(metric="R2", n=700, faults=[("duplicate id", 1.0)], seed=2)
+@example(metric="F1", n=600, faults=[("short row", 0.5)], seed=3)
+@example(metric="R2", n=300, faults=[("implausible age", 0.5), ("nan", 0.5)],
+         seed=2)  # row 150: its score is named, not its later age
+@example(metric="R2", n=400, faults=[("bad age", 0.25), ("blank id", 0.5)],
+         seed=4)  # one block: row 100's age is named, not row 200's earlier column
+def test_the_block_reader_matches_the_row_loop(metric, n, faults, seed):
+    doc, text = block_case(metric, n, [(fault, max(1, round(at * n))) for fault, at in faults], seed)
     manifest = parse_label_manifest(json.dumps(doc))
     expected = dataset_or_error(row_loop_dataset, text, manifest)
     actual = dataset_or_error(lambda text, m: parse_predictions(io.StringIO(text), m), text, manifest)
