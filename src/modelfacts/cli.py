@@ -4,32 +4,22 @@ Exit codes are stable: 0 success, 1 findings (validation violations, or audit
 flags under --strict), 2 input or schema errors, 3 internal errors.  Machine
 output (--json) goes to standard output; diagnostics go to standard error.
 Identical invocations on identical inputs produce byte-identical outputs.
+Each command imports the modules it runs, so a cold start such as --version
+loads and compiles no more of the package than it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import __version__
-from .assemble import (
-    build_declared_label,
-    check_identifiers,
-    check_threshold_pp,
-    compare_labels,
-    generate_label,
-    load_reference_population_file,
-    representation_audit,
-)
-from .codec import encode_metric, encode_provenance
 from .errors import ModelFactsError
-from .ingest import load_label_manifest, load_predictions
-from .label import ModelFactsLabel, validate_label
-from .render import RenderBudget, from_canonical_json, render_html, render_text, to_canonical_json
+
+if TYPE_CHECKING:
+    from .label import ModelFactsLabel
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -48,15 +38,25 @@ def _mark(text: str, stream) -> str:
 
 
 def _load_label(path: str) -> ModelFactsLabel:
+    from pathlib import Path
+
+    from .render import from_canonical_json
+
     return from_canonical_json(Path(path).read_bytes())
 
 
 def _emit_json(obj: Any) -> None:
+    import json
+
     sys.stdout.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
                                 separators=(",", ":")) + "\n")
 
 
 def _write_label(label: ModelFactsLabel, output: str | None) -> None:
+    from pathlib import Path
+
+    from .render import to_canonical_json
+
     data = to_canonical_json(label)
     if output is None:
         sys.stdout.buffer.write(data)
@@ -67,8 +67,10 @@ def _write_label(label: ModelFactsLabel, output: str | None) -> None:
 
 
 def _write_stamp(output: str, command: str, inputs: list[str]) -> None:
-    import hashlib  # imported here: only --stamp needs them
+    import hashlib
+    import json
     from datetime import datetime, timezone
+    from pathlib import Path
 
     stamp = {
         "command": command,
@@ -83,6 +85,12 @@ def _write_stamp(output: str, command: str, inputs: list[str]) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # render, which _write_label needs, is compiled before the dataset is read, so that
+    # the memory compiling it takes is not added to the memory the rows hold.
+    from . import render  # noqa: F401
+    from .assemble import generate_label
+    from .ingest import load_label_manifest, load_predictions
+
     manifest = load_label_manifest(args.manifest)
     dataset = load_predictions(args.data, manifest)
     label = generate_label(dataset, manifest)
@@ -93,6 +101,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_declare(args: argparse.Namespace) -> int:
+    from .assemble import build_declared_label
+    from .ingest import load_label_manifest
+
     manifest = load_label_manifest(args.manifest)
     label = build_declared_label(manifest)
     _write_label(label, args.output)
@@ -102,6 +113,9 @@ def _cmd_declare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .label import validate_label
+    from .render import RenderBudget
+
     label = _load_label(args.label)
     budget = RenderBudget(max_lines=args.max_lines, width=args.width)
     violations = validate_label(label, budget)
@@ -123,6 +137,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from .render import RenderBudget, render_html, render_text
+
     label = _load_label(args.label)
     if args.format == "text":
         rendered = render_text(label, RenderBudget())
@@ -137,6 +155,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .codec import encode_metric
+    from .report import compare_labels
+
     # A generator, so that one decoded label at a time is alive, not all of them.
     report = compare_labels((path, _load_label(path)) for path in args.labels)
     if args.json:
@@ -168,6 +189,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .codec import encode_provenance
+    from .report import load_reference_population_file, representation_audit
+
     label = _load_label(args.label)
     reference = load_reference_population_file(args.reference)
     report = representation_audit(label, reference, threshold_pp=args.threshold_pp)
@@ -226,10 +250,30 @@ def _argument(convert: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
+def _max_lines(text: str) -> int:
+    from .render import RenderBudget
+
+    return RenderBudget(max_lines=int(text)).max_lines
+
+
+def _width(text: str) -> int:
+    from .render import RenderBudget
+
+    return RenderBudget(width=int(text)).width
+
+
+def _threshold_pp(text: str) -> float:
+    from .report import check_threshold_pp
+
+    return check_threshold_pp(float(text))
+
+
 class _Distinct(argparse.Action):
     """Store the values; giving one twice is an error naming the argument."""
 
     def __call__(self, parser, namespace, values, option_string=None):
+        from .report import check_identifiers
+
         try:
             check_identifiers(values)
         except ValueError as exc:
@@ -263,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a label against publishability rules")
     p.add_argument("label", help="canonical label JSON")
     p.add_argument("--max-lines", default=80,
-                   type=_argument(lambda text: RenderBudget(max_lines=int(text)).max_lines))
+                   type=_argument(_max_lines))
     p.add_argument("--width", default=64,
-                   type=_argument(lambda text: RenderBudget(width=int(text)).width))
+                   type=_argument(_width))
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=_cmd_validate)
 
@@ -284,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("label", help="canonical label JSON")
     p.add_argument("--reference", required=True, help="reference population JSON")
     p.add_argument("--threshold-pp", default=5.0,
-                   type=_argument(lambda text: check_threshold_pp(float(text))),
+                   type=_argument(_threshold_pp),
                    help="flag gaps larger than this many percentage points")
     p.add_argument("--strict", action="store_true", help="exit 1 when any group is flagged")
     p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -294,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Parsing runs the argument checks, which import what they use, so an internal
+        # error there is caught too; argparse's own exit is a SystemExit, not caught.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ModelFactsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_DIR, canonical_category, make_label, random_label, read_golden
-from modelfacts.assemble import ReferencePopulation, representation_audit
 from modelfacts.cli import main
 from modelfacts.ingest import PredictionDataset, PredictionRecord
 from modelfacts.label import (
@@ -39,6 +38,7 @@ from modelfacts.metrics import (
     standard_accuracy,
 )
 from modelfacts.render import from_canonical_json, to_canonical_json
+from modelfacts.report import ReferencePopulation, representation_audit
 
 
 def _declare_and_render(tmp_path: Path, manifest: str, capsys) -> tuple[bytes, bytes, float]:

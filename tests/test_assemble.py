@@ -13,14 +13,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, make_label, canonical_category, read_golden
 from modelfacts import assemble
-from modelfacts.assemble import (
-    ReferencePopulation,
-    build_declared_label,
-    compare_labels,
-    generate_label,
-    load_reference_population,
-    representation_audit,
-)
+from modelfacts.assemble import build_declared_label, generate_label
 from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
                                NumericOverflowError, SchemaError, UnknownMetricError)
 from modelfacts.ingest import (PredictionDataset, PredictionRecord, parse_label_manifest,
@@ -41,6 +34,8 @@ from modelfacts.label import (
 )
 from modelfacts.metrics import percent_over_baseline
 from modelfacts.render import from_canonical_json, render_text
+from modelfacts.report import (ReferencePopulation, compare_labels, load_reference_population,
+                               representation_audit)
 
 
 TEN_ROW_CSV = (

@@ -323,10 +323,137 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout) == (0, f"modelfacts {__version__}\n")
 
 
+# Runs the CLI on its arguments, then prints the package modules it loaded as the last line.
+RUN_CLI_AND_LIST_MODULES = """\
+import json, sys
+from modelfacts.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("modelfacts"))))
+sys.exit(code)
+"""
+
+
+def modules_loaded_by(*argv: str) -> tuple[int, list[str]]:
+    """In a fresh interpreter: the CLI's exit code and the package modules it loaded."""
+    done = run_python("-c", RUN_CLI_AND_LIST_MODULES, *argv)
+    return done.returncode, json.loads(done.stdout.splitlines()[-1])
+
+
 def test_importing_the_cli_leaves_the_stamp_modules_unloaded():
     done = run_python("-c", "import sys, modelfacts.cli; "
                             "print(sorted({'hashlib', 'datetime'} & set(sys.modules)))")
     assert (done.returncode, done.stdout) == (0, "[]\n")
+    assert modules_loaded_by("--version") == (
+        0, ["modelfacts", "modelfacts.cli", "modelfacts.errors"])
+
+
+@pytest.mark.parametrize("args, unloaded", [
+    (["compare", "{void}", "{suicide}"], {"ingest", "assemble"}),
+    (["audit", "{void}", "--reference", "{reference}"], {"ingest", "assemble"}),
+    (["render", "{void}", "--format", "text"], {"ingest", "assemble", "metrics", "report"}),
+    (["validate", "{suicide}"], {"ingest", "assemble", "report"}),
+], ids=["compare", "audit", "render", "validate"])
+def test_a_command_on_labels_leaves_the_assembly_path_unloaded(reference_file, args, unloaded):
+    paths = {"void": str(GOLDEN_DIR / "void.label.json"),
+             "suicide": str(GOLDEN_DIR / "suicide_risk.label.json"), "reference": reference_file}
+    code, loaded = modules_loaded_by(*[a.format(**paths) for a in args])
+    assert code == 0
+    assert not {f"modelfacts.{name}" for name in unloaded} & set(loaded)
+
+
+def test_generate_loads_render_before_it_reads_the_csv(tmp_path):
+    """render, which writes the label, is compiled before the rows are read, not while they live."""
+    script = """\
+import sys
+import modelfacts.ingest as ingest
+from modelfacts.cli import main
+
+load_predictions = ingest.load_predictions
+
+def load(*args):
+    print("render loaded:", "modelfacts.render" in sys.modules)
+    return load_predictions(*args)
+
+ingest.load_predictions = load
+print("render loaded:", "modelfacts.render" in sys.modules)
+sys.exit(main(sys.argv[1:]))
+"""
+    done = run_python("-c", script, "generate", "--data", str(GOLDEN_DIR / "length_of_stay.csv"),
+                      "--manifest", str(GOLDEN_DIR / "length_of_stay.manifest.json"),
+                      "-o", str(tmp_path / "label.json"))
+    assert (done.returncode, done.stdout) == (0, "render loaded: False\nrender loaded: True\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "a.json", "b.json"],
+    ["audit", "a.json", "--reference", "r.json", "--threshold-pp", "5"],
+], ids=["compare", "audit"])
+def test_an_internal_error_while_parsing_arguments_exits_3(args):
+    """A module that fails to import in an argument check is an internal error, not a traceback."""
+    done = run_python("-c", "import sys\n"
+                            "sys.modules['modelfacts.report'] = None\n"
+                            "from modelfacts.cli import main\n"
+                            "sys.exit(main(sys.argv[1:]))", *args)
+    assert done.returncode == 3
+    assert "internal error: " in done.stderr and "Traceback" not in done.stderr
+
+
+# Every public name of the package root, by the module that defines it.
+PUBLIC_NAMES = {
+    "assemble": ["build_declared_label", "generate_label"],
+    "errors": ["ModelFactsError", "SchemaError"],
+    "ingest": ["LabelManifest", "bucket_age", "load_label_manifest", "load_predictions",
+               "parse_label_manifest", "parse_predictions"],
+    "label": ["SCHEMA_VERSION", "ApplicationInfo", "AccuracySection", "CompletenessReport",
+              "DatasetInfo", "DateRange", "DemographicCategory", "DemographicGroupRow",
+              "MeanStd", "MetricValue", "ModelFactsLabel", "ModelType", "PartialDate",
+              "PctTarget", "Provenance", "ProvenanceState", "Violation", "ViolationCode",
+              "completeness", "validate_label"],
+    "metrics": ["ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord",
+                "RegressionStats", "auc", "group_breakdown", "majority_class_baseline",
+                "metric_direction", "percent_over_baseline", "precision_recall_f1",
+                "regression_stats", "select_standard_metric", "standard_accuracy"],
+    "render": ["RenderBudget", "from_canonical_json", "render_html", "render_text",
+               "to_canonical_json"],
+    "report": ["AuditEntry", "AuditReport", "ComparisonEntry", "ComparisonReport",
+               "ReferencePopulation", "compare_labels", "load_reference_population",
+               "load_reference_population_file", "representation_audit"],
+}
+
+
+def test_the_package_root_resolves_its_names_on_first_use():
+    script = """\
+import importlib, json, sys
+import modelfacts
+
+facts = {"loaded": sorted(m for m in sys.modules if m.startswith("modelfacts.")),
+         "all": modelfacts.__all__, "dir": dir(modelfacts)}
+from modelfacts import render  # not yet loaded: the import system, not the table, finds it
+facts["render"] = render.__name__
+try:
+    modelfacts.no_such_name
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+facts["mismatched"] = [
+    name for module, names in json.loads(sys.argv[1]).items() for name in names
+    if getattr(modelfacts, name)
+    is not getattr(importlib.import_module(f"modelfacts.{module}"), name)]
+print(json.dumps(facts))
+"""
+    done = run_python("-c", script, json.dumps(PUBLIC_NAMES))
+    assert done.returncode == 0, done.stderr
+    facts = json.loads(done.stdout)
+    names = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert len(names) == 58
+    assert facts["loaded"] == []
+    assert sorted(facts["all"]) == sorted(names)
+    assert set(names) <= set(facts["dir"])
+    assert "no_such_name" in facts["unknown"]
+    assert facts["mismatched"] == []
+    assert facts["render"] == "modelfacts.render"
 
 
 def test_generate_reproduces_the_regression_golden(tmp_path):

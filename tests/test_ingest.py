@@ -19,7 +19,6 @@ from modelfacts.errors import (
     UnknownMetricError,
     ImplausibleAgeError,
 )
-from modelfacts.assemble import load_reference_population, load_reference_population_file
 from modelfacts.ingest import (
     bucket_age,
     load_label_manifest,
@@ -28,6 +27,7 @@ from modelfacts.ingest import (
 )
 from modelfacts.label import MeanStd, ModelType, PartialDate, PctTarget, Provenance, ProvenanceState
 from modelfacts.metrics import Direction
+from modelfacts.report import load_reference_population, load_reference_population_file
 
 AGE_BUCKET_ORDER = ("<17", "18-24", "25-34", "35-49", "50+")
 

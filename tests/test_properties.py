@@ -23,8 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
-from modelfacts.assemble import (CONFLICT_TOLERANCE, build_declared_label, generate_label,
-                                 load_reference_population)
+from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
 from modelfacts.codec import encode_provenance
 from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
                                ModelFactsError, NumericOverflowError, SchemaError)
@@ -51,6 +50,7 @@ from modelfacts.label import (
 from modelfacts.metrics import (group_breakdown, make_scorer, metric_spec, percent_over_baseline,
                                 regression_stats)
 from modelfacts.render import _chunks, from_canonical_json, to_canonical_json
+from modelfacts.report import load_reference_population
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
