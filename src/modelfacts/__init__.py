@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {
     **dict.fromkeys(("build_declared_label", "generate_label"), "assemble"),
+    **dict.fromkeys(("from_canonical_json", "to_canonical_json"), "codec"),
     **dict.fromkeys(("ModelFactsError", "SchemaError"), "errors"),
     **dict.fromkeys((
         "LabelManifest", "bucket_age", "load_label_manifest", "load_predictions",
@@ -31,9 +32,7 @@ _MODULE_OF = {
         "metric_direction", "percent_over_baseline", "precision_recall_f1", "regression_stats",
         "select_standard_metric", "standard_accuracy",
     ), "metrics"),
-    **dict.fromkeys((
-        "RenderBudget", "from_canonical_json", "render_html", "render_text", "to_canonical_json",
-    ), "render"),
+    **dict.fromkeys(("RenderBudget", "render_html", "render_text"), "render"),
     **dict.fromkeys((
         "AuditEntry", "AuditReport", "ComparisonEntry", "ComparisonReport",
         "ReferencePopulation", "compare_labels", "load_reference_population",

@@ -40,22 +40,26 @@ def _mark(text: str, stream) -> str:
 def _load_label(path: str) -> ModelFactsLabel:
     from pathlib import Path
 
-    from .render import from_canonical_json
+    from .codec import from_canonical_json
 
     return from_canonical_json(Path(path).read_bytes())
 
 
-def _emit_json(obj: Any) -> None:
+def _json(obj: Any) -> str:
+    """Machine output's JSON text: sorted keys, non-ASCII kept, no spaces."""
     import json
 
-    sys.stdout.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                                separators=(",", ":")) + "\n")
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def _emit_json(obj: Any) -> None:
+    sys.stdout.write(_json(obj) + "\n")
 
 
 def _write_label(label: ModelFactsLabel, output: str | None) -> None:
     from pathlib import Path
 
-    from .render import to_canonical_json
+    from .codec import to_canonical_json
 
     data = to_canonical_json(label)
     if output is None:
@@ -85,9 +89,6 @@ def _write_stamp(output: str, command: str, inputs: list[str]) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    # render, which _write_label needs, is compiled before the dataset is read, so that
-    # the memory compiling it takes is not added to the memory the rows hold.
-    from . import render  # noqa: F401
     from .assemble import generate_label
     from .ingest import load_label_manifest, load_predictions
 
@@ -161,19 +162,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # A generator, so that one decoded label at a time is alive, not all of them.
     report = compare_labels((path, _load_label(path)) for path in args.labels)
     if args.json:
-        _emit_json({
-            "entries": [
-                {
-                    "identifier": e.identifier,
-                    "optimized": encode_metric(e.optimized),
-                    "standard": encode_metric(e.standard),
-                    "completeness": e.completeness,
-                }
-                for e in report.entries
-            ],
-            "ranking": list(report.ranking),
-            "caveats": list(report.caveats),
-        })
+        # The report's bytes as _emit_json would write them, an entry at a time, so that
+        # the whole report is never one string; "caveats" < "entries" < "ranking".
+        write = sys.stdout.write
+        write(f'{{"caveats":{_json(list(report.caveats))},"entries":[')
+        for i, e in enumerate(report.entries):
+            write(("," if i else "") + _json({
+                "identifier": e.identifier,
+                "optimized": encode_metric(e.optimized),
+                "standard": encode_metric(e.standard),
+                "completeness": e.completeness,
+            }))
+        write(f'],"ranking":{_json(list(report.ranking))}}}\n')
         return EXIT_OK
     by_id = {e.identifier: e for e in report.entries}
     print("Ranking (best first):")

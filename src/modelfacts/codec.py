@@ -2,7 +2,8 @@
 
 Both the manifest parser and the canonical label serializer speak this
 vocabulary, so it lives in one place.  The label's JSON shape is declared
-once, as a table of (encode, decode) pairs, and both directions derive from it.
+once, as a table of (encode, decode) pairs, and both directions derive from it,
+down to the canonical JSON text that every command reads and writes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from functools import partial
 from typing import Any, Callable
 
 from .errors import DateParseError, SchemaError, UnsupportedVersionError
@@ -68,11 +68,16 @@ def parse_partial_date(text: str) -> PartialDate:
         raise DateParseError(f"invalid date '{text}': {exc}") from None
 
 
+_PCT_KEYS = frozenset({"pct_target"})
+_MEAN_STD_KEYS = frozenset({"mean", "std"})
+
+
 def decode_target(obj: Any, path: str) -> PctTarget | MeanStd:
     if isinstance(obj, dict):
-        if set(obj) == {"pct_target"}:
+        keys = obj.keys()
+        if keys == _PCT_KEYS:
             return PctTarget(require_number(obj["pct_target"], f"{path}.pct_target"))
-        if set(obj) == {"mean", "std"}:
+        if keys == _MEAN_STD_KEYS:
             return MeanStd(require_number(obj["mean"], f"{path}.mean"),
                            require_number(obj["std"], f"{path}.std"))
     raise SchemaError(path, "target stat must be {pct_target} or {mean, std}")
@@ -105,6 +110,11 @@ def encode_provenance(cell: Provenance) -> dict[str, Any]:
     return {"state": cell.state.value, "value": value}
 
 
+_CELL_KEYS = frozenset({"state", "value"})
+_REPORTED = ProvenanceState.REPORTED
+_REPORTED_NAME = _REPORTED.value
+
+
 def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
     """Decode a tagged {state, value?} object.
 
@@ -113,15 +123,14 @@ def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
     """
     if not isinstance(obj, dict):
         raise SchemaError(path, f"expected a tagged provenance object, got {obj!r}")
-    unknown = set(obj) - {"state", "value"}
-    if unknown:
-        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
+    if not obj.keys() <= _CELL_KEYS:
+        raise SchemaError(path, f"unknown keys {sorted(obj.keys() - _CELL_KEYS)}")
     state_name = obj.get("state")
-    if state_name == ProvenanceState.REPORTED.value:
+    if state_name == _REPORTED_NAME:
         if "value" not in obj:
             raise SchemaError(path, "reported state requires a value")
-        return Provenance.reported(_DECODERS[kind](obj["value"], f"{path}.value"))
-    cell = _UNREPORTED.get(state_name) if isinstance(state_name, str) else None
+        return Provenance(_REPORTED, _DECODERS[kind](obj["value"], f"{path}.value"))
+    cell = _UNREPORTED.get(state_name) if type(state_name) is str else None
     if cell is None:
         raise SchemaError(path, f"unknown provenance state {state_name!r}")
     if "value" in obj:
@@ -186,7 +195,7 @@ def _list_of(item: Codec) -> Codec:
 
 def _cell(kind: str) -> Codec:
     """A provenance cell whose reported value has the given decode_provenance kind."""
-    return encode_provenance, partial(decode_provenance, kind=kind)
+    return encode_provenance, lambda obj, path: decode_provenance(obj, path, kind)
 
 
 def same(value: Any) -> Any:
@@ -262,3 +271,22 @@ _LABEL = _object(
 
 encode_metric = _METRIC[0]
 encode_label, decode_label = _LABEL
+
+
+def to_canonical_json(label: ModelFactsLabel) -> bytes:
+    """Deterministic serialization: sorted keys, shortest numbers, UTF-8, one
+    trailing newline.  The interchange format for validate/compare/audit."""
+    text = json.dumps(encode_label(label), sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
+    """Strict inverse of to_canonical_json.
+
+    Shape errors (including unknown fields) raise SCHEMA_ERROR with the
+    offending path; an unsupported schema_version raises UNSUPPORTED_VERSION.
+    Semantic publishability rules are left to the validator so that a flawed
+    label can still be loaded and inspected.
+    """
+    return decode_label(load_json_document(data), "")

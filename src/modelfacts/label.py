@@ -357,18 +357,26 @@ LABEL_CELLS = tuple(cell for cell in PROVENANCE_CELLS if cell.declared is not No
 ROW_CELLS = tuple(cell for cell in PROVENANCE_CELLS if cell.declared is None)
 DECLARED_CELLS = {cell.declared: cell for cell in LABEL_CELLS}
 _LABEL_GETTERS = tuple((cell, attrgetter(cell.label)) for cell in LABEL_CELLS)
+_ROW_GETTERS = tuple((cell, attrgetter(cell.label)) for cell in ROW_CELLS)
+
+
+def _cell_holders(
+        label: ModelFactsLabel) -> Iterator[tuple[Any, tuple, DemographicCategory | None]]:
+    """The label, then each demographic row, with its cells' (table entry, getter) pairs
+    and the row's category (None for the label), in label order."""
+    yield label, _LABEL_GETTERS, None
+    for cat in label.demographics:
+        for row in cat.rows:
+            yield row, _ROW_GETTERS, cat
 
 
 def iter_provenance_cells(
         label: ModelFactsLabel) -> Iterator[tuple[str, Provenance, ProvenanceCell]]:
     """Yield every provenance-bearing cell as (label path, cell, table entry), in label order."""
-    for spec, get in _LABEL_GETTERS:
-        yield spec.label, get(label), spec
-    for cat in label.demographics:
-        for row in cat.rows:
-            base = f"demographics.{cat.category_name}.{row.group_name}."
-            for spec in ROW_CELLS:
-                yield base + spec.label, getattr(row, spec.label), spec
+    for holder, getters, cat in _cell_holders(label):
+        base = f"demographics.{cat.category_name}.{holder.group_name}." if cat is not None else ""
+        for spec, get in getters:
+            yield base + spec.label, get(holder), spec
 
 
 class ViolationCode(Enum):
@@ -418,13 +426,14 @@ def sentence_terminator_count(text: str) -> int:
 
 
 _MAX_APPLICATION_CHARS = 200
+_FLOAT_MAX = sys.float_info.max
 
 
 def is_finite_number(value: Any) -> bool:
     """A finite int or float, not a bool; NaN and ints beyond float range fail the comparison."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return abs(value) <= sys.float_info.max
+    return abs(value) <= _FLOAT_MAX
 
 
 def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None) -> list[Violation]:
@@ -534,8 +543,9 @@ class CompletenessReport:
 def completeness(label: ModelFactsLabel) -> CompletenessReport:
     """Tally every provenance cell per state and compute the reported fraction."""
     tally = {state: 0 for state in ProvenanceState}
-    for _, cell, _ in iter_provenance_cells(label):
-        tally[cell.state] += 1
+    for holder, getters, _ in _cell_holders(label):
+        for _, get in getters:
+            tally[get(holder).state] += 1
     total = sum(tally.values())
     fraction = tally[ProvenanceState.REPORTED] / total if total else 0.0
     return CompletenessReport(reported_fraction=fraction, tally=tally)

@@ -1,20 +1,20 @@
 """Label representations: fixed-width text, HTML, and canonical JSON.
 
-All three renderers are pure functions of the label; identical labels yield
-identical bytes.  The text form is the one the one-page budget is enforced
-against, so its layout rules are fixed: content is wrapped, never truncated,
-and every line fits the configured width.
+The canonical JSON functions live in codec, beside the label's JSON shape, and
+are re-exported here.  Every renderer is a pure function of the label;
+identical labels yield identical bytes.  The text form is the one the one-page
+budget is enforced against, so its layout rules are fixed: content is wrapped,
+never truncated, and every line fits the configured width.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import decode_label, encode_label, load_json_document
+from .codec import from_canonical_json, to_canonical_json  # noqa: F401  (re-exported)
 from .label import MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance, ProvenanceState
 
 _STATE_TEXT = {
@@ -252,22 +252,3 @@ def render_html(label: ModelFactsLabel) -> str:
     out.append("</body>")
     out.append("</html>")
     return "\n".join(out) + "\n"
-
-
-def to_canonical_json(label: ModelFactsLabel) -> bytes:
-    """Deterministic serialization: sorted keys, shortest numbers, UTF-8, one
-    trailing newline.  The interchange format for validate/compare/audit."""
-    text = json.dumps(encode_label(label), sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"), allow_nan=False)
-    return (text + "\n").encode("utf-8")
-
-
-def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
-    """Strict inverse of to_canonical_json.
-
-    Shape errors (including unknown fields) raise SCHEMA_ERROR with the
-    offending path; an unsupported schema_version raises UNSUPPORTED_VERSION.
-    Semantic publishability rules are left to the validator so that a flawed
-    label can still be loaded and inspected.
-    """
-    return decode_label(load_json_document(data), "")

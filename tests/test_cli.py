@@ -351,8 +351,8 @@ def test_importing_the_cli_leaves_the_stamp_modules_unloaded():
 
 
 @pytest.mark.parametrize("args, unloaded", [
-    (["compare", "{void}", "{suicide}"], {"ingest", "assemble"}),
-    (["audit", "{void}", "--reference", "{reference}"], {"ingest", "assemble"}),
+    (["compare", "{void}", "{suicide}"], {"ingest", "assemble", "render"}),
+    (["audit", "{void}", "--reference", "{reference}"], {"ingest", "assemble", "render"}),
     (["render", "{void}", "--format", "text"], {"ingest", "assemble", "metrics", "report"}),
     (["validate", "{suicide}"], {"ingest", "assemble", "report"}),
 ], ids=["compare", "audit", "render", "validate"])
@@ -364,27 +364,17 @@ def test_a_command_on_labels_leaves_the_assembly_path_unloaded(reference_file, a
     assert not {f"modelfacts.{name}" for name in unloaded} & set(loaded)
 
 
-def test_generate_loads_render_before_it_reads_the_csv(tmp_path):
-    """render, which writes the label, is compiled before the rows are read, not while they live."""
-    script = """\
-import sys
-import modelfacts.ingest as ingest
-from modelfacts.cli import main
-
-load_predictions = ingest.load_predictions
-
-def load(*args):
-    print("render loaded:", "modelfacts.render" in sys.modules)
-    return load_predictions(*args)
-
-ingest.load_predictions = load
-print("render loaded:", "modelfacts.render" in sys.modules)
-sys.exit(main(sys.argv[1:]))
-"""
-    done = run_python("-c", script, "generate", "--data", str(GOLDEN_DIR / "length_of_stay.csv"),
-                      "--manifest", str(GOLDEN_DIR / "length_of_stay.manifest.json"),
-                      "-o", str(tmp_path / "label.json"))
-    assert (done.returncode, done.stdout) == (0, "render loaded: False\nrender loaded: True\n")
+@pytest.mark.parametrize("args", [
+    ["generate", "--data", str(GOLDEN_DIR / "length_of_stay.csv"),
+     "--manifest", str(GOLDEN_DIR / "length_of_stay.manifest.json")],
+    ["declare", "--manifest", VOID_MANIFEST],
+], ids=["generate", "declare"])
+def test_writing_a_label_leaves_render_unloaded(tmp_path, args):
+    """A label is written as canonical JSON by the codec; the renderers are not compiled."""
+    code, loaded = modules_loaded_by(*args, "-o", str(tmp_path / "label.json"))
+    assert code == 0
+    assert "modelfacts.codec" in loaded
+    assert "modelfacts.render" not in loaded
 
 
 @pytest.mark.parametrize("args", [
@@ -416,8 +406,8 @@ PUBLIC_NAMES = {
                 "RegressionStats", "auc", "group_breakdown", "majority_class_baseline",
                 "metric_direction", "percent_over_baseline", "precision_recall_f1",
                 "regression_stats", "select_standard_metric", "standard_accuracy"],
-    "render": ["RenderBudget", "from_canonical_json", "render_html", "render_text",
-               "to_canonical_json"],
+    "codec": ["from_canonical_json", "to_canonical_json"],
+    "render": ["RenderBudget", "render_html", "render_text"],
     "report": ["AuditEntry", "AuditReport", "ComparisonEntry", "ComparisonReport",
                "ReferencePopulation", "compare_labels", "load_reference_population",
                "load_reference_population_file", "representation_audit"],
@@ -433,6 +423,8 @@ facts = {"loaded": sorted(m for m in sys.modules if m.startswith("modelfacts."))
          "all": modelfacts.__all__, "dir": dir(modelfacts)}
 from modelfacts import render  # not yet loaded: the import system, not the table, finds it
 facts["render"] = render.__name__
+facts["reexported"] = [getattr(render, name) is getattr(modelfacts, name)
+                       for name in ("from_canonical_json", "to_canonical_json")]
 try:
     modelfacts.no_such_name
 except AttributeError as exc:
@@ -454,6 +446,7 @@ print(json.dumps(facts))
     assert "no_such_name" in facts["unknown"]
     assert facts["mismatched"] == []
     assert facts["render"] == "modelfacts.render"
+    assert facts["reexported"] == [True, True]
 
 
 def test_generate_reproduces_the_regression_golden(tmp_path):
@@ -533,6 +526,28 @@ class TestCompare:
         assert [Path(p).name for p in doc["ranking"]] == [
             "void.label.json", "suicide_risk.label.json"]
         assert doc["entries"][0]["optimized"]["raw_score"]["value"] == 0.939
+
+    @pytest.mark.parametrize("copies", [(), ("Modèle ünïcode-标签.label.json",)],
+                             ids=["goldens", "non-ascii-identifier"])
+    def test_compare_json_is_the_report_as_one_json_text(self, tmp_path, capsys, copies):
+        """Written an entry at a time, the output is the bytes of one json.dumps of the report."""
+        from modelfacts.codec import encode_metric
+        from modelfacts.report import compare_labels
+
+        paths = [str(GOLDEN_DIR / "void.label.json"), str(GOLDEN_DIR / "suicide_risk.label.json")]
+        for name in copies:
+            (tmp_path / name).write_bytes(read_golden("void.label.json"))
+            paths.append(str(tmp_path / name))
+        report = compare_labels((p, from_canonical_json(Path(p).read_bytes())) for p in paths)
+        expected = json.dumps({
+            "entries": [{"identifier": e.identifier, "optimized": encode_metric(e.optimized),
+                         "standard": encode_metric(e.standard), "completeness": e.completeness}
+                        for e in report.entries],
+            "ranking": list(report.ranking),
+            "caveats": list(report.caveats),
+        }, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+        assert main(["compare", "--json", *paths]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_compare_holds_at_most_one_earlier_label(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Property tests: the document parsers end in a value or a typed error, the
-canonical label JSON and generated manifests round-trip, group breakdowns of every
-scored metric agree with a brute-force recount, generated labels hold only
-finite numbers, a classification label does not depend on the row order,
+canonical label JSON and generated manifests round-trip, is_finite_number keeps
+its definition on any value, group breakdowns of every scored metric agree with a
+brute-force recount, generated labels hold only finite numbers, a
+classification label does not depend on the row order,
 label assembly follows one rule per cell (a generated label declared in its own
 manifest generates the same bytes, and a declared label holds its manifest's
 cells or names the manifest path at fault), the predictions parser reads a file
@@ -16,6 +17,7 @@ import io
 import json
 import math
 import random
+import sys
 import textwrap
 
 import pytest
@@ -46,6 +48,7 @@ from modelfacts.label import (
     Provenance,
     ProvenanceState,
     canonical_groups,
+    is_finite_number,
 )
 from modelfacts.metrics import (group_breakdown, make_scorer, metric_spec, percent_over_baseline,
                                 regression_stats)
@@ -169,6 +172,18 @@ def test_generated_label_round_trips_byte_for_byte(label):
     again = from_canonical_json(data)
     assert again == label
     assert to_canonical_json(again) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values | st.integers(-2**1100, 2**1100) | st.floats() | st.complex_numbers())
+@example(value=int(sys.float_info.max))
+@example(value=int(sys.float_info.max) + 2**970)
+@example(value=-sys.float_info.max)
+@example(value=float("-inf"))
+def test_is_finite_number_is_a_finite_real_that_is_not_a_bool(value):
+    assert is_finite_number(value) == (
+        not isinstance(value, bool) and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max)
 
 
 STATE_NAMES = [state.value for state in ProvenanceState if state is not ProvenanceState.REPORTED]
