@@ -540,8 +540,8 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     ids: list[str] = []
     truth: list = []
     prediction: list | None = None if pred_idx is None else []
-    # A score column sets the dataset's sample order (see metrics), so it is
-    # kept only for a metric that scores from it.
+    # A score column is kept only for a metric that scores from it; otherwise
+    # its cells are checked and dropped, so the dataset holds no unread column.
     standard = metric_spec(manifest.standard_metric_name)
     keeps_score = needs_score or standard is not None and standard.needs_score
     score: list[float] | None = [] if score_idx is not None and keeps_score else None
@@ -609,7 +609,7 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     if classification and positive not in truth and (prediction is None or positive not in prediction):
         raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
 
-    del seen_ids  # freed before the columns are sorted, which holds one column twice
+    del seen_ids  # freed before two columns of one category are merged into one
     present = {cat for _, cat in category_cols}
     schema = [c for c in CANONICAL_CATEGORY_ORDER if c in present]
     schema += [cat for _, cat in category_cols if cat not in schema]

@@ -61,6 +61,8 @@ class Provenance:
         if self.state is ProvenanceState.REPORTED:
             if self.value is None:
                 raise ValueError("a reported cell must carry a value")
+        elif not isinstance(self.state, ProvenanceState):
+            raise ValueError(f"{self.state!r} is not a provenance state")
         elif self.value is not None:
             raise ValueError(f"state {self.state.value} cannot carry a value")
 

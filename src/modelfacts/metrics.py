@@ -1,12 +1,10 @@
 """Numeric quantities behind a label: scores, baselines, and group breakdowns.
 
-A dataset's columns are stored in its sample order: ascending score when it
-has a score column, else record order.  So every AUC reads the one sort, and
-a demographic group is a smaller dataset gathered in one pass.  Counts do not
-depend on the order, but sums do: ingest keeps a score column only for a
-metric scored from it, so a regression's sums stay in record order.  All
-functions are pure and deterministic; scores are plain Python floats from
-stdlib arithmetic.
+A dataset keeps its columns in record order, the file order of a parsed CSV.
+Each AUC sorts the scores it ranks, and a demographic group is a smaller
+dataset gathered in one pass over its category's column.  Sums run in
+record order.  All functions are pure and deterministic; scores are plain
+Python floats from stdlib arithmetic.
 """
 
 from __future__ import annotations
@@ -50,11 +48,6 @@ class PredictionRecord:
     attributes: Mapping[str, str] = field(default_factory=dict)
 
 
-def _sort_by_score(score: Sequence[float], rows: Iterable[int]) -> list[int]:
-    """`rows` in ascending score order; the sort is stable, so tied rows keep their order."""
-    return sorted(rows, key=score.__getitem__)
-
-
 class PredictionDataset:
     """Test data as parallel columns, one entry per row, with its demographic attribute schema.
 
@@ -62,8 +55,7 @@ class PredictionDataset:
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
     when every record has a value, and every record needs a truth.  The
-    columns are stored in sample order, ascending score (a stable sort: ties
-    keep record order) or else record order, and never change, so the truth's
+    columns are stored in record order and never change, so the truth's
     moments and label counts are computed on first use and kept.  A group's
     dataset has no ids or group columns.
     """
@@ -91,7 +83,7 @@ class PredictionDataset:
     def from_columns(cls, ids: list[str], truth: list, prediction: list | None,
                      score: list[float] | None, groups: dict[str, list[str | None]],
                      positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
-        """A dataset of columns given in record order, which it takes over and sorts in place."""
+        """A dataset of columns given in record order, which it takes over as they are."""
         dataset = cls.__new__(cls)
         dataset._fill(ids, truth, prediction, score, groups, positive_class, attribute_schema)
         return dataset
@@ -99,11 +91,6 @@ class PredictionDataset:
     def _fill(self, ids, truth, prediction, score, groups, positive_class, attribute_schema):
         if not truth:
             raise EmptyDatasetError("a prediction dataset needs at least one record")
-        if score is not None:  # into sample order, one column at a time
-            order = _sort_by_score(score, range(len(score)))
-            for column in (ids, truth, prediction, score, *groups.values()):
-                if column is not None:
-                    column[:] = [column[i] for i in order]
         self.ids = ids
         self.truth = truth
         self.prediction = prediction
@@ -138,8 +125,7 @@ class PredictionDataset:
             for i in range(self.n))
 
     def _group(self, rows: list[int]) -> "PredictionDataset":
-        """The dataset of these rows, for a group's scorer.  Ascending row indices
-        keep sample order, so the gathered columns are not sorted again."""
+        """The dataset of these rows, in ascending order, for a group's scorer."""
         group = PredictionDataset.__new__(PredictionDataset)
         group.truth, group.prediction, group.score = (
             None if column is None else [column[i] for i in rows]
@@ -234,28 +220,20 @@ def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney) formulation.
 
     Equals the fraction of (positive, negative) pairs where the positive
-    outscores the negative, ties counting one half.  Runs in O(n log n), so
-    it stays exact and fast on large datasets.
+    outscores the negative, ties counting one half.  Sorts the scores once,
+    so it runs in O(n log n) and reads the rows in any order.  A run of tied
+    scores at 0-based sorted positions lo..hi-1 shares the mean 1-based rank
+    (lo + hi + 1) / 2, so twice the positives' rank sum is an exact integer,
+    and the result equals that of summing the ranks as floats.
     """
     _check_pair(truth, scores)
-    order = _sort_by_score(scores, range(len(scores)))
-    return _ranked_auc([scores[i] for i in order], [truth[i] for i in order], positive_class)
-
-
-def _ranked_auc(ranked_scores: Sequence[float], truth: Sequence, positive_class) -> float:
-    """AUC of scores in ascending order, each with its truth label, in one pass.
-
-    A run of tied scores at 0-based positions lo..hi-1 shares the mean
-    1-based rank (lo + hi + 1) / 2, so twice the positives' rank sum is an
-    exact integer, and the result equals that of summing the ranks as floats.
-    """
-    positives = [s for s, t in zip(ranked_scores, truth) if t == positive_class]
+    positives = [s for s, t in zip(scores, truth) if t == positive_class]
     n_pos = len(positives)
-    n_neg = len(ranked_scores) - n_pos
+    n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs at least one positive and one negative sample")
-    twice_rank_sum = sum(bisect_left(ranked_scores, s) + bisect_right(ranked_scores, s) + 1
-                         for s in positives)
+    ranked = sorted(scores)
+    twice_rank_sum = sum(bisect_left(ranked, s) + bisect_right(ranked, s) + 1 for s in positives)
     return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -331,7 +309,7 @@ def _predicted(dataset: PredictionDataset) -> tuple[Sequence, Sequence]:
 def _dataset_auc(dataset: PredictionDataset, positive_class) -> float:
     if dataset.score is None:
         raise MissingColumnError("score")
-    return _ranked_auc(dataset.score, dataset.truth, positive_class)
+    return auc(dataset.score, dataset.truth, positive_class)
 
 
 def _r2(dataset: PredictionDataset, positive_class) -> float:

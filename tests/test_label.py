@@ -35,6 +35,14 @@ class TestProvenance:
         with pytest.raises(ValueError):
             Provenance(ProvenanceState.NOT_COLLECTED, 5)
 
+    @pytest.mark.parametrize("state, value", [("reported", None), ("not_collected", None),
+                                              (None, None), ("reported", 1.0)])
+    def test_a_state_that_is_not_a_member_is_refused(self, state, value):
+        # The state's name is not the state: without the check such a cell would
+        # read as unreported and fail later, inside the encoder.
+        with pytest.raises(ValueError, match=f"{state!r} is not a provenance state"):
+            Provenance(state, value)
+
     def test_color_mapping_is_total(self):
         assert Provenance.reported(1).color is None
         assert Provenance.available_unreported().color == "green"

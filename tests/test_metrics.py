@@ -365,7 +365,8 @@ class TestGroupBreakdown:
         assert rows["Male"].pct_in_test.value == pytest.approx(50.0)
 
     def test_scorer_runs_once_per_non_empty_group(self):
-        # Scored rows in sample (score) order; Male is single-class, so its AUC fails.
+        # Each group's scores reach its scorer in file order; Male is single-class,
+        # so its AUC fails.
         records = (
             _record(0, "1", None, "Female", score=0.9),
             _record(1, "0", None, "Male", score=0.1),
@@ -381,7 +382,7 @@ class TestGroupBreakdown:
             calls.append(list(group.score))
             return inner(group)
         group_breakdown(PredictionDataset(records, "1", ("Gender",)), "Gender", scorer)
-        assert calls == [[0.2, 0.9], [0.1, 0.6], [0.3, 0.7]]  # Female, Male, Other
+        assert calls == [[0.9, 0.2], [0.1, 0.6], [0.3, 0.7]]  # Female, Male, Other
 
     def test_order_insensitive(self):
         dataset = ten_record_dataset()
@@ -543,17 +544,13 @@ class TestColumnarDataset:
         return [dataset.ids, dataset.truth, dataset.prediction, dataset.score,
                 dataset.groups["Gender"]]
 
-    def test_a_scored_dataset_holds_its_columns_in_score_order(self):
-        order = [2, 5, 1, 3, 4, 0]  # ascending score; the tied 0.5 rows keep record order
-        expected = [list(column) for column in zip(*(self.ROWS[i] for i in order))]
-        for dataset in self._datasets(scored=True):
-            assert self._columns(dataset) == expected
-            assert [r.id for r in dataset.records] == expected[0]
-
-    def test_a_dataset_without_scores_keeps_record_order(self):
-        ids, truth, prediction, _, gender = (list(column) for column in zip(*self.ROWS))
-        for dataset in self._datasets(scored=False):
-            assert self._columns(dataset) == [ids, truth, prediction, None, gender]
+    @pytest.mark.parametrize("scored", [True, False], ids=["scored", "unscored"])
+    def test_a_dataset_keeps_record_order(self, scored):
+        ids, truth, prediction, score, gender = (list(column) for column in zip(*self.ROWS))
+        for dataset in self._datasets(scored):
+            assert self._columns(dataset) == [ids, truth, prediction, score if scored else None,
+                                              gender]
+            assert [r.id for r in dataset.records] == ids
 
     @pytest.mark.parametrize("truth", [("1", None, "0"), (1.5, None, 2.0)], ids=["labels", "floats"])
     def test_a_record_without_a_truth_is_a_bad_value(self, truth):
@@ -566,19 +563,11 @@ class TestColumnarDataset:
             PredictionDataset(records, "1", ())
 
 
-def test_generate_label_sorts_the_score_column_once(monkeypatch):
-    """Every AUC of a label, overall and per group, reads one sort of the score column."""
-    from modelfacts import metrics
+def test_generate_label_leaves_the_dataset_as_it_was_built():
+    """Every AUC of a label, overall and per group, sorts its own scores: no column of
+    the dataset changes, in value or in order."""
     from modelfacts.assemble import generate_label
 
-    sorted_lengths = []
-    real_sort = metrics._sort_by_score
-
-    def counting_sort(score, rows):
-        sorted_lengths.append(len(score))
-        return real_sort(score, rows)
-
-    monkeypatch.setattr(metrics, "_sort_by_score", counting_sort)
     rng = random.Random(41)
     lines = ["id,y_true,y_pred,score,race,gender,age"]
     for i in range(120):
@@ -590,12 +579,39 @@ def test_generate_label_sorts_the_score_column_once(monkeypatch):
     manifest = dataclasses.replace(_manifest_for("AUC", True), standard_name="AUC",
                                    baseline_policy="majority-class")
     dataset = parse_predictions(io.StringIO("\n".join(lines) + "\n"), manifest)
+
+    def columns():
+        return [list(column) for column in (dataset.ids, dataset.truth, dataset.prediction,
+                                            dataset.score, *dataset.groups.values())]
+    built = columns()
+    assert built[0] == [f"r{i}" for i in range(120)]
     label = generate_label(dataset, manifest)
 
     scored = [row for category in label.demographics for row in category.rows
               if row.group_accuracy.is_reported]
     assert len(scored) >= 8
-    assert sorted_lengths == [120]
+    assert columns() == built
+
+
+def test_a_regression_label_does_not_depend_on_record_scores():
+    """Records that carry a score give the regression label of the same records without
+    one, and come back in the order they were given."""
+    from modelfacts.assemble import generate_label
+    from modelfacts.codec import to_canonical_json
+
+    rng = random.Random(18)
+    records = [PredictionRecord(f"r{i}", rng.gauss(50.0, 12.0), rng.gauss(50.0, 15.0),
+                                rng.random(), {"Age": rng.choice(["<17", "18-24", "25-34",
+                                                                  "35-49", "50+"])})
+               for i in range(400)]
+    unscored = [dataclasses.replace(r, score=None) for r in records]
+    manifest = _manifest_for("R2", False)
+    scored_dataset = PredictionDataset(records, None, ("Age",))
+    assert scored_dataset.has_scores
+    assert [r.id for r in scored_dataset.records] == [r.id for r in records]
+    labels = [to_canonical_json(generate_label(PredictionDataset(rs, None, ("Age",)), manifest))
+              for rs in (records, unscored)]
+    assert labels[0] == labels[1]
 
 
 def test_a_regression_label_sums_each_truth_once(monkeypatch):

@@ -340,7 +340,7 @@ def recount_group(metric: str, members: list) -> tuple[float | None, object]:
     """The group's score (None where undefined) and target stat, recounted from its records."""
     truth = [r.truth for r in members]
     predicted = [r.prediction for r in members]
-    if metric == "R2":  # record order, as the dataset's sample order is without a score column
+    if metric == "R2":  # summed in record order, as the dataset sums them
         try:
             r2 = regression_stats(truth, predicted).r2
         except NumericOverflowError:  # a near-constant truth can put R2 beyond a float
