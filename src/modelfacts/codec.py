@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .errors import DateParseError, SchemaError, UnsupportedVersionError
 from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
@@ -81,6 +81,13 @@ def decode_target(obj: Any, path: str) -> PctTarget | MeanStd:
             return MeanStd(require_number(obj["mean"], f"{path}.mean"),
                            require_number(obj["std"], f"{path}.std"))
     raise SchemaError(path, "target stat must be {pct_target} or {mean, std}")
+
+
+def check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
+    """SCHEMA_ERROR at path ("" is the top level) when doc holds a key not allowed."""
+    unknown = set(doc) - allowed
+    if unknown:
+        raise SchemaError(path or "(top level)", f"unknown keys {sorted(unknown)}")
 
 
 def require_number(value: Any, path: str) -> float:

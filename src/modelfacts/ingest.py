@@ -15,8 +15,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Mapping
 
-from .codec import (Codec, checked, decode_cell, encode_provenance, enum_codec, load_json_document,
-                    parse_partial_date, same)
+from .codec import (Codec, check_keys, checked, decode_cell, encode_provenance, enum_codec,
+                    load_json_document, parse_partial_date, same)
 from .errors import (
     BadValueError,
     DuplicateIdError,
@@ -76,6 +76,7 @@ DeclaredRow = dict[str, Provenance]
 
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
 _NO_ROW = "row is missing and no category state is given"
+_NO_STAT = "stat is missing and no category state is given"
 
 
 def _value_problem(spec: ProvenanceCell, value: Any, variant: type) -> str | None:
@@ -103,7 +104,7 @@ class LabelManifest:
     default are its required keys.  Rules that span fields, the values of
     reported cells, the stats of each declared row and the groups of each
     declared canonical category are checked here, so a hand-built manifest
-    obeys them too.
+    obeys them too.  A row given as None is a missing row.
     """
 
     schema_version: str
@@ -149,7 +150,7 @@ class LabelManifest:
         declared = [(spec, getattr(self, spec.declared), ()) for spec in LABEL_CELLS]
         declared += [(spec, row.get(spec.manifest), (category, group))
                      for category, rows in self.demographics.items()
-                     for group, row in rows.items() for spec in ROW_CELLS]
+                     for group, row in rows.items() if row is not None for spec in ROW_CELLS]
         for spec, cell, where in declared:
             value = None if cell is None else cell.value  # None unless reported
             problem = None if value is None else _value_problem(spec, value, variant)
@@ -157,10 +158,10 @@ class LabelManifest:
                 raise SchemaError(spec.manifest_path(*where), problem)
         for spec, cell, where in declared:  # a declared row holds every stat
             if cell is None and where:
-                raise SchemaError(spec.manifest_path(*where), "stat is missing")
-        for category, rows in self.demographics.items():  # a canonical category, every group
-            for group in canonical_groups(category) or ():
-                if group not in rows:
+                raise SchemaError(spec.manifest_path(*where), _NO_STAT)
+        for category, rows in self.demographics.items():  # every canonical group; no None row
+            for group in (*(canonical_groups(category) or ()), *rows):
+                if rows.get(group) is None:
                     raise SchemaError(f"demographics.{category}.rows.{group}", _NO_ROW)
 
     @property
@@ -191,12 +192,6 @@ class LabelManifest:
         return doc
 
 
-def _check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(path or "(top level)", f"unknown keys {sorted(unknown)}")
-
-
 def _or_null(decode: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
     """JSON null stands for the absent key."""
     return lambda obj, path: None if obj is None else decode(obj, path)
@@ -214,7 +209,7 @@ def _date_range(obj: Any, path: str) -> DateRange:
         return DateRange(point, point)
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a date string or {start, end}")
-    _check_keys(obj, {"start", "end"}, path)
+    check_keys(obj, {"start", "end"}, path)
     ends = []
     for end in ("start", "end"):
         if end not in obj:
@@ -226,16 +221,19 @@ def _date_range(obj: Any, path: str) -> DateRange:
         raise SchemaError(path, str(exc)) from None
 
 
-def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow]]:
-    """Categories of declared rows; a category state fills the rows and stats left out."""
+def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow | None]]:
+    """Categories of declared rows; a category state fills the rows and stats left out.
+
+    Without a state, a row left out (or null) is None and a stat left out is absent:
+    LabelManifest refuses both."""
     if not isinstance(raw, dict):
         raise SchemaError(path, "expected an object of categories")
-    out: dict[str, dict[str, DeclaredRow]] = {}
+    out: dict[str, dict[str, DeclaredRow | None]] = {}
     for category, spec in raw.items():
         cat_path = f"{path}.{category}"
         if not isinstance(spec, dict):
             raise SchemaError(cat_path, "expected an object")
-        _check_keys(spec, {"state", "rows"}, cat_path)
+        check_keys(spec, {"state", "rows"}, cat_path)
         default = (decode_cell({"state": spec["state"]}, f"{cat_path}.state")
                    if "state" in spec else None)
         declared = spec.get("rows", {})
@@ -250,17 +248,15 @@ def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow]]:
     return out
 
 
-def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredRow:
+def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredRow | None:
     if spec is None:
-        if default is None:
-            raise SchemaError(path, _NO_ROW)
-        return dict.fromkeys(_STAT_KEYS, default)
+        return None if default is None else dict.fromkeys(_STAT_KEYS, default)
     if not isinstance(spec, dict):
         raise SchemaError(path, "expected an object")
     if "state" in spec:
-        _check_keys(spec, {"state"}, path)
+        check_keys(spec, {"state"}, path)
         return dict.fromkeys(_STAT_KEYS, decode_cell({"state": spec["state"]}, f"{path}.state"))
-    _check_keys(spec, set(_STAT_KEYS), path)
+    check_keys(spec, set(_STAT_KEYS), path)
     row: DeclaredRow = {}
     for cell in ROW_CELLS:
         stat = cell.manifest
@@ -268,8 +264,6 @@ def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredR
             row[stat] = decode_cell(spec[stat], f"{path}.{stat}", cell.kind)
         elif default is not None:
             row[stat] = default
-        else:
-            raise SchemaError(f"{path}.{stat}", "stat is missing and no category state is given")
     return row
 
 
@@ -363,7 +357,7 @@ def _section(doc: Mapping, name: str) -> Mapping | None:
     section = doc[name]
     if not isinstance(section, Mapping):
         raise SchemaError(name, "expected an object")
-    _check_keys(section, _KEYS[name], name)
+    check_keys(section, _KEYS[name], name)
     return section
 
 
@@ -373,7 +367,7 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
         doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "manifest must be a JSON object")
-    _check_keys(doc, _KEYS[""], "")
+    check_keys(doc, _KEYS[""], "")
     sections: dict[str, Mapping | None] = {"": doc}
     values: dict[str, Any] = {}
     for path, name, (_, decode) in _MANIFEST:

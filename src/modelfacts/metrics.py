@@ -36,6 +36,7 @@ from .label import (
     PctTarget,
     Provenance,
     canonical_groups,
+    is_finite_number,
 )
 
 
@@ -54,10 +55,10 @@ class PredictionDataset:
     `prediction` and `score` are None when the data has no such column.
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
-    when every record has a value, and every record needs a truth.  The
-    columns are stored in record order and never change, so the truth's
-    moments and label counts are computed on first use and kept.  A group's
-    dataset has no ids or group columns.
+    when every record has a value, every record needs a truth, and a score
+    must be a finite number.  The columns are stored in record order and
+    never change, so the truth's moments and label counts are computed on
+    first use and kept.  A group's dataset has no ids or group columns.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
@@ -71,16 +72,18 @@ class PredictionDataset:
         def column(values: list) -> list | None:
             return None if None in values else values
 
-        truth = [r.truth for r in records]
-        if None in truth:  # as ingest reports a blank y_true
-            raise BadValueError(truth.index(None) + 1, "y_true", "empty value")
-        self._fill([r.id for r in records], truth,
+        for row_no, r in enumerate(records, start=1):  # as ingest names the first bad cell
+            if r.truth is None:
+                raise BadValueError(row_no, "y_true", "empty value")
+            if r.score is not None and not is_finite_number(r.score):
+                raise BadValueError(row_no, "score", f"not a finite number: {r.score!r}")
+        self._fill([r.id for r in records], [r.truth for r in records],
                    column([r.prediction for r in records]), column([r.score for r in records]),
                    {c: [r.attributes.get(c) for r in records] for c in schema},
                    positive_class, schema)
 
     @classmethod
-    def from_columns(cls, ids: list[str], truth: list, prediction: list | None,
+    def from_columns(cls, ids: list[str] | None, truth: list, prediction: list | None,
                      score: list[float] | None, groups: dict[str, list[str | None]],
                      positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
         """A dataset of columns given in record order, which it takes over as they are."""
@@ -126,14 +129,10 @@ class PredictionDataset:
 
     def _group(self, rows: list[int]) -> "PredictionDataset":
         """The dataset of these rows, in ascending order, for a group's scorer."""
-        group = PredictionDataset.__new__(PredictionDataset)
-        group.truth, group.prediction, group.score = (
-            None if column is None else [column[i] for i in rows]
-            for column in (self.truth, self.prediction, self.score))
-        group.ids, group.groups, group.attribute_schema = None, {}, ()
-        group.positive_class = self.positive_class
-        group._moments = group._counts = None
-        return group
+        truth, prediction, score = (None if column is None else [column[i] for i in rows]
+                                    for column in (self.truth, self.prediction, self.score))
+        return PredictionDataset.from_columns(None, truth, prediction, score, {},
+                                              self.positive_class, ())
 
     def moments(self) -> tuple[float, float, float]:
         """The truth's mean, population std and sum of squared deviations, summed once."""
@@ -224,7 +223,9 @@ def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     so it runs in O(n log n) and reads the rows in any order.  A run of tied
     scores at 0-based sorted positions lo..hi-1 shares the mean 1-based rank
     (lo + hi + 1) / 2, so twice the positives' rank sum is an exact integer,
-    and the result equals that of summing the ranks as floats.
+    and the result equals that of summing the ranks as floats.  Scores must be
+    finite: a NaN compares false with every score, so its rank, and the result,
+    would depend on the row order.
     """
     _check_pair(truth, scores)
     positives = [s for s, t in zip(scores, truth) if t == positive_class]
@@ -257,9 +258,8 @@ def _finite(what: str, value: float) -> float:
 
 
 def _mean_ss(truth: Sequence[float]) -> tuple[float, float, float]:
-    """Mean, population (divisor N) standard deviation, and sum of squared deviations."""
-    if len(truth) == 0:
-        raise EmptyDatasetError("no samples")
+    """Mean, population (divisor N) standard deviation, and sum of squared deviations
+    of a non-empty truth."""
     mean = sum(truth) / len(truth)
     try:
         ss_tot = sum((t - mean) ** 2 for t in truth)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .codec import load_json_document, require_number
+from .codec import check_keys, load_json_document, require_number
 from .errors import BadArgumentError, NoOverlapError, NumericOverflowError, SchemaError
 from .label import MetricValue, ModelFactsLabel, Provenance, completeness, is_finite_number
 from .metrics import Direction, metric_direction
@@ -104,15 +104,14 @@ class ReferencePopulation:
     distributions: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # A share outside [0, 100] is a SCHEMA_ERROR at its document path, as for a manifest.
+        # Each rule is a SCHEMA_ERROR at its document path, as for a manifest.
         for category, groups in self.distributions.items():
             for group, pct in groups.items():
                 if not 0 <= pct <= 100:
                     raise SchemaError(f"categories.{category}.{group}", f"{pct} outside [0, 100]")
             total = sum(groups.values())
             if abs(total - 100.0) > 0.1:
-                raise ValueError(
-                    f"reference category '{category}' percentages sum to {total}, not 100")
+                raise SchemaError(f"categories.{category}", f"shares sum to {total}, not 100")
 
 
 def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> ReferencePopulation:
@@ -121,9 +120,7 @@ def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> Reference
         doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "reference population must be a JSON object")
-    unknown = set(doc) - {"name", "categories"}
-    if unknown:
-        raise SchemaError("(top level)", f"unknown keys {sorted(unknown)}")
+    check_keys(doc, {"name", "categories"}, "")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise SchemaError("name", "must be a non-empty string")
@@ -137,10 +134,7 @@ def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> Reference
         distributions[category] = {
             group: float(require_number(pct, f"categories.{category}.{group}"))
             for group, pct in groups.items()}
-    try:
-        return ReferencePopulation(name=name, distributions=distributions)
-    except ValueError as exc:
-        raise SchemaError("categories", str(exc)) from None
+    return ReferencePopulation(name=name, distributions=distributions)
 
 
 def load_reference_population_file(path: str | Path) -> ReferencePopulation:

@@ -126,6 +126,22 @@ class TestGenerateLabel:
         doc["demographics"]["Gender"]["rows"]["Female"]["pct_in_test"] = 60.0
         assert build(TEN_ROW_CSV, doc).category("Gender").rows[0].pct_in_test.value == 60.0
 
+    @pytest.mark.parametrize("declared, key", [({"mean": 9.0, "std": 0.5}, "mean"),
+                                               ({"mean": 1.5, "std": 9.0}, "std")])
+    def test_a_regression_target_conflict_names_its_stat(self, declared, key):
+        csv_text = "id,y_true,y_pred,gender\na,1.0,1.5,Female\nb,2.0,2.0,Female\nc,3.0,2.5,Male\n"
+        doc = manifest_doc(model_type="regression", optimized_metric={"name": "R2"},
+                           demographics={"Gender": {"state": "not_collected", "rows": {
+                               "Female": {"target": declared}}}})  # computed: {1.5, 0.5}
+        del doc["positive_class"]
+        with pytest.raises(DeclaredConflictError) as err:
+            build(csv_text, doc)
+        assert err.value.path == f"demographics.Gender.rows.Female.target.{key}"
+        assert (err.value.declared, err.value.computed) == (9.0, {"mean": 1.5, "std": 0.5}[key])
+        doc["demographics"]["Gender"]["rows"]["Female"]["target"] = {"mean": 1.5, "std": 0.5}
+        female = build(csv_text, doc).category("Gender").rows[0]
+        assert female.target_stat.value == MeanStd(1.5, 0.5)
+
     @pytest.mark.parametrize("model_type, metric, positive_class", [
         ("imbalanced_classification", "Accuracy", None), ("regression", "R2", "1")])
     def test_a_dataset_must_fit_the_manifests_model_type(self, model_type, metric, positive_class):
@@ -636,8 +652,13 @@ class TestRepresentationAudit:
         assert report.disparity["Race"] is None
 
     def test_reference_must_sum_to_100(self):
-        with pytest.raises(ValueError):
-            reference(Gender={"Female": 70.0, "Male": 10.0})
+        shares = {"Female": 70.0, "Male": 10.0}
+        with pytest.raises(SchemaError) as err:
+            reference(Gender=shares)
+        assert err.value.path == "categories.Gender"
+        with pytest.raises(SchemaError) as loaded:
+            load_reference_population(json.dumps({"name": "x", "categories": {"Gender": shares}}))
+        assert (loaded.value.path, loaded.value.message) == (err.value.path, err.value.message)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true"])
     def test_reference_share_must_be_finite(self, literal):

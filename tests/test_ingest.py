@@ -25,7 +25,8 @@ from modelfacts.ingest import (
     parse_label_manifest,
     parse_predictions,
 )
-from modelfacts.label import MeanStd, ModelType, PartialDate, PctTarget, Provenance, ProvenanceState
+from modelfacts.label import (MeanStd, ModelType, PartialDate, PctTarget, Provenance,
+                              ProvenanceState, canonical_groups)
 from modelfacts.metrics import Direction
 from modelfacts.report import load_reference_population, load_reference_population_file
 
@@ -100,6 +101,11 @@ class TestParsePredictions:
         assert dataset.n == 3
         assert dataset.attribute_schema == ("Gender",)
         assert dataset.records[0].attributes == {"Gender": "Female"}
+
+    def test_missing_id(self):
+        with pytest.raises(MissingColumnError) as err:
+            parse_csv("y_true,y_pred\n1,1\n")
+        assert err.value.column == "id"
 
     def test_missing_y_true(self):
         with pytest.raises(MissingColumnError) as err:
@@ -436,6 +442,7 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as err:
             dataclasses.replace(manifest, demographics=demographics)
         assert err.value.path == f"demographics.Race.rows.Asian.{stat}"
+        assert err.value.reason == "stat is missing and no category state is given"
 
     @pytest.mark.parametrize("category, kept", [("Gender", ["Female"]), ("Age", []),
                                                 ("Race", ["White", "Black", "Asian", "Other"])])
@@ -454,6 +461,24 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as parsed:
             parse_label_manifest(doc)
         assert (parsed.value.path, parsed.value.message) == (err.value.path, err.value.message)
+
+    @pytest.mark.parametrize("category, group", [("Race", "Black"), ("Site", "North")])
+    def test_a_null_row_is_a_missing_row(self, category, group):
+        # In a canonical or an extension category, parsed or built by hand.
+        doc = load_label_manifest(GOLDEN_DIR / "suicide_risk.manifest.json").to_dict()
+        row = {"pct_in_test": 20.0, "accuracy": 0.5, "target": {"pct_target": 5.0}}
+        doc["demographics"][category] = {"rows": dict.fromkeys(
+            canonical_groups(category) or ("North", "South"), row)}
+        whole = parse_label_manifest(doc)
+        doc["demographics"][category]["rows"][group] = None
+        with pytest.raises(SchemaError) as parsed:
+            parse_label_manifest(doc)
+        assert parsed.value.path == f"demographics.{category}.rows.{group}"
+        assert parsed.value.reason == "row is missing and no category state is given"
+        rows = {**whole.demographics[category], group: None}
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(whole, demographics={**whole.demographics, category: rows})
+        assert (err.value.path, err.value.message) == (parsed.value.path, parsed.value.message)
 
     @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
     def test_null_means_absent(self, key):

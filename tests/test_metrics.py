@@ -562,6 +562,21 @@ class TestColumnarDataset:
         with pytest.raises(BadValueError):  # with or without a group schema
             PredictionDataset(records, "1", ())
 
+    # With a NaN score and no check, these rows' AUC read 0.25 in the first order and
+    # 0.375 in the second.
+    NAN_ROWS = [(math.nan, "1"), (0.5, "0"), (0.2, "1"), (0.9, "0")]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3)], ids=["first", "second"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5", True], ids=repr)
+    def test_a_record_score_that_is_not_a_finite_number_is_a_bad_value(self, order, bad):
+        # As ingest reports a non-finite score, at the record's 1-based row.
+        rows = [(bad, "1"), *self.NAN_ROWS[1:]]
+        records = [PredictionRecord(f"r{i}", rows[i][1], score=rows[i][0]) for i in order]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, "1", ())
+        assert (err.value.row, err.value.column) == (order.index(0) + 1, "score")
+        assert err.value.reason == f"not a finite number: {bad!r}"
+
 
 def test_generate_label_leaves_the_dataset_as_it_was_built():
     """Every AUC of a label, overall and per group, sorts its own scores: no column of

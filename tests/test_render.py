@@ -268,8 +268,13 @@ class TestCanonicalJson:
         (lambda d: d["warnings"].append(3), "warnings[2]"),
         (lambda d: d["demographics"][1]["rows"][2].update(group_name=None),
          "demographics[1].rows[2].group_name"),
+        (lambda d: d["accuracy"]["optimized"].update(raw_score={"state": "reported"}),
+         "accuracy.optimized.raw_score"),
+        (lambda d: d["dataset"].update(train_pct={"state": "not_collected", "value": 1}),
+         "dataset.train_pct"),
     ], ids=["train-date", "range-start-type", "range-inverted", "application-type",
-            "application-blank", "warning-type", "group-name-type"])
+            "application-blank", "warning-type", "group-name-type", "reported-without-value",
+            "not-collected-with-value"])
     def test_schema_error_names_the_field(self, edit, path):
         doc = json.loads(read_golden("void.label.json"))
         edit(doc)
