@@ -4,6 +4,10 @@ Both the manifest parser and the canonical label serializer speak this
 vocabulary, so it lives in one place.  The label's JSON shape is declared
 once, as a table of (encode, decode) pairs, and both directions derive from it,
 down to the canonical JSON text that every command reads and writes.
+
+A decoder takes only its value, and its SCHEMA_ERROR a path relative to it: ""
+for the value itself, else steps like ".rows[2]".  Containers put their step in
+front on the way out (`decode_at`), so a well-formed document builds no paths.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from math import isfinite
 from typing import Any, Callable, Mapping
 
 from .errors import DateParseError, SchemaError, UnsupportedVersionError
@@ -68,37 +73,55 @@ def parse_partial_date(text: str) -> PartialDate:
         raise DateParseError(f"invalid date '{text}': {exc}") from None
 
 
+def top_level(decode: Callable[..., Any]) -> Callable[..., Any]:
+    """decode, its SCHEMA_ERROR at a document path: the document itself is "(top level)"."""
+    def read(*args: Any) -> Any:
+        try:
+            return decode(*args)
+        except SchemaError as exc:
+            raise SchemaError(exc.path[1:] or "(top level)", exc.reason) from None
+    return read
+
+
+def decode_at(obj: Mapping, key: str, decode: Callable[[Any], Any]) -> Any:
+    """decode(obj[key]), its SCHEMA_ERROR moved under ".key"."""
+    try:
+        return decode(obj[key])
+    except SchemaError as exc:
+        raise SchemaError(f".{key}{exc.path}", exc.reason) from None
+
+
 _PCT_KEYS = frozenset({"pct_target"})
 _MEAN_STD_KEYS = frozenset({"mean", "std"})
 
 
-def decode_target(obj: Any, path: str) -> PctTarget | MeanStd:
+def decode_target(obj: Any) -> PctTarget | MeanStd:
     if isinstance(obj, dict):
         keys = obj.keys()
         if keys == _PCT_KEYS:
-            return PctTarget(require_number(obj["pct_target"], f"{path}.pct_target"))
+            return PctTarget(decode_at(obj, "pct_target", require_number))
         if keys == _MEAN_STD_KEYS:
-            return MeanStd(require_number(obj["mean"], f"{path}.mean"),
-                           require_number(obj["std"], f"{path}.std"))
-    raise SchemaError(path, "target stat must be {pct_target} or {mean, std}")
+            return MeanStd(decode_at(obj, "mean", require_number),
+                           decode_at(obj, "std", require_number))
+    raise SchemaError("", "target stat must be {pct_target} or {mean, std}")
 
 
-def check_keys(doc: Mapping, allowed: set[str], path: str) -> None:
-    """SCHEMA_ERROR at path ("" is the top level) when doc holds a key not allowed."""
+def check_keys(doc: Mapping, allowed: set[str]) -> None:
+    """SCHEMA_ERROR when doc holds a key not allowed."""
     unknown = set(doc) - allowed
     if unknown:
-        raise SchemaError(path or "(top level)", f"unknown keys {sorted(unknown)}")
+        raise SchemaError("", f"unknown keys {sorted(unknown)}")
 
 
-def require_number(value: Any, path: str) -> float:
+def require_number(value: Any) -> float:
     if not is_finite_number(value):
-        raise SchemaError(path, f"expected a finite number, got {value!r}")
+        raise SchemaError("", f"expected a finite number, got {value!r}")
     return value
 
 
-def _require_count(value: Any, path: str) -> int:
+def _require_count(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError("", f"expected an integer, got {value!r}")
     return value
 
 
@@ -122,46 +145,52 @@ _REPORTED = ProvenanceState.REPORTED
 _REPORTED_NAME = _REPORTED.value
 
 
-def decode_provenance(obj: Any, path: str, kind: str = "number") -> Provenance:
+def decode_provenance(obj: Any, kind: str = "number") -> Provenance:
     """Decode a tagged {state, value?} object.
 
     kind selects the reported-value decoder: "number", "count" (nonnegative
     integer), or "target" (PctTarget / MeanStd).
     """
+    if type(obj) is dict:  # the two well-formed shapes first
+        state_name, value = obj.get("state"), obj.get("value")
+        if len(obj) == 1 and type(state_name) is str and state_name in _UNREPORTED:
+            return _UNREPORTED[state_name]
+        if (type(value) is float and len(obj) == 2 and state_name == _REPORTED_NAME
+                and kind == "number" and isfinite(value)):
+            return Provenance(_REPORTED, value)
     if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected a tagged provenance object, got {obj!r}")
+        raise SchemaError("", f"expected a tagged provenance object, got {obj!r}")
     if not obj.keys() <= _CELL_KEYS:
-        raise SchemaError(path, f"unknown keys {sorted(obj.keys() - _CELL_KEYS)}")
+        raise SchemaError("", f"unknown keys {sorted(obj.keys() - _CELL_KEYS)}")
     state_name = obj.get("state")
     if state_name == _REPORTED_NAME:
         if "value" not in obj:
-            raise SchemaError(path, "reported state requires a value")
-        return Provenance(_REPORTED, _DECODERS[kind](obj["value"], f"{path}.value"))
+            raise SchemaError("", "reported state requires a value")
+        return Provenance(_REPORTED, decode_at(obj, "value", _DECODERS[kind]))
     cell = _UNREPORTED.get(state_name) if type(state_name) is str else None
     if cell is None:
-        raise SchemaError(path, f"unknown provenance state {state_name!r}")
+        raise SchemaError("", f"unknown provenance state {state_name!r}")
     if "value" in obj:
-        raise SchemaError(path, f"state '{state_name}' cannot carry a value")
+        raise SchemaError("", f"state '{state_name}' cannot carry a value")
     return cell
 
 
-def decode_cell(obj: Any, path: str, kind: str = "number") -> Provenance:
+def decode_cell(obj: Any, kind: str = "number") -> Provenance:
     """Like decode_provenance, but accepts a bare value as reported shorthand."""
     if isinstance(obj, dict) and "state" in obj:
-        return decode_provenance(obj, path, kind)
-    return Provenance.reported(_DECODERS[kind](obj, path))
+        return decode_provenance(obj, kind)
+    return Provenance.reported(_DECODERS[kind](obj))
 
 
-# A codec is an (encode, decode) pair; decode(obj, path) raises SCHEMA_ERROR at
-# path, where "" is the top level.
-Codec = tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
+# A codec is an (encode, decode) pair; decode(obj) takes only the value.
+Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
 
 def _object(cls: type, **fields: Codec) -> Codec:
     """A dataclass whose JSON keys are exactly the given field names.
 
     Fields decode in the order given.  A missing or unknown key, or a
-    ValueError from cls's constructor, is a SCHEMA_ERROR at the object's path.
+    ValueError from cls's constructor, is a SCHEMA_ERROR at the object itself.
     """
     keys = set(fields)
     items = tuple(fields.items())
@@ -169,40 +198,49 @@ def _object(cls: type, **fields: Codec) -> Codec:
     def encode(value: Any) -> dict[str, Any]:
         return {name: enc(getattr(value, name)) for name, (enc, _) in items}
 
-    def decode(obj: Any, path: str) -> Any:
-        where = path or "(top level)"
+    def decode(obj: Any) -> Any:
         if not isinstance(obj, dict):
-            raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
+            raise SchemaError("", f"expected an object, got {type(obj).__name__}")
         if obj.keys() != keys:
             missing = keys - obj.keys()
             if missing:
-                raise SchemaError(where, f"missing keys {sorted(missing)}")
-            raise SchemaError(where, f"unknown keys {sorted(obj.keys() - keys)}")
-        prefix = f"{path}." if path else ""
-        values = {name: dec(obj[name], prefix + name) for name, (_, dec) in items}
+                raise SchemaError("", f"missing keys {sorted(missing)}")
+            raise SchemaError("", f"unknown keys {sorted(obj.keys() - keys)}")
+        values = {}
+        for name, (_, dec) in items:
+            try:
+                values[name] = dec(obj[name])
+            except SchemaError as exc:
+                raise SchemaError(f".{name}{exc.path}", exc.reason) from None
         try:
             return cls(**values)
         except ValueError as exc:
-            raise SchemaError(where, str(exc)) from None
+            raise SchemaError("", str(exc)) from None
 
     return encode, decode
 
 
 def _list_of(item: Codec) -> Codec:
-    """A JSON list, decoded to a tuple; item i decodes at path[i]."""
+    """A JSON list, decoded to a tuple."""
     enc, dec = item
 
-    def decode(obj: Any, path: str) -> tuple:
+    def decode(obj: Any) -> tuple:
         if not isinstance(obj, list):
-            raise SchemaError(path, f"expected a list, got {type(obj).__name__}")
-        return tuple(dec(x, f"{path}[{i}]") for i, x in enumerate(obj))
+            raise SchemaError("", f"expected a list, got {type(obj).__name__}")
+        values = []
+        for i, x in enumerate(obj):
+            try:
+                values.append(dec(x))
+            except SchemaError as exc:
+                raise SchemaError(f"[{i}]{exc.path}", exc.reason) from None
+        return tuple(values)
 
     return (lambda values: [enc(v) for v in values]), decode
 
 
 def _cell(kind: str) -> Codec:
     """A provenance cell whose reported value has the given decode_provenance kind."""
-    return encode_provenance, lambda obj, path: decode_provenance(obj, path, kind)
+    return encode_provenance, lambda obj: decode_provenance(obj, kind)
 
 
 def same(value: Any) -> Any:
@@ -210,14 +248,14 @@ def same(value: Any) -> Any:
 
 
 def checked(ok: Callable[[Any], Any], problem: str,
-            convert: Callable[[Any], Any] = same) -> Callable[[Any, str], Any]:
+            convert: Callable[[Any], Any] = same) -> Callable[[Any], Any]:
     """A leaf decoder: convert(value) when ok(value) holds, else SCHEMA_ERROR.
 
     problem may show the value through a {!r} field.
     """
-    def decode(obj: Any, path: str) -> Any:
+    def decode(obj: Any) -> Any:
         if not ok(obj):
-            raise SchemaError(path, problem.format(obj))
+            raise SchemaError("", problem.format(obj))
         return convert(obj)
     return decode
 
@@ -229,21 +267,21 @@ def enum_codec(cls: type[Enum]) -> Codec:
         lambda v: v in values, f"expected one of {sorted(values)}, got {{!r}}", cls)
 
 
-def _text(obj: Any, path: str) -> str:
+def _text(obj: Any) -> str:
     if not isinstance(obj, str):
-        raise SchemaError(path, f"must be a string, got {type(obj).__name__}")
+        raise SchemaError("", f"must be a string, got {type(obj).__name__}")
     return obj
 
 
-def _date(obj: Any, path: str) -> PartialDate:
+def _date(obj: Any) -> PartialDate:
     try:
         return parse_partial_date(obj)
     except DateParseError as exc:
-        raise SchemaError(path, exc.message) from None
+        raise SchemaError("", exc.message) from None
 
 
-def _version(obj: Any, path: str) -> str:
-    if _text(obj, path) not in SUPPORTED_SCHEMA_VERSIONS:
+def _version(obj: Any) -> str:
+    if _text(obj) not in SUPPORTED_SCHEMA_VERSIONS:
         raise UnsupportedVersionError(
             f"schema_version {obj!r} not in supported set {sorted(SUPPORTED_SCHEMA_VERSIONS)}")
     return obj
@@ -277,7 +315,7 @@ _LABEL = _object(
 )
 
 encode_metric = _METRIC[0]
-encode_label, decode_label = _LABEL
+encode_label, decode_label = _LABEL[0], top_level(_LABEL[1])
 
 
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
@@ -296,4 +334,4 @@ def from_canonical_json(data: bytes | str) -> ModelFactsLabel:
     Semantic publishability rules are left to the validator so that a flawed
     label can still be loaded and inspected.
     """
-    return decode_label(load_json_document(data), "")
+    return decode_label(load_json_document(data))

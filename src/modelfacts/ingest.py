@@ -15,8 +15,9 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Mapping
 
-from .codec import (Codec, check_keys, checked, decode_cell, encode_provenance, enum_codec,
-                    load_json_document, parse_partial_date, same)
+from .codec import (Codec, check_keys, checked, decode_at, decode_cell, decode_provenance,
+                    encode_provenance, enum_codec, load_json_document, parse_partial_date, same,
+                    top_level)
 from .errors import (
     BadValueError,
     DuplicateIdError,
@@ -103,8 +104,8 @@ class LabelManifest:
     The manifest document's shape is the table _MANIFEST; fields without a
     default are its required keys.  Rules that span fields, the values of
     reported cells, the stats of each declared row and the groups of each
-    declared canonical category are checked here, so a hand-built manifest
-    obeys them too.  A row given as None is a missing row.
+    declared category are checked here, so a hand-built manifest obeys them
+    too.  A row given as None is a missing row.
     """
 
     schema_version: str
@@ -133,6 +134,10 @@ class LabelManifest:
     def __post_init__(self):
         object.__setattr__(self, "warnings", tuple(self.warnings))
         object.__setattr__(self, "extra_categories", tuple(self.extra_categories))
+        for category, rows in self.demographics.items():
+            if not rows and canonical_groups(category) is None:
+                raise SchemaError(f"demographics.{category}",
+                                  "extension categories need explicit rows")
         if self.optimized_direction is None:
             direction = metric_direction(self.optimized_name)
             if direction is None:
@@ -192,76 +197,84 @@ class LabelManifest:
         return doc
 
 
-def _or_null(decode: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+def _or_null(decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
     """JSON null stands for the absent key."""
-    return lambda obj, path: None if obj is None else decode(obj, path)
+    return lambda obj: None if obj is None else decode(obj)
 
 
-def _strings(problem: str) -> Callable[[Any, str], tuple[str, ...]]:
+def _strings(problem: str) -> Callable[[Any], tuple[str, ...]]:
     return checked(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
                    problem, tuple)
 
 
-def _date_range(obj: Any, path: str) -> DateRange:
+def _date_range(obj: Any) -> DateRange:
     """One date string, or {start, end}."""
     if isinstance(obj, str):
         point = parse_partial_date(obj)
         return DateRange(point, point)
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a date string or {start, end}")
-    check_keys(obj, {"start", "end"}, path)
+        raise SchemaError("", "expected a date string or {start, end}")
+    check_keys(obj, {"start", "end"})
     ends = []
     for end in ("start", "end"):
         if end not in obj:
-            raise SchemaError(f"{path}.{end}", "required key is missing")
+            raise SchemaError(f".{end}", "required key is missing")
         ends.append(parse_partial_date(obj[end]))
     try:
         return DateRange(*ends)
     except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
+        raise SchemaError("", str(exc)) from None
 
 
-def _demographics(raw: Any, path: str) -> dict[str, dict[str, DeclaredRow | None]]:
+def _state(value: Any) -> Provenance:
+    """The value-less cell a category or row names by its lone state."""
+    return decode_provenance({"state": value})
+
+
+def _demographics(raw: Any) -> dict[str, dict[str, DeclaredRow | None]]:
     """Categories of declared rows; a category state fills the rows and stats left out.
 
     Without a state, a row left out (or null) is None and a stat left out is absent:
     LabelManifest refuses both."""
     if not isinstance(raw, dict):
-        raise SchemaError(path, "expected an object of categories")
-    out: dict[str, dict[str, DeclaredRow | None]] = {}
-    for category, spec in raw.items():
-        cat_path = f"{path}.{category}"
-        if not isinstance(spec, dict):
-            raise SchemaError(cat_path, "expected an object")
-        check_keys(spec, {"state", "rows"}, cat_path)
-        default = (decode_cell({"state": spec["state"]}, f"{cat_path}.state")
-                   if "state" in spec else None)
-        declared = spec.get("rows", {})
-        if not isinstance(declared, dict):
-            raise SchemaError(f"{cat_path}.rows", "expected an object of group rows")
-        groups = list(canonical_groups(category) or ())
-        groups += [group for group in declared if group not in groups]
-        if not groups:
-            raise SchemaError(cat_path, "extension categories need explicit rows")
-        out[category] = {group: _declared_row(declared.get(group), default,
-                                              f"{cat_path}.rows.{group}") for group in groups}
-    return out
+        raise SchemaError("", "expected an object of categories")
+    return {category: decode_at(raw, category, partial(_category, category)) for category in raw}
 
 
-def _declared_row(spec: Any, default: Provenance | None, path: str) -> DeclaredRow | None:
+def _category(category: str, spec: Any) -> dict[str, DeclaredRow | None]:
+    """A category's rows: its canonical groups, then the others it declares."""
+    if not isinstance(spec, dict):
+        raise SchemaError("", "expected an object")
+    check_keys(spec, {"state", "rows"})
+    default = decode_at(spec, "state", _state) if "state" in spec else None
+    declared = spec.get("rows", {})
+    if not isinstance(declared, dict):
+        raise SchemaError(".rows", "expected an object of group rows")
+    groups = list(canonical_groups(category) or ())
+    groups += [group for group in declared if group not in groups]
+    rows: dict[str, DeclaredRow | None] = {}
+    for group in groups:
+        try:
+            rows[group] = _declared_row(declared.get(group), default)
+        except SchemaError as exc:
+            raise SchemaError(f".rows.{group}{exc.path}", exc.reason) from None
+    return rows
+
+
+def _declared_row(spec: Any, default: Provenance | None) -> DeclaredRow | None:
     if spec is None:
         return None if default is None else dict.fromkeys(_STAT_KEYS, default)
     if not isinstance(spec, dict):
-        raise SchemaError(path, "expected an object")
+        raise SchemaError("", "expected an object")
     if "state" in spec:
-        check_keys(spec, {"state"}, path)
-        return dict.fromkeys(_STAT_KEYS, decode_cell({"state": spec["state"]}, f"{path}.state"))
-    check_keys(spec, set(_STAT_KEYS), path)
+        check_keys(spec, {"state"})
+        return dict.fromkeys(_STAT_KEYS, decode_at(spec, "state", _state))
+    check_keys(spec, set(_STAT_KEYS))
     row: DeclaredRow = {}
     for cell in ROW_CELLS:
         stat = cell.manifest
         if stat in spec:
-            row[stat] = decode_cell(spec[stat], f"{path}.{stat}", cell.kind)
+            row[stat] = decode_at(spec, stat, partial(decode_cell, kind=cell.kind))
         elif default is not None:
             row[stat] = default
     return row
@@ -274,15 +287,15 @@ def _encode_demographics(demographics: dict[str, dict[str, DeclaredRow]]) -> dic
     }} for category, rows in demographics.items()}
 
 
-def _aliases(raw: Any, path: str) -> dict[str, dict[str, str]]:
+def _aliases(raw: Any) -> dict[str, dict[str, str]]:
     """Per category, {alias: group}; aliases match in any case."""
     if not isinstance(raw, Mapping):
-        raise SchemaError(path, "expected an object of category alias maps")
+        raise SchemaError("", "expected an object of category alias maps")
     aliases: dict[str, dict[str, str]] = {}
     for category, mapping in raw.items():
         if not isinstance(mapping, Mapping) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
-            raise SchemaError(f"{path}.{category}", "expected {alias: group} strings")
+            raise SchemaError(f".{category}", "expected {alias: group} strings")
         aliases[category] = {k.lower(): v for k, v in mapping.items()}
     return aliases
 
@@ -307,7 +320,7 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
      (same, checked(lambda v: isinstance(v, str) and v.strip(), "must be a non-empty string"))),
     ("model_type", "model_type", enum_codec(ModelType)),
     ("model_train_date", "model_train_date",
-     (PartialDate.isoformat, lambda obj, _: parse_partial_date(obj))),  # DATE_PARSE_ERROR
+     (PartialDate.isoformat, parse_partial_date)),  # DATE_PARSE_ERROR
     ("test_data_range", "test_data_range",
      (lambda r: {"start": r.start.isoformat(), "end": r.end.isoformat()}, _date_range)),
     ("positive_class", "positive_class",
@@ -357,7 +370,10 @@ def _section(doc: Mapping, name: str) -> Mapping | None:
     section = doc[name]
     if not isinstance(section, Mapping):
         raise SchemaError(name, "expected an object")
-    check_keys(section, _KEYS[name], name)
+    try:
+        check_keys(section, _KEYS[name])
+    except SchemaError as exc:
+        raise SchemaError(name + exc.path, exc.reason) from None
     return section
 
 
@@ -367,7 +383,7 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
         doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "manifest must be a JSON object")
-    check_keys(doc, _KEYS[""], "")
+    top_level(check_keys)(doc, _KEYS[""])
     sections: dict[str, Mapping | None] = {"": doc}
     values: dict[str, Any] = {}
     for path, name, (_, decode) in _MANIFEST:
@@ -376,7 +392,10 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
             sections[section] = _section(doc, section)
         obj = sections[section]
         if obj is not None and key in obj:
-            values[name] = decode(obj[key], path)
+            try:
+                values[name] = decode(obj[key])
+            except SchemaError as exc:
+                raise SchemaError(path + exc.path, exc.reason) from None
         elif path in _REQUIRED:
             raise SchemaError(path, "required key is missing")
     return LabelManifest(**values)

@@ -372,13 +372,18 @@ def _cell_holders(
             yield row, _ROW_GETTERS, cat
 
 
+def _cell_path(spec: ProvenanceCell, holder: Any, cat: DemographicCategory | None) -> str:
+    """The label path of `holder`'s cell `spec`; `cat` is None for the label's own cells."""
+    return (spec.label if cat is None
+            else f"demographics.{cat.category_name}.{holder.group_name}.{spec.label}")
+
+
 def iter_provenance_cells(
         label: ModelFactsLabel) -> Iterator[tuple[str, Provenance, ProvenanceCell]]:
     """Yield every provenance-bearing cell as (label path, cell, table entry), in label order."""
     for holder, getters, cat in _cell_holders(label):
-        base = f"demographics.{cat.category_name}.{holder.group_name}." if cat is not None else ""
         for spec, get in getters:
-            yield base + spec.label, get(holder), spec
+            yield _cell_path(spec, holder, cat), get(holder), spec
 
 
 class ViolationCode(Enum):
@@ -520,11 +525,14 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
                 "dataset"))
 
     # Every reported cell obeys its range rule.
-    for path, cell, spec in iter_provenance_cells(label):
-        if cell.is_reported and spec.rule is not None:
-            problem = spec.rule(cell.value, label)
-            if problem is not None:
-                violations.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE, problem, path))
+    for holder, getters, cat in _cell_holders(label):
+        for spec, get in getters:
+            cell = get(holder)
+            if cell.is_reported and spec.rule is not None:
+                problem = spec.rule(cell.value, label)
+                if problem is not None:
+                    violations.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE, problem,
+                                                _cell_path(spec, holder, cat)))
 
     violations.sort(key=lambda v: (v.location, v.code.value, v.message))
     return violations
@@ -544,10 +552,9 @@ class CompletenessReport:
 
 def completeness(label: ModelFactsLabel) -> CompletenessReport:
     """Tally every provenance cell per state and compute the reported fraction."""
-    tally = {state: 0 for state in ProvenanceState}
-    for holder, getters, _ in _cell_holders(label):
-        for _, get in getters:
-            tally[get(holder).state] += 1
-    total = sum(tally.values())
+    states = [get(holder).state for holder, getters, _ in _cell_holders(label)
+              for _, get in getters]
+    tally = {state: states.count(state) for state in ProvenanceState}
+    total = len(states)
     fraction = tally[ProvenanceState.REPORTED] / total if total else 0.0
     return CompletenessReport(reported_fraction=fraction, tally=tally)

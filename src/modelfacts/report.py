@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .codec import check_keys, load_json_document, require_number
+from .codec import check_keys, decode_at, load_json_document, require_number, top_level
 from .errors import BadArgumentError, NoOverlapError, NumericOverflowError, SchemaError
 from .label import MetricValue, ModelFactsLabel, Provenance, completeness, is_finite_number
 from .metrics import Direction, metric_direction
@@ -105,7 +105,17 @@ class ReferencePopulation:
 
     def __post_init__(self):
         # Each rule is a SCHEMA_ERROR at its document path, as for a manifest.
+        shares: dict[str, dict[str, float]] = {}
         for category, groups in self.distributions.items():
+            try:
+                if not isinstance(groups, Mapping) or not groups:
+                    raise SchemaError("", "must be a non-empty object")
+                shares[category] = {group: float(decode_at(groups, group, require_number))
+                                    for group in groups}
+            except SchemaError as exc:
+                raise SchemaError(f"categories.{category}{exc.path}", exc.reason) from None
+        object.__setattr__(self, "distributions", shares)
+        for category, groups in shares.items():
             for group, pct in groups.items():
                 if not 0 <= pct <= 100:
                     raise SchemaError(f"categories.{category}.{group}", f"{pct} outside [0, 100]")
@@ -120,21 +130,14 @@ def load_reference_population(doc: str | bytes | Mapping[str, Any]) -> Reference
         doc = load_json_document(doc)
     if not isinstance(doc, Mapping):
         raise SchemaError("(document)", "reference population must be a JSON object")
-    check_keys(doc, {"name", "categories"}, "")
+    top_level(check_keys)(doc, {"name", "categories"})
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise SchemaError("name", "must be a non-empty string")
     categories = doc.get("categories")
     if not isinstance(categories, Mapping) or not categories:
         raise SchemaError("categories", "must be a non-empty object")
-    distributions: dict[str, dict[str, float]] = {}
-    for category, groups in categories.items():
-        if not isinstance(groups, Mapping) or not groups:
-            raise SchemaError(f"categories.{category}", "must be a non-empty object")
-        distributions[category] = {
-            group: float(require_number(pct, f"categories.{category}.{group}"))
-            for group, pct in groups.items()}
-    return ReferencePopulation(name=name, distributions=distributions)
+    return ReferencePopulation(name=name, distributions=categories)
 
 
 def load_reference_population_file(path: str | Path) -> ReferencePopulation:

@@ -660,12 +660,35 @@ class TestRepresentationAudit:
             load_reference_population(json.dumps({"name": "x", "categories": {"Gender": shares}}))
         assert (loaded.value.path, loaded.value.message) == (err.value.path, err.value.message)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true"])
-    def test_reference_share_must_be_finite(self, literal):
-        text = '{"name": "x", "categories": {"Gender": {"Female": %s, "Male": 100}}}' % literal
-        with pytest.raises(SchemaError) as err:
+    @pytest.mark.parametrize("literal, share", [
+        ("NaN", float("nan")), ("Infinity", float("inf")), ("-Infinity", float("-inf")),
+        ("true", True), ('"50"', "50")], ids=["NaN", "Infinity", "-Infinity", "true", "string"])
+    def test_reference_share_must_be_finite(self, literal, share):
+        text = '{"name": "x", "categories": {"Gender": {"Female": %s, "Male": 50}}}' % literal
+        with pytest.raises(SchemaError) as loaded:
             load_reference_population(text)
-        assert err.value.path == "categories.Gender.Female"
+        assert loaded.value.path == "categories.Gender.Female"
+        assert loaded.value.reason == f"expected a finite number, got {share!r}"
+        # Built in code, the same share is refused at the same path, with the same message.
+        with pytest.raises(SchemaError) as err:
+            reference(Gender={"Female": share, "Male": 50})
+        assert (err.value.path, err.value.message) == (loaded.value.path, loaded.value.message)
+
+    @pytest.mark.parametrize("shares", [{}, [50, 50], None])
+    def test_a_reference_category_must_be_a_non_empty_object(self, shares):
+        doc = {"name": "x", "categories": {"Race": {"Asian": 100.0}, "Gender": shares}}
+        with pytest.raises(SchemaError) as loaded:
+            load_reference_population(json.dumps(doc))
+        assert (loaded.value.path, loaded.value.reason) == (
+            "categories.Gender", "must be a non-empty object")
+        with pytest.raises(SchemaError) as err:
+            reference(**doc["categories"])
+        assert (err.value.path, err.value.message) == (loaded.value.path, loaded.value.message)
+
+    def test_reference_shares_are_floats(self):
+        population = reference(Gender={"Female": 50, "Male": 50})
+        assert population.distributions == {"Gender": {"Female": 50.0, "Male": 50.0}}
+        assert all(type(pct) is float for pct in population.distributions["Gender"].values())
 
     @pytest.mark.parametrize("shares, group", [
         ({"Asian": -1.7e308, "Hispanic": 1.7e308, "Black": 100}, "Asian"),

@@ -480,6 +480,20 @@ class TestParseManifest:
             dataclasses.replace(whole, demographics={**whole.demographics, category: rows})
         assert (err.value.path, err.value.message) == (parsed.value.path, parsed.value.message)
 
+    @pytest.mark.parametrize("spec", [{}, {"rows": {}}, {"state": "not_collected"}])
+    def test_an_extension_category_without_rows_is_refused(self, spec):
+        # Parsed or built by hand, at the same path and with the same reason.
+        manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
+        doc = manifest.to_dict()
+        doc.setdefault("demographics", {})["Zone"] = spec
+        with pytest.raises(SchemaError) as parsed:
+            parse_label_manifest(doc)
+        assert parsed.value.path == "demographics.Zone"
+        assert parsed.value.reason == "extension categories need explicit rows"
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, demographics={**manifest.demographics, "Zone": {}})
+        assert (err.value.path, err.value.message) == (parsed.value.path, parsed.value.message)
+
     @pytest.mark.parametrize("key", ["positive_class", "baseline", "baseline_policy"])
     def test_null_means_absent(self, key):
         doc = minimal_manifest(optimized_metric={"name": "Accuracy"})

@@ -1,4 +1,5 @@
-"""Property tests: the document parsers end in a value or a typed error, the
+"""Property tests: the document parsers end in a value or a typed error, a label
+with one leaf replaced names a path at or above that leaf, the
 canonical label JSON and generated manifests round-trip, is_finite_number keeps
 its definition on any value, group breakdowns of every scored metric agree with a
 brute-force recount, generated labels hold only finite numbers, a
@@ -28,7 +29,8 @@ from conftest import read_golden
 from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
 from modelfacts.codec import encode_provenance
 from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
-                               ModelFactsError, NumericOverflowError, SchemaError)
+                               ModelFactsError, NumericOverflowError, SchemaError,
+                               UnsupportedVersionError)
 from modelfacts.ingest import (PredictionDataset, PredictionRecord, _group_value, _parse_number,
                                parse_label_manifest, parse_predictions)
 from modelfacts.label import (
@@ -119,6 +121,34 @@ def test_golden_with_one_node_replaced_parses_or_raises_a_typed_error(data, kind
     parse_or_typed_error(parse, json.dumps(with_node_replaced(golden, path, value)))
 
 
+def leaf_paths(node, prefix=()):
+    """The path of every value in a parsed JSON document that is not an object or a list."""
+    if not isinstance(node, (dict, list)):
+        yield prefix
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaf_paths(child, prefix + (key,))
+
+
+def label_path(path) -> str:
+    """A node path as a label SCHEMA_ERROR names it: keys after a ".", indices in []."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), value=json_values)
+def test_a_label_with_one_leaf_replaced_names_a_path_above_that_leaf(data, value):
+    golden = data.draw(st.sampled_from(DOCUMENTS["label"][1]))
+    leaf = data.draw(st.sampled_from(list(leaf_paths(golden))))
+    text = json.dumps(with_node_replaced(golden, leaf, value))
+    try:
+        from_canonical_json(text)
+    except UnsupportedVersionError:
+        assert leaf == ("schema_version",)
+    except SchemaError as exc:
+        where = label_path(leaf)
+        assert where == exc.path or where.startswith((f"{exc.path}.", f"{exc.path}[")), (
+            f"a fault at {where} is named at {exc.path}")
 @PROPERTY_SETTINGS
 @given(data=st.binary(max_size=64))
 def test_any_bytes_decode_to_a_label_or_a_typed_error(data):

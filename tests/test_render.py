@@ -256,31 +256,50 @@ class TestCanonicalJson:
             from_canonical_json(text)
         assert err.value.path == "accuracy.optimized.raw_score.value"
 
-    @pytest.mark.parametrize("edit, path", [
+    @pytest.mark.parametrize("edit, path, reason", [
         (lambda d: d["application"].update(model_train_date="2012-13"),
-         "application.model_train_date"),
+         "application.model_train_date", "invalid date '2012-13': month 13 out of range"),
         (lambda d: d["application"]["test_data_range"].update(start=2013),
-         "application.test_data_range.start"),
+         "application.test_data_range.start", "date must be a string, got int"),
         (lambda d: d["application"]["test_data_range"].update(start="2014"),
-         "application.test_data_range"),
-        (lambda d: d["application"].update(application=5), "application.application"),
-        (lambda d: d["application"].update(application=" "), "application"),
-        (lambda d: d["warnings"].append(3), "warnings[2]"),
+         "application.test_data_range", "range start 2014 is after end 2013"),
+        (lambda d: d["application"].update(application=5),
+         "application.application", "must be a string, got int"),
+        (lambda d: d["application"].update(application=" "),
+         "application", "application text must be non-empty"),
+        (lambda d: d["warnings"].append(3), "warnings[2]", "must be a string, got int"),
         (lambda d: d["demographics"][1]["rows"][2].update(group_name=None),
-         "demographics[1].rows[2].group_name"),
+         "demographics[1].rows[2].group_name", "must be a string, got NoneType"),
         (lambda d: d["accuracy"]["optimized"].update(raw_score={"state": "reported"}),
-         "accuracy.optimized.raw_score"),
+         "accuracy.optimized.raw_score", "reported state requires a value"),
         (lambda d: d["dataset"].update(train_pct={"state": "not_collected", "value": 1}),
-         "dataset.train_pct"),
+         "dataset.train_pct", "state 'not_collected' cannot carry a value"),
+        (lambda d: d["demographics"][0]["rows"][3].update(
+            target_stat={"state": "reported", "value": 5.0}),
+         "demographics[0].rows[3].target_stat.value",
+         "target stat must be {pct_target} or {mean, std}"),
+        (lambda d: d["demographics"][0]["rows"][3].update(
+            target_stat={"state": "reported", "value": {"pct_target": "5"}}),
+         "demographics[0].rows[3].target_stat.value.pct_target",
+         "expected a finite number, got '5'"),
+        (lambda d: d["demographics"][2].update(category_name=7),
+         "demographics[2].category_name", "must be a string, got int"),
+        (lambda d: d["accuracy"]["standard"].update(pct_over_baseline={"state": "missing"}),
+         "accuracy.standard.pct_over_baseline", "unknown provenance state 'missing'"),
+        (lambda d: d["dataset"].update(sample_count={"state": "reported", "value": 120.0}),
+         "dataset.sample_count.value", "expected an integer, got 120.0"),
+        (lambda d: d.update(extra=1), "(top level)", "unknown keys ['extra']"),
     ], ids=["train-date", "range-start-type", "range-inverted", "application-type",
             "application-blank", "warning-type", "group-name-type", "reported-without-value",
-            "not-collected-with-value"])
-    def test_schema_error_names_the_field(self, edit, path):
+            "not-collected-with-value", "target-shape", "target-pct", "category-name-type",
+            "unknown-state", "float-count", "unknown-top-level-key"])
+    def test_schema_error_names_the_field(self, edit, path, reason):
         doc = json.loads(read_golden("void.label.json"))
         edit(doc)
         with pytest.raises(SchemaError) as err:
             from_canonical_json(json.dumps(doc))
-        assert err.value.path == path
+        assert (err.value.path, err.value.reason) == (path, reason)
+        assert str(err.value) == f"SCHEMA_ERROR: at '{path}': {reason}"
 
     def test_non_utf8_rejected(self):
         with pytest.raises(SchemaError):
