@@ -6,7 +6,7 @@ from typing import Any
 
 from .errors import (BadArgumentError, DeclaredConflictError, SchemaError, UnknownMetricError,
                      ZeroBaselineError)
-from .ingest import _PATHS, DeclaredRow, LabelManifest, PredictionDataset
+from .ingest import _PATHS, DeclaredRow, LabelManifest
 from .label import (
     CANONICAL_CATEGORY_ORDER,
     DECLARED_CELLS,
@@ -27,6 +27,7 @@ from .label import (
 from .metrics import (
     Direction,
     MetricSpec,
+    PredictionDataset,
     group_breakdown,
     majority_class_baseline,
     make_scorer,

@@ -45,15 +45,11 @@ def _load_label(path: str) -> ModelFactsLabel:
     return from_canonical_json(Path(path).read_bytes())
 
 
-def _json(obj: Any) -> str:
-    """Machine output's JSON text: sorted keys, non-ASCII kept, no spaces."""
-    import json
-
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
 def _emit_json(obj: Any) -> None:
-    sys.stdout.write(_json(obj) + "\n")
+    """Machine output, in the canonical label's JSON text setting."""
+    from .codec import json_text
+
+    sys.stdout.write(json_text(obj) + "\n")
 
 
 def _write_label(label: ModelFactsLabel, output: str | None) -> None:
@@ -96,7 +92,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     dataset = load_predictions(args.data, manifest)
     label = generate_label(dataset, manifest)
     _write_label(label, args.output)
-    if args.stamp and args.output:
+    if args.stamp:
         _write_stamp(args.output, "generate", [args.data, args.manifest])
     return EXIT_OK
 
@@ -108,7 +104,7 @@ def _cmd_declare(args: argparse.Namespace) -> int:
     manifest = load_label_manifest(args.manifest)
     label = build_declared_label(manifest)
     _write_label(label, args.output)
-    if args.stamp and args.output:
+    if args.stamp:
         _write_stamp(args.output, "declare", [args.manifest])
     return EXIT_OK
 
@@ -156,7 +152,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .codec import encode_metric
+    from .codec import encode_metric, json_text
     from .report import compare_labels
 
     # A generator, so that one decoded label at a time is alive, not all of them.
@@ -165,15 +161,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # The report's bytes as _emit_json would write them, an entry at a time, so that
         # the whole report is never one string; "caveats" < "entries" < "ranking".
         write = sys.stdout.write
-        write(f'{{"caveats":{_json(list(report.caveats))},"entries":[')
+        write(f'{{"caveats":{json_text(list(report.caveats))},"entries":[')
         for i, e in enumerate(report.entries):
-            write(("," if i else "") + _json({
+            write(("," if i else "") + json_text({
                 "identifier": e.identifier,
                 "optimized": encode_metric(e.optimized),
                 "standard": encode_metric(e.standard),
                 "completeness": e.completeness,
             }))
-        write(f'],"ranking":{_json(list(report.ranking))}}}\n')
+        write(f'],"ranking":{json_text(list(report.ranking))}}}\n')
         return EXIT_OK
     by_id = {e.identifier: e for e in report.entries}
     print("Ranking (best first):")
@@ -294,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="label manifest JSON")
     p.add_argument("-o", "--output", help="output label path (default: stdout)")
     p.add_argument("--stamp", action="store_true",
-                   help="also write a .stamp.json sidecar with input digests")
+                   help="also write a .stamp.json sidecar with input digests (needs -o)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("declare", help="build a label purely from a declared manifest")
     p.add_argument("--manifest", required=True, help="label manifest JSON")
     p.add_argument("-o", "--output", help="output label path (default: stdout)")
     p.add_argument("--stamp", action="store_true",
-                   help="also write a .stamp.json sidecar with input digests")
+                   help="also write a .stamp.json sidecar with input digests (needs -o)")
     p.set_defaults(func=_cmd_declare)
 
     p = sub.add_parser("validate", help="check a label against publishability rules")
@@ -341,7 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Parsing runs the argument checks, which import what they use, so an internal
         # error there is caught too; argparse's own exit is a SystemExit, not caught.
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "stamp", False) and args.output is None:
+            parser.error("argument --stamp: needs -o/--output, the label file it is written beside")
         return args.func(args)
     except ModelFactsError as exc:
         print(f"error: {exc}", file=sys.stderr)

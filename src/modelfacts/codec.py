@@ -18,7 +18,7 @@ from enum import Enum
 from math import isfinite
 from typing import Any, Callable, Mapping
 
-from .errors import DateParseError, SchemaError, UnsupportedVersionError
+from .errors import SchemaError, UnsupportedVersionError
 from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
                     DateRange, DemographicCategory, DemographicGroupRow, MeanStd, MetricValue,
                     ModelFactsLabel, ModelType, PartialDate, PctTarget, Provenance,
@@ -59,18 +59,21 @@ def load_json_document(doc: str | bytes) -> Any:
     return value
 
 
-def parse_partial_date(text: str) -> PartialDate:
-    """Parse "YYYY", "YYYY-MM", or "YYYY-MM-DD" into a reduced-precision date."""
+def parse_partial_date(text: Any) -> PartialDate:
+    """Parse "YYYY", "YYYY-MM", or "YYYY-MM-DD" into a reduced-precision date.
+
+    Anything else is a SCHEMA_ERROR at the value itself, as from any decoder.
+    """
     if not isinstance(text, str):
-        raise DateParseError(f"date must be a string, got {type(text).__name__}")
+        raise SchemaError("", f"date must be a string, got {type(text).__name__}")
     m = _DATE_RE.match(text.strip())
     if not m:
-        raise DateParseError(f"cannot parse date '{text}' (expected YYYY, YYYY-MM, or YYYY-MM-DD)")
+        raise SchemaError("", f"cannot parse date '{text}' (expected YYYY, YYYY-MM, or YYYY-MM-DD)")
     year, month, day = m.groups()
     try:
         return PartialDate(int(year), int(month) if month else None, int(day) if day else None)
     except ValueError as exc:
-        raise DateParseError(f"invalid date '{text}': {exc}") from None
+        raise SchemaError("", f"invalid date '{text}': {exc}") from None
 
 
 def top_level(decode: Callable[..., Any]) -> Callable[..., Any]:
@@ -273,13 +276,6 @@ def _text(obj: Any) -> str:
     return obj
 
 
-def _date(obj: Any) -> PartialDate:
-    try:
-        return parse_partial_date(obj)
-    except DateParseError as exc:
-        raise SchemaError("", exc.message) from None
-
-
 def _version(obj: Any) -> str:
     if _text(obj) not in SUPPORTED_SCHEMA_VERSIONS:
         raise UnsupportedVersionError(
@@ -288,7 +284,8 @@ def _version(obj: Any) -> str:
 
 
 _TEXT: Codec = (same, _text)
-_DATE: Codec = (PartialDate.isoformat, _date)
+DATE: Codec = (PartialDate.isoformat, parse_partial_date)
+DATE_RANGE = _object(DateRange, start=DATE, end=DATE)
 _NUMBER, _COUNT, _TARGET = _cell("number"), _cell("count"), _cell("target")
 
 _METRIC = _object(MetricValue, name=_TEXT, raw_score=_NUMBER, pct_over_baseline=_NUMBER)
@@ -300,8 +297,8 @@ _LABEL = _object(
         ApplicationInfo,
         application=_TEXT,
         model_type=enum_codec(ModelType),
-        model_train_date=_DATE,
-        test_data_range=_object(DateRange, start=_DATE, end=_DATE),
+        model_train_date=DATE,
+        test_data_range=DATE_RANGE,
     ),
     accuracy=_object(AccuracySection, optimized=_METRIC, standard=_METRIC),
     dataset=_object(DatasetInfo, sample_count=_COUNT, train_pct=_NUMBER, test_pct=_NUMBER),
@@ -318,12 +315,17 @@ encode_metric = _METRIC[0]
 encode_label, decode_label = _LABEL[0], top_level(_LABEL[1])
 
 
+def json_text(obj: Any) -> str:
+    """The one JSON text setting, for labels and machine output alike: sorted keys,
+    shortest numbers, non-ASCII kept, no spaces; NaN and infinities are a ValueError."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                      allow_nan=False)
+
+
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
-    """Deterministic serialization: sorted keys, shortest numbers, UTF-8, one
-    trailing newline.  The interchange format for validate/compare/audit."""
-    text = json.dumps(encode_label(label), sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"), allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """Deterministic serialization: json_text, UTF-8, one trailing newline.  The
+    interchange format for validate/compare/audit."""
+    return (json_text(encode_label(label)) + "\n").encode("utf-8")
 
 
 def from_canonical_json(data: bytes | str) -> ModelFactsLabel:

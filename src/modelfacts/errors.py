@@ -35,10 +35,6 @@ class UnsupportedVersionError(ModelFactsError):
     code = "UNSUPPORTED_VERSION"
 
 
-class DateParseError(ModelFactsError):
-    code = "DATE_PARSE_ERROR"
-
-
 class UnknownMetricError(ModelFactsError):
     code = "UNKNOWN_METRIC"
 

@@ -15,9 +15,9 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Mapping
 
-from .codec import (Codec, check_keys, checked, decode_at, decode_cell, decode_provenance,
-                    encode_provenance, enum_codec, load_json_document, parse_partial_date, same,
-                    top_level)
+from .codec import (DATE, DATE_RANGE, Codec, check_keys, checked, decode_at, decode_cell,
+                    decode_provenance, encode_provenance, enum_codec, load_json_document,
+                    parse_partial_date, same, top_level)
 from .errors import (
     BadValueError,
     DuplicateIdError,
@@ -42,10 +42,8 @@ from .label import (
     canonical_groups,
     is_finite_number,
 )
-# The dataset types live beside the scorers that read their columns; this
-# module builds them and re-exports both.
-from .metrics import (Direction, PredictionDataset, PredictionRecord, metric_direction,
-                      metric_spec, select_standard_metric)
+from .metrics import (Direction, PredictionDataset, metric_direction, metric_spec,
+                      select_standard_metric)
 
 MANIFEST_SCHEMA_VERSION = "1.0"
 
@@ -102,10 +100,10 @@ class LabelManifest:
     """Developer-declared metadata: everything a dataset alone cannot supply.
 
     The manifest document's shape is the table _MANIFEST; fields without a
-    default are its required keys.  Rules that span fields, the values of
-    reported cells, the stats of each declared row and the groups of each
-    declared category are checked here, so a hand-built manifest obeys them
-    too.  A row given as None is a missing row.
+    default are its required keys.  The rules on single values (_VALUE_RULES),
+    rules that span fields, the values of reported cells, the stats of each
+    declared row and the groups of each declared category are checked here, so
+    a hand-built manifest obeys them too.  A row given as None is a missing row.
     """
 
     schema_version: str
@@ -132,6 +130,10 @@ class LabelManifest:
     extra_categories: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name, (holds, problem) in _VALUE_RULES.items():
+            value = getattr(self, name)
+            if not holds(value):
+                raise SchemaError(_PATHS[name], problem.format(value))
         object.__setattr__(self, "warnings", tuple(self.warnings))
         object.__setattr__(self, "extra_categories", tuple(self.extra_categories))
         for category, rows in self.demographics.items():
@@ -197,33 +199,38 @@ class LabelManifest:
         return doc
 
 
-def _or_null(decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """JSON null stands for the absent key."""
-    return lambda obj: None if obj is None else decode(obj)
+def _strings(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
 
 
-def _strings(problem: str) -> Callable[[Any], tuple[str, ...]]:
-    return checked(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-                   problem, tuple)
+_NON_EMPTY = "must be a non-empty string"
+
+# The rules on single values, by LabelManifest field: (holds, problem), in document
+# order.  The dataclass checks them before any other rule, at the field's manifest
+# path; None is an optional field left out, as JSON null is for these keys.
+_VALUE_RULES: dict[str, tuple[Callable[[Any], Any], str]] = {
+    "schema_version": (lambda v: v == MANIFEST_SCHEMA_VERSION, "unsupported manifest version {!r}"),
+    "application": (lambda v: isinstance(v, str) and v.strip(), _NON_EMPTY),
+    "positive_class": (lambda v: v is None or isinstance(v, str), "must be a string label"),
+    "optimized_name": (lambda v: isinstance(v, str) and v, _NON_EMPTY),
+    "baseline": (lambda v: v is None or is_finite_number(v) and v != 0,
+                 "expected a finite, nonzero number, got {!r}"),
+    "baseline_policy": (lambda v: v in (None, "majority-class"),
+                        "unknown policy {!r} (only 'majority-class')"),
+    "standard_name": (lambda v: v is None or isinstance(v, str) and v, _NON_EMPTY),
+    "warnings": (_strings, "must be a list of strings (may be empty)"),
+    "extra_categories": (_strings, "expected a list of category names"),
+}
 
 
 def _date_range(obj: Any) -> DateRange:
-    """One date string, or {start, end}."""
+    """One date string, or {start, end} as in a label."""
     if isinstance(obj, str):
         point = parse_partial_date(obj)
         return DateRange(point, point)
     if not isinstance(obj, dict):
         raise SchemaError("", "expected a date string or {start, end}")
-    check_keys(obj, {"start", "end"})
-    ends = []
-    for end in ("start", "end"):
-        if end not in obj:
-            raise SchemaError(f".{end}", "required key is missing")
-        ends.append(parse_partial_date(obj[end]))
-    try:
-        return DateRange(*ends)
-    except ValueError as exc:
-        raise SchemaError("", str(exc)) from None
+    return DATE_RANGE[1](obj)
 
 
 def _state(value: Any) -> Provenance:
@@ -307,45 +314,34 @@ def _declared(name: str) -> tuple[str, str, Codec]:
     return spec.manifest, name, (encode_provenance, partial(decode_cell, kind=spec.kind))
 
 
-_METRIC_NAME: Codec = (same, checked(lambda v: isinstance(v, str) and v,
-                                     "must be a non-empty string"))
+_AS_IS: Codec = (same, same)  # a value _VALUE_RULES checks
 
 # The manifest's JSON shape, declared once: (JSON path, LabelManifest field,
 # codec), in document order.  A dotted path is a key of an object section.
 _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
-    ("schema_version", "schema_version",
-     (same, checked(lambda v: v == MANIFEST_SCHEMA_VERSION,
-                    "unsupported manifest version {!r}"))),
-    ("application", "application",
-     (same, checked(lambda v: isinstance(v, str) and v.strip(), "must be a non-empty string"))),
+    ("schema_version", "schema_version", _AS_IS),
+    ("application", "application", _AS_IS),
     ("model_type", "model_type", enum_codec(ModelType)),
-    ("model_train_date", "model_train_date",
-     (PartialDate.isoformat, parse_partial_date)),  # DATE_PARSE_ERROR
-    ("test_data_range", "test_data_range",
-     (lambda r: {"start": r.start.isoformat(), "end": r.end.isoformat()}, _date_range)),
-    ("positive_class", "positive_class",
-     (same, _or_null(checked(lambda v: isinstance(v, str), "must be a string label")))),
-    ("optimized_metric.name", "optimized_name", _METRIC_NAME),
+    ("model_train_date", "model_train_date", DATE),
+    ("test_data_range", "test_data_range", (DATE_RANGE[0], _date_range)),
+    ("positive_class", "positive_class", _AS_IS),
+    ("optimized_metric.name", "optimized_name", _AS_IS),
     ("optimized_metric.direction", "optimized_direction", enum_codec(Direction)),
     _declared("optimized_raw"),
     _declared("optimized_pct_over"),
-    ("optimized_metric.baseline", "baseline",
-     (same, _or_null(checked(lambda v: is_finite_number(v) and v != 0,
-                             "expected a finite, nonzero number, got {!r}")))),
-    ("optimized_metric.baseline_policy", "baseline_policy",
-     (same, _or_null(checked(lambda v: v == "majority-class",
-                             "unknown policy {!r} (only 'majority-class')")))),
-    ("standard_metric.name", "standard_name", _METRIC_NAME),
+    ("optimized_metric.baseline", "baseline", _AS_IS),
+    ("optimized_metric.baseline_policy", "baseline_policy", _AS_IS),
+    # JSON null is no name here, not the absent key.
+    ("standard_metric.name", "standard_name", (same, checked(lambda v: v is not None, _NON_EMPTY))),
     _declared("standard_raw"),
     _declared("standard_pct_over"),
     _declared("sample_count"),
     _declared("train_pct"),
     _declared("test_pct"),
     ("demographics", "demographics", (_encode_demographics, _demographics)),
-    ("warnings", "warnings", (list, _strings("must be a list of strings (may be empty)"))),
+    ("warnings", "warnings", (list, same)),
     ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, _aliases)),
-    ("extra_categories", "extra_categories",
-     (list, _strings("expected a list of category names"))),
+    ("extra_categories", "extra_categories", (list, same)),
 )
 
 _PATHS = {name: path for path, name, _ in _MANIFEST}

@@ -1,10 +1,10 @@
-"""Label representations: fixed-width text, HTML, and canonical JSON.
+"""Label representations: fixed-width text and HTML.
 
-The canonical JSON functions live in codec, beside the label's JSON shape, and
-are re-exported here.  Every renderer is a pure function of the label;
-identical labels yield identical bytes.  The text form is the one the one-page
-budget is enforced against, so its layout rules are fixed: content is wrapped,
-never truncated, and every line fits the configured width.
+Every renderer is a pure function of the label; identical labels yield
+identical bytes.  The text form is the one the one-page budget is enforced
+against, so its layout rules are fixed: content is wrapped, never truncated,
+and every line fits the configured width.  The canonical JSON form lives in
+codec, beside the label's JSON shape.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import from_canonical_json, to_canonical_json  # noqa: F401  (re-exported)
 from .label import MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance, ProvenanceState
 
 _STATE_TEXT = {

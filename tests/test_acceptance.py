@@ -16,7 +16,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, canonical_category, make_label, random_label, read_golden
 from modelfacts.cli import main
-from modelfacts.ingest import PredictionDataset, PredictionRecord
+from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.label import (
     DatasetInfo,
     DemographicCategory,
@@ -30,6 +30,8 @@ from modelfacts.label import (
 )
 from modelfacts.metrics import (
     Direction,
+    PredictionDataset,
+    PredictionRecord,
     auc,
     group_breakdown,
     make_scorer,
@@ -37,7 +39,6 @@ from modelfacts.metrics import (
     precision_recall_f1,
     standard_accuracy,
 )
-from modelfacts.render import from_canonical_json, to_canonical_json
 from modelfacts.report import ReferencePopulation, representation_audit
 
 

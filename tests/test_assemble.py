@@ -16,8 +16,8 @@ from modelfacts import assemble
 from modelfacts.assemble import build_declared_label, generate_label
 from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
                                NumericOverflowError, SchemaError, UnknownMetricError)
-from modelfacts.ingest import (PredictionDataset, PredictionRecord, parse_label_manifest,
-                              parse_predictions)
+from modelfacts.codec import from_canonical_json
+from modelfacts.ingest import parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     LABEL_CELLS,
@@ -32,8 +32,8 @@ from modelfacts.label import (
     iter_provenance_cells,
     validate_label,
 )
-from modelfacts.metrics import percent_over_baseline
-from modelfacts.render import from_canonical_json, render_text
+from modelfacts.metrics import PredictionDataset, PredictionRecord, percent_over_baseline
+from modelfacts.render import render_text
 from modelfacts.report import (ReferencePopulation, compare_labels, load_reference_population,
                                representation_audit)
 

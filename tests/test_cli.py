@@ -14,7 +14,7 @@ import pytest
 from conftest import GOLDEN_DIR, make_label, read_golden
 from modelfacts import __version__
 from modelfacts.cli import main
-from modelfacts.render import from_canonical_json, to_canonical_json
+from modelfacts.codec import from_canonical_json, to_canonical_json
 
 VOID_MANIFEST = str(GOLDEN_DIR / "void.manifest.json")
 SUICIDE_MANIFEST = str(GOLDEN_DIR / "suicide_risk.manifest.json")
@@ -208,6 +208,38 @@ def test_unhashable_state_or_model_type_exits_2(tmp_path, capsys, command, golde
     args = ["--manifest"] if command == "declare" else []
     assert main([command, *args, str(tmp_path / "in.json")]) == 2
     assert f"error: SCHEMA_ERROR: at '{path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, path, reason", [
+    (lambda doc: doc.update(model_train_date=2012), "model_train_date",
+     "date must be a string, got int"),
+    (lambda doc: doc.update(test_data_range={"start": "2013", "end": "2014-13"}),
+     "test_data_range.end", "invalid date '2014-13': month 13 out of range"),
+], ids=["int-train-date", "month-13-range-end"])
+def test_declare_names_the_path_of_a_bad_date(tmp_path, capsys, edit, path, reason):
+    doc = json.loads(read_golden("void.manifest.json"))
+    edit(doc)
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert main(["declare", "--manifest", str(tmp_path / "m.json"),
+                 "-o", str(tmp_path / "label.json")]) == 2
+    assert capsys.readouterr().err == f"error: SCHEMA_ERROR: at '{path}': {reason}\n"
+    assert not (tmp_path / "label.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--data", str(GOLDEN_DIR / "length_of_stay.csv"),
+     "--manifest", str(GOLDEN_DIR / "length_of_stay.manifest.json"), "--stamp"],
+    ["declare", "--stamp", "--manifest", VOID_MANIFEST],
+], ids=["generate", "declare"])
+def test_stamp_without_an_output_file_exits_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                             args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as done:
+        main(args)
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --stamp: " in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def accuracy_manifest(tmp_path: Path) -> str:
@@ -423,8 +455,10 @@ facts = {"loaded": sorted(m for m in sys.modules if m.startswith("modelfacts."))
          "all": modelfacts.__all__, "dir": dir(modelfacts)}
 from modelfacts import render  # not yet loaded: the import system, not the table, finds it
 facts["render"] = render.__name__
-facts["reexported"] = [getattr(render, name) is getattr(modelfacts, name)
+# Each name has one home: the canonical JSON functions live in codec alone.
+facts["reexported"] = [hasattr(render, name)
                        for name in ("from_canonical_json", "to_canonical_json")]
+facts["reexported"] += [hasattr(importlib.import_module("modelfacts.ingest"), "PredictionRecord")]
 try:
     modelfacts.no_such_name
 except AttributeError as exc:
@@ -446,7 +480,7 @@ print(json.dumps(facts))
     assert "no_such_name" in facts["unknown"]
     assert facts["mismatched"] == []
     assert facts["render"] == "modelfacts.render"
-    assert facts["reexported"] == [True, True]
+    assert facts["reexported"] == [False, False, False]
 
 
 def test_generate_reproduces_the_regression_golden(tmp_path):

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, read_golden
+from modelfacts.codec import from_canonical_json
 from modelfacts.errors import (
     BadValueError,
     DuplicateIdError,
@@ -345,12 +346,34 @@ class TestParseManifest:
         with pytest.raises(SchemaError):
             parse_label_manifest(json.dumps(doc))
 
-    def test_bad_date(self):
-        from modelfacts.errors import DateParseError
+    @pytest.mark.parametrize("key, value, path", [
+        ("model_train_date", 2012, "model_train_date"),
+        ("model_train_date", "2012-13", "model_train_date"),
+        ("model_train_date", "May 2012", "model_train_date"),
+        ("test_data_range", {"start": "2013", "end": "2014-13"}, "test_data_range.end"),
+    ], ids=["int", "month-13", "words", "range-end-month-13"])
+    def test_a_bad_date_is_refused_at_its_path_as_in_a_label(self, key, value, path):
+        with pytest.raises(SchemaError) as err:
+            parse_label_manifest(json.dumps(minimal_manifest(**{key: value})))
+        assert err.value.path == path
+        label = json.loads(read_golden("void.label.json"))
+        label["application"][key] = value  # the same value at the same key of a label
+        with pytest.raises(SchemaError) as in_label:
+            from_canonical_json(json.dumps(label))
+        assert in_label.value.path == f"application.{path}"
+        assert err.value.reason == in_label.value.reason
 
-        doc = minimal_manifest(model_train_date="May 2012")
-        with pytest.raises(DateParseError):
-            parse_label_manifest(json.dumps(doc))
+    @pytest.mark.parametrize("value, path, reason", [
+        ({"start": "2013"}, "test_data_range", "missing keys ['end']"),
+        ({"start": "2013", "end": "2014", "middle": "2013"}, "test_data_range",
+         "unknown keys ['middle']"),
+        ("2014-13", "test_data_range", "invalid date '2014-13': month 13 out of range"),
+        (2014, "test_data_range", "expected a date string or {start, end}"),
+    ])
+    def test_a_bad_date_range_reads_as_in_a_label(self, value, path, reason):
+        with pytest.raises(SchemaError) as err:
+            parse_label_manifest(json.dumps(minimal_manifest(test_data_range=value)))
+        assert (err.value.path, err.value.reason) == (path, reason)
 
     def test_inverted_range(self):
         doc = minimal_manifest(test_data_range={"start": "2015", "end": "1996"})
@@ -418,6 +441,34 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as err:
             dataclasses.replace(manifest, **{field: Provenance.reported(value)})
         assert err.value.path == path
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("schema_version", "2.0", "schema_version"),
+        ("application", " ", "application"),
+        ("application", None, "application"),
+        ("positive_class", 1, "positive_class"),
+        ("optimized_name", "", "optimized_metric.name"),
+        ("baseline", math.nan, "optimized_metric.baseline"),
+        ("baseline", 0, "optimized_metric.baseline"),
+        ("baseline_policy", "median", "optimized_metric.baseline_policy"),
+        ("standard_name", "", "standard_metric.name"),
+        ("warnings", (1,), "warnings"),
+        ("warnings", "one warning", "warnings"),
+        ("extra_categories", (1,), "extra_categories"),
+    ])
+    def test_a_hand_built_manifest_obeys_the_value_rules(self, field, value, path):
+        # Refused at the same path and with the same message as the parsed value.
+        manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, **{field: value})
+        assert err.value.path == path
+        doc = manifest.to_dict()
+        section, _, key = path.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = (
+            list(value) if isinstance(value, tuple) else value)
+        with pytest.raises(SchemaError) as parsed:
+            parse_label_manifest(doc)
+        assert (parsed.value.path, parsed.value.message) == (err.value.path, err.value.message)
 
     @pytest.mark.parametrize("stat, value", [
         ("pct_in_test", "12"), ("accuracy", math.nan), ("target", PctTarget(math.inf))])

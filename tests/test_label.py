@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import canonical_category, make_label, random_label, read_golden
+from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.label import (
     DatasetInfo,
     DemographicCategory,
@@ -23,7 +24,7 @@ from modelfacts.label import (
     sentence_terminator_count,
     validate_label,
 )
-from modelfacts.render import RenderBudget, from_canonical_json, to_canonical_json
+from modelfacts.render import RenderBudget
 
 
 class TestProvenance:

@@ -22,7 +22,7 @@ from modelfacts.errors import (
     UnknownMetricError,
     ZeroBaselineError,
 )
-from modelfacts.ingest import PredictionDataset, PredictionRecord, parse_label_manifest, parse_predictions
+from modelfacts.ingest import parse_label_manifest, parse_predictions
 from modelfacts.label import (
     MeanStd,
     MetricValue,
@@ -37,6 +37,8 @@ from modelfacts.metrics import (
     METRIC_SPECS,
     ConfusionCounts,
     Direction,
+    PredictionDataset,
+    PredictionRecord,
     auc,
     group_breakdown,
     majority_class_baseline,

@@ -27,12 +27,11 @@ from hypothesis import strategies as st
 
 from conftest import read_golden
 from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
-from modelfacts.codec import encode_provenance
+from modelfacts.codec import encode_provenance, from_canonical_json, to_canonical_json
 from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
                                ModelFactsError, NumericOverflowError, SchemaError,
                                UnsupportedVersionError)
-from modelfacts.ingest import (PredictionDataset, PredictionRecord, _group_value, _parse_number,
-                               parse_label_manifest, parse_predictions)
+from modelfacts.ingest import _group_value, _parse_number, parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     AccuracySection,
@@ -52,9 +51,9 @@ from modelfacts.label import (
     canonical_groups,
     is_finite_number,
 )
-from modelfacts.metrics import (group_breakdown, make_scorer, metric_spec, percent_over_baseline,
-                                regression_stats)
-from modelfacts.render import _chunks, from_canonical_json, to_canonical_json
+from modelfacts.metrics import (PredictionDataset, PredictionRecord, group_breakdown, make_scorer,
+                                metric_spec, percent_over_baseline, regression_stats)
+from modelfacts.render import _chunks
 from modelfacts.report import load_reference_population
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)

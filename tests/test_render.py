@@ -10,19 +10,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import make_label, random_label, read_golden
+from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.errors import SchemaError, UnsupportedVersionError
 from modelfacts.label import (
     DemographicCategory,
     Provenance,
     ProvenanceState,
 )
-from modelfacts.render import (
-    RenderBudget,
-    from_canonical_json,
-    render_html,
-    render_text,
-    to_canonical_json,
-)
+from modelfacts.render import RenderBudget, render_html, render_text
 
 SECTION_HEADERS = ("Application:", "Accuracy:", "Dataset Size:", "Demographics:", "Warnings:")
 
