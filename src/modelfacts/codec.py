@@ -3,7 +3,9 @@
 Both the manifest parser and the canonical label serializer speak this
 vocabulary, so it lives in one place.  The label's JSON shape is declared
 once, as a table of (encode, decode) pairs, and both directions derive from it,
-down to the canonical JSON text that every command reads and writes.
+down to the canonical JSON text that every command reads and writes.  Encoders
+build each object with its keys in sorted order, so the canonical text is
+written as built, with no key sort; ad hoc reports are sorted by json_text.
 
 A decoder takes only its value, and its SCHEMA_ERROR a path relative to it: ""
 for the value itself, else steps like ".rows[2]".  Containers put their step in
@@ -16,6 +18,7 @@ import json
 import re
 from enum import Enum
 from math import isfinite
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .errors import SchemaError, UnsupportedVersionError
@@ -131,21 +134,25 @@ def _require_count(value: Any) -> int:
 _DECODERS = {"number": require_number, "count": _require_count, "target": decode_target}
 
 
+_CELL_KEYS = frozenset({"state", "value"})
+_REPORTED = ProvenanceState.REPORTED
+_REPORTED_NAME = _REPORTED.value
+_STATE_NAMES = {state: state.value for state in ProvenanceState}
+
+
 def encode_provenance(cell: Provenance) -> dict[str, Any]:
-    """The tagged {state, value?} object; a target becomes {pct_target} or {mean, std}."""
-    if not cell.is_reported:
-        return {"state": cell.state.value}
+    """The tagged {state, value?} object; a target becomes {pct_target} or {mean, std}.
+    Keys come in sorted order."""
     value = cell.value
+    if type(value) is float:  # a reported number, the commonest cell
+        return {"state": _REPORTED_NAME, "value": value}
+    if value is None:  # only a reported cell carries a value
+        return {"state": _STATE_NAMES[cell.state]}
     if isinstance(value, PctTarget):
         value = {"pct_target": value.pct}
     elif isinstance(value, MeanStd):
         value = {"mean": value.mean, "std": value.std}
-    return {"state": cell.state.value, "value": value}
-
-
-_CELL_KEYS = frozenset({"state", "value"})
-_REPORTED = ProvenanceState.REPORTED
-_REPORTED_NAME = _REPORTED.value
+    return {"state": _REPORTED_NAME, "value": value}
 
 
 def decode_provenance(obj: Any, kind: str = "number") -> Provenance:
@@ -192,14 +199,16 @@ Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 def _object(cls: type, **fields: Codec) -> Codec:
     """A dataclass whose JSON keys are exactly the given field names.
 
-    Fields decode in the order given.  A missing or unknown key, or a
-    ValueError from cls's constructor, is a SCHEMA_ERROR at the object itself.
+    Fields encode in key order and decode in the order given.  A missing or
+    unknown key, or a ValueError from cls's constructor, is a SCHEMA_ERROR at
+    the object itself.
     """
     keys = set(fields)
     items = tuple(fields.items())
+    sorted_items = tuple(sorted(items, key=itemgetter(0)))
 
     def encode(value: Any) -> dict[str, Any]:
-        return {name: enc(getattr(value, name)) for name, (enc, _) in items}
+        return {name: enc(getattr(value, name)) for name, (enc, _) in sorted_items}
 
     def decode(obj: Any) -> Any:
         if not isinstance(obj, dict):
@@ -315,17 +324,23 @@ encode_metric = _METRIC[0]
 encode_label, decode_label = _LABEL[0], top_level(_LABEL[1])
 
 
+# The one JSON text setting, for labels and machine output alike: shortest
+# numbers, non-ASCII kept, no spaces; NaN and infinities are a ValueError.
+_JSON_SETTINGS = {"ensure_ascii": False, "separators": (",", ":"), "allow_nan": False}
+_encode_in_order = json.JSONEncoder(**_JSON_SETTINGS).encode
+_encode_sorted = json.JSONEncoder(sort_keys=True, **_JSON_SETTINGS).encode
+
+
 def json_text(obj: Any) -> str:
-    """The one JSON text setting, for labels and machine output alike: sorted keys,
-    shortest numbers, non-ASCII kept, no spaces; NaN and infinities are a ValueError."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-                      allow_nan=False)
+    """obj as JSON text in the one setting, every object's keys sorted."""
+    return _encode_sorted(obj)
 
 
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
-    """Deterministic serialization: json_text, UTF-8, one trailing newline.  The
-    interchange format for validate/compare/audit."""
-    return (json_text(encode_label(label)) + "\n").encode("utf-8")
+    """Deterministic serialization: json_text of encode_label, UTF-8, one trailing
+    newline.  The encoders already put keys in order, so none are sorted here.
+    The interchange format for validate/compare/audit."""
+    return (_encode_in_order(encode_label(label)) + "\n").encode("utf-8")
 
 
 def from_canonical_json(data: bytes | str) -> ModelFactsLabel:

@@ -100,10 +100,11 @@ class LabelManifest:
     """Developer-declared metadata: everything a dataset alone cannot supply.
 
     The manifest document's shape is the table _MANIFEST; fields without a
-    default are its required keys.  The rules on single values (_VALUE_RULES),
-    rules that span fields, the values of reported cells, the stats of each
-    declared row and the groups of each declared category are checked here, so
-    a hand-built manifest obeys them too.  A row given as None is a missing row.
+    default are its required keys.  The shape of the alias maps (whose aliases
+    are lowercased here), the rules on single values (_VALUE_RULES), rules that
+    span fields, the values of reported cells, the stats of each declared row
+    and the groups of each declared category are checked here, so a hand-built
+    manifest obeys them too.  A row given as None is a missing row.
     """
 
     schema_version: str
@@ -130,6 +131,7 @@ class LabelManifest:
     extra_categories: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "aliases", _aliases(self.aliases))
         for name, (holds, problem) in _VALUE_RULES.items():
             value = getattr(self, name)
             if not holds(value):
@@ -295,14 +297,16 @@ def _encode_demographics(demographics: dict[str, dict[str, DeclaredRow]]) -> dic
 
 
 def _aliases(raw: Any) -> dict[str, dict[str, str]]:
-    """Per category, {alias: group}; aliases match in any case."""
+    """Per category, {alias: group}, each alias lowercased: aliases match in any case.
+
+    A fault is a SCHEMA_ERROR at aliases or under it."""
     if not isinstance(raw, Mapping):
-        raise SchemaError("", "expected an object of category alias maps")
+        raise SchemaError("aliases", "expected an object of category alias maps")
     aliases: dict[str, dict[str, str]] = {}
     for category, mapping in raw.items():
         if not isinstance(mapping, Mapping) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
-            raise SchemaError(f".{category}", "expected {alias: group} strings")
+            raise SchemaError(f"aliases.{category}", "expected {alias: group} strings")
         aliases[category] = {k.lower(): v for k, v in mapping.items()}
     return aliases
 
@@ -340,7 +344,7 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
     _declared("test_pct"),
     ("demographics", "demographics", (_encode_demographics, _demographics)),
     ("warnings", "warnings", (list, same)),
-    ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, _aliases)),
+    ("aliases", "aliases", (lambda a: {c: dict(m) for c, m in a.items()}, same)),
     ("extra_categories", "extra_categories", (list, same)),
 )
 

@@ -165,6 +165,8 @@ class DateRange:
 
 @dataclass(frozen=True)
 class ApplicationInfo:
+    """What the model is for, its model type, and the dates of its training and test data."""
+
     application: str
     model_type: ModelType
     model_train_date: PartialDate
@@ -186,12 +188,16 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class AccuracySection:
+    """The label's two accuracy rows: the optimized metric and the model type's standard one."""
+
     optimized: MetricValue
     standard: MetricValue
 
 
 @dataclass(frozen=True)
 class DatasetInfo:
+    """The test data's size and the train/test split, each cell provenanced."""
+
     sample_count: Provenance
     train_pct: Provenance
     test_pct: Provenance
@@ -214,6 +220,8 @@ class MeanStd:
 
 @dataclass(frozen=True)
 class DemographicGroupRow:
+    """One group's share of the test data, accuracy and target statistic."""
+
     group_name: str
     pct_in_test: Provenance
     group_accuracy: Provenance
@@ -227,6 +235,8 @@ class DemographicGroupRow:
 
 @dataclass(frozen=True)
 class DemographicCategory:
+    """A demographic category (Race, Gender, Age or an extension) and its group rows."""
+
     category_name: str
     rows: tuple[DemographicGroupRow, ...]
 
@@ -251,6 +261,8 @@ def canonical_groups(category_name: str) -> tuple[str, ...] | None:
 
 @dataclass(frozen=True)
 class ModelFactsLabel:
+    """A whole Model Facts label, as every renderer and the canonical JSON show it."""
+
     application: ApplicationInfo
     accuracy: AccuracySection
     dataset: DatasetInfo
@@ -398,6 +410,8 @@ class ViolationCode(Enum):
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken publishability rule: its code, why, and the label path at fault."""
+
     code: ViolationCode
     message: str
     location: str
@@ -451,7 +465,7 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
     are never violations; only broken structure or out-of-range values are.
     """
     from .metrics import select_standard_metric
-    from .render import RenderBudget, render_text
+    from .render import RenderBudget, text_line_count
 
     if budget is None:
         budget = RenderBudget()
@@ -467,8 +481,8 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
             f"(limit {_MAX_APPLICATION_CHARS} chars, 1 terminator)",
             "application.application"))
 
-    # One-page budget on the text rendering.
-    n_lines = render_text(label, budget).count("\n")
+    # One-page budget on the text rendering, counted without drawing it.
+    n_lines = text_line_count(label, budget)
     if n_lines > budget.max_lines:
         violations.append(Violation(
             ViolationCode.PAGE_OVERFLOW,

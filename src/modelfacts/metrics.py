@@ -42,6 +42,8 @@ from .label import (
 
 @dataclass(frozen=True)
 class PredictionRecord:
+    """One test row: its id, truth, prediction or score, and demographic groups."""
+
     id: str
     truth: Any
     prediction: Any = None
@@ -159,6 +161,8 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class ConfusionCounts:
+    """True/false positives and negatives against one positive class."""
+
     tp: int
     fp: int
     tn: int

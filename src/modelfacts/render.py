@@ -3,8 +3,11 @@
 Every renderer is a pure function of the label; identical labels yield
 identical bytes.  The text form is the one the one-page budget is enforced
 against, so its layout rules are fixed: content is wrapped, never truncated,
-and every line fits the configured width.  The canonical JSON form lives in
-codec, beside the label's JSON shape.
+and every line fits the configured width.  One layout places its rows, both to
+draw the page (render_text) and to count its lines for the budget
+(text_line_count), which takes each row's height from the same wrapping and
+draws nothing.  The canonical JSON form lives in codec, beside the label's
+JSON shape.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _chunks(text: str, width: int) -> list[str]:
     return textwrap.wrap(text, width, break_long_words=True, break_on_hyphens=False) or [""]
 
 
-def _table_row(cells: list[str], widths: list[int], aligns: str) -> list[str]:
+def _table_row(cells: list[str], widths: tuple[int, ...], aligns: str) -> list[str]:
     """Render one logical table row, wrapping any over-wide cell downward."""
     wrapped = [_chunks(cell, width) for cell, width in zip(cells, widths)]
     height = max(len(w) for w in wrapped)
@@ -86,11 +89,88 @@ def _table_row(cells: list[str], widths: list[int], aligns: str) -> list[str]:
     return lines
 
 
-def _field_rows(name: str, value: str, label_width: int, total_width: int) -> list[str]:
-    body = _chunks(value, max(1, total_width - label_width))
-    lines = [(name.ljust(label_width) + body[0]).rstrip()]
-    lines += [(" " * label_width + more).rstrip() for more in body[1:]]
-    return lines
+class _Drawing(list):
+    """A text page, drawn line by line as _lay_out places its rows."""
+
+    line = list.append
+
+    def row(self, cells: list[str], widths: tuple[int, ...], aligns: str) -> None:
+        self.extend(_table_row(cells, widths, aligns))
+
+    def hanging(self, lead: str, indent: str, text: str, width: int) -> None:
+        """text wrapped at width after lead, its further lines after indent."""
+        first, *more = _chunks(text, width)
+        self.append((lead + first).rstrip())
+        self.extend([(indent + line).rstrip() for line in more])
+
+
+class _LineCount:
+    """The number of lines a _Drawing of the same rows holds, counted without drawing."""
+
+    def __init__(self) -> None:
+        self.lines = 0
+
+    def line(self, text: str) -> None:
+        self.lines += 1
+
+    def row(self, cells: list[str], widths: tuple[int, ...], aligns: str) -> None:
+        self.lines += max(map(len, map(_chunks, cells, widths)))
+
+    def hanging(self, lead: str, indent: str, text: str, width: int) -> None:
+        # A lead is never wrapped, so a newline in it (a category name's) is one more line.
+        self.lines += lead.count("\n") + len(_chunks(text, width))
+
+
+def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _LineCount) -> None:
+    """Place the text form's rows on page, a _Drawing or a _LineCount, in page order."""
+    w = budget.width
+    cols3 = (w - 3) // 4                # three numeric columns
+    col0 = w - 3 - 3 * cols3            # leading label column
+    widths4 = (col0, cols3, cols3, cols3)
+    widths3 = (col0, 13, w - col0 - 2 - 13)
+
+    def field(name: str, value: str) -> None:  # a name longer than 18 columns is not wrapped
+        page.hanging(name.ljust(18), " " * 18, value, w - 18)
+
+    page.line("MODEL FACTS".center(w).rstrip())
+    page.line("=" * w)
+
+    app = label.application
+    field("Application:", app.application)
+    field("Model Type:", app.model_type.display_name)
+    field("Model Train Date:", app.model_train_date.isoformat())
+    field("Test Data Date:", app.test_data_range.isoformat())
+    page.line("")
+
+    acc = label.accuracy
+    page.row(["Accuracy:", "Name", "% Over Baseline", "Raw Score"], widths4, "lrrr")
+    for title, mv in (("Optimized Score", acc.optimized), ("Standard Score", acc.standard)):
+        page.row([title, mv.name,
+                  _cell_text(mv.pct_over_baseline, fmt_pct),
+                  _cell_text(mv.raw_score, fmt_score)], widths4, "lrrr")
+    page.line("")
+
+    ds = label.dataset
+    page.row(["Dataset Size:", "Count", "% Train / % Test"], widths3, "lrr")
+    split = f"{_cell_text(ds.train_pct, fmt_pct)} / {_cell_text(ds.test_pct, fmt_pct)}"
+    page.row(["", _cell_text(ds.sample_count, fmt_count), split], widths3, "lrr")
+    page.line("")
+
+    target_header = "Mean (std)" if label.application.model_type is ModelType.REGRESSION else "% Target"
+    page.row(["Demographics:", "% In Test", "Accuracy", target_header], widths4, "lrrr")
+    for category in label.demographics:
+        field(f"{category.category_name}:", "")
+        page.line("-" * w)
+        for row in category.rows:
+            page.row([row.group_name,
+                      _cell_text(row.pct_in_test, fmt_pct),
+                      _cell_text(row.group_accuracy, fmt_score),
+                      _cell_text(row.target_stat, _fmt_target)], widths4, "lrrr")
+    page.line("")
+
+    page.line("Warnings:")
+    for warning in label.warnings:
+        page.hanging("  - ", "    ", warning, w - 4)
 
 
 def render_text(label: ModelFactsLabel, budget: RenderBudget | None = None) -> str:
@@ -102,59 +182,16 @@ def render_text(label: ModelFactsLabel, budget: RenderBudget | None = None) -> s
     use 3 decimals, percentages 1 decimal, counts comma grouping.  Ends with
     a single newline and carries no trailing spaces.
     """
-    if budget is None:
-        budget = RenderBudget()
-    w = budget.width
-    cols3 = (w - 3) // 4                # three numeric columns
-    col0 = w - 3 - 3 * cols3            # leading label column
-    row4 = lambda cells, aligns="lrrr": _table_row(cells, [col0, cols3, cols3, cols3], aligns)
-    split_w = w - col0 - 2 - 13
-    row3 = lambda cells, aligns="lrr": _table_row(cells, [col0, 13, split_w], aligns)
+    page = _Drawing()
+    _lay_out(label, budget or RenderBudget(), page)
+    return "\n".join(page) + "\n"
 
-    lines: list[str] = []
-    lines.append("MODEL FACTS".center(w).rstrip())
-    lines.append("=" * w)
 
-    app = label.application
-    lines += _field_rows("Application:", app.application, 18, w)
-    lines += _field_rows("Model Type:", app.model_type.display_name, 18, w)
-    lines += _field_rows("Model Train Date:", app.model_train_date.isoformat(), 18, w)
-    lines += _field_rows("Test Data Date:", app.test_data_range.isoformat(), 18, w)
-    lines.append("")
-
-    acc = label.accuracy
-    lines += row4(["Accuracy:", "Name", "% Over Baseline", "Raw Score"])
-    for title, mv in (("Optimized Score", acc.optimized), ("Standard Score", acc.standard)):
-        lines += row4([title, mv.name,
-                       _cell_text(mv.pct_over_baseline, fmt_pct),
-                       _cell_text(mv.raw_score, fmt_score)])
-    lines.append("")
-
-    ds = label.dataset
-    lines += row3(["Dataset Size:", "Count", "% Train / % Test"])
-    split = f"{_cell_text(ds.train_pct, fmt_pct)} / {_cell_text(ds.test_pct, fmt_pct)}"
-    lines += row3(["", _cell_text(ds.sample_count, fmt_count), split])
-    lines.append("")
-
-    target_header = "Mean (std)" if label.application.model_type is ModelType.REGRESSION else "% Target"
-    lines += row4(["Demographics:", "% In Test", "Accuracy", target_header])
-    for category in label.demographics:
-        lines += _field_rows(f"{category.category_name}:", "", 18, w)
-        lines.append("-" * w)
-        for row in category.rows:
-            lines += row4([row.group_name,
-                           _cell_text(row.pct_in_test, fmt_pct),
-                           _cell_text(row.group_accuracy, fmt_score),
-                           _cell_text(row.target_stat, _fmt_target)])
-    lines.append("")
-
-    lines.append("Warnings:")
-    for warning in label.warnings:
-        body = _chunks(warning, max(1, w - 4))
-        lines.append(("  - " + body[0]).rstrip())
-        lines += [("    " + more).rstrip() for more in body[1:]]
-
-    return "\n".join(lines) + "\n"
+def text_line_count(label: ModelFactsLabel, budget: RenderBudget | None = None) -> int:
+    """render_text(label, budget).count("\\n"), from the same layout, without drawing it."""
+    page = _LineCount()
+    _lay_out(label, budget or RenderBudget(), page)
+    return page.lines
 
 
 _HTML_STYLE = """\

@@ -18,6 +18,8 @@ from .metrics import Direction, metric_direction
 
 @dataclass(frozen=True)
 class ComparisonEntry:
+    """One compared label's metrics and completeness, under its identifier."""
+
     identifier: str
     optimized: MetricValue
     standard: MetricValue
@@ -26,6 +28,8 @@ class ComparisonEntry:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Compared labels, their identifiers ranked best first, and the caveats that apply."""
+
     entries: tuple[ComparisonEntry, ...]
     ranking: tuple[str, ...]
     caveats: tuple[str, ...]
@@ -146,6 +150,8 @@ def load_reference_population_file(path: str | Path) -> ReferencePopulation:
 
 @dataclass(frozen=True)
 class AuditEntry:
+    """One group's test-data share against the reference share, and whether the gap is flagged."""
+
     category: str
     group: str
     label_pct: Provenance
@@ -156,6 +162,8 @@ class AuditEntry:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """A representation audit: per-group gaps, each category's accuracy spread, and notes."""
+
     reference_name: str
     threshold_pp: float
     entries: tuple[AuditEntry, ...]

@@ -470,6 +470,31 @@ class TestParseManifest:
             parse_label_manifest(doc)
         assert (parsed.value.path, parsed.value.message) == (err.value.path, err.value.message)
 
+    def test_a_hand_built_manifest_matches_aliases_in_any_case(self):
+        manifest = dataclasses.replace(load_label_manifest(GOLDEN_DIR / "void.manifest.json"),
+                                       positive_class="1", aliases={"Gender": {"F": "Female"}})
+        assert manifest.aliases == {"Gender": {"f": "Female"}}
+        assert parse_label_manifest(manifest.to_dict()) == manifest
+        dataset = parse_predictions(
+            io.StringIO("id,y_true,score,gender\na,1,0.9,F\nb,0,0.2,f\n"), manifest)
+        assert [r.attributes["Gender"] for r in dataset.records] == ["Female", "Female"]
+
+    @pytest.mark.parametrize("aliases, path", [
+        ({"Gender": {"f": 1}}, "aliases.Gender"),
+        ({"Gender": {2: "Female"}}, "aliases.Gender"),
+        ({"Gender": ["f"]}, "aliases.Gender"),
+        (["Gender"], "aliases"),
+    ])
+    def test_a_hand_built_manifest_refuses_a_bad_alias_map(self, aliases, path):
+        # Refused at the same path and with the same message as the parsed value.
+        manifest = load_label_manifest(GOLDEN_DIR / "void.manifest.json")
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(manifest, aliases=aliases)
+        assert err.value.path == path
+        with pytest.raises(SchemaError) as parsed:
+            parse_label_manifest({**manifest.to_dict(), "aliases": aliases})
+        assert (parsed.value.path, parsed.value.message) == (err.value.path, err.value.message)
+
     @pytest.mark.parametrize("stat, value", [
         ("pct_in_test", "12"), ("accuracy", math.nan), ("target", PctTarget(math.inf))])
     def test_a_hand_built_declared_row_must_hold_numbers(self, stat, value):

@@ -8,7 +8,8 @@ label assembly follows one rule per cell (a generated label declared in its own
 manifest generates the same bytes, and a declared label holds its manifest's
 cells or names the manifest path at fault), the predictions parser reads a file
 in blocks as a plain loop over its rows does, and the text layout splits a cell
-into lines exactly as textwrap does."""
+into lines exactly as textwrap does, the page's line count is the drawn page's, and
+the canonical label JSON is the key-sorted text of an encoding built in key order."""
 
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_golden
+from conftest import make_label, read_golden
 from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
-from modelfacts.codec import encode_provenance, from_canonical_json, to_canonical_json
+from modelfacts.codec import (encode_label, encode_provenance, from_canonical_json, json_text,
+                              to_canonical_json)
 from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
                                ModelFactsError, NumericOverflowError, SchemaError,
                                UnsupportedVersionError)
@@ -53,7 +55,7 @@ from modelfacts.label import (
 )
 from modelfacts.metrics import (PredictionDataset, PredictionRecord, group_breakdown, make_scorer,
                                 metric_spec, percent_over_baseline, regression_stats)
-from modelfacts.render import _chunks
+from modelfacts.render import RenderBudget, _chunks, render_text, text_line_count
 from modelfacts.report import load_reference_population
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -201,6 +203,25 @@ def test_generated_label_round_trips_byte_for_byte(label):
     again = from_canonical_json(data)
     assert again == label
     assert to_canonical_json(again) == data
+
+
+def json_objects(node):
+    """Every object in a JSON-shaped value, the value itself included."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from json_objects(child)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(label=labels)
+def test_canonical_json_is_the_key_sorted_text_of_an_encoding_built_in_key_order(label):
+    encoded = encode_label(label)
+    assert to_canonical_json(label) == (json_text(encoded) + "\n").encode()
+    for obj in json_objects(encoded):
+        assert list(obj) == sorted(obj)
 
 
 @settings(max_examples=300, deadline=None)
@@ -806,3 +827,38 @@ def test_text_layout_wraps_edge_and_inner_whitespace_as_textwrap(space):
 def test_text_layout_splits_a_cell_as_textwrap_does(text, width):
     assert _chunks(text, width) == (textwrap.wrap(
         text, width, break_long_words=True, break_on_hyphens=False) or [""])
+
+
+# Cell, name and warning text that wraps: long runs, and whitespace of every kind.
+layout_text = st.lists(st.sampled_from([*WHITESPACE, "-", "a", "é", "漢"])
+                       | st.text("abcé漢-", min_size=1, max_size=70), max_size=8).map("".join)
+layout_metrics = st.builds(MetricValue, layout_text, cells(numbers), cells(numbers))
+layout_labels = st.builds(
+    ModelFactsLabel,
+    application=st.builds(ApplicationInfo, layout_text.filter(str.strip),
+                          st.sampled_from(ModelType), partial_dates(), date_ranges()),
+    accuracy=st.builds(AccuracySection, layout_metrics, layout_metrics),
+    dataset=st.builds(DatasetInfo, cells(st.integers(0, 10**15)), cells(numbers), cells(numbers)),
+    demographics=st.lists(st.builds(
+        DemographicCategory, layout_text,
+        st.lists(st.builds(DemographicGroupRow, layout_text, cells(numbers), cells(numbers),
+                           targets), max_size=4)), max_size=4),
+    warnings=st.lists(layout_text, max_size=4),
+)
+# A category name is padded, never wrapped: a newline in one stays in its line, and
+# one longer than the page stays on one line.
+LONG_NAMES = make_label(
+    demographics=(DemographicCategory("Race\nor ethnicity", ()),
+                  DemographicCategory("a category name wider than any page " * 4, ()),
+                  DemographicCategory(" Age\t", (DemographicGroupRow.all_not_collected(
+                      "a group name far too long for the first column " * 2),))),
+    warnings=("a\nwarning with  inner\x0bwhitespace " * 5, ""))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(label=layout_labels, width=st.integers(48, 120))
+@example(label=LONG_NAMES, width=48)
+@example(label=LONG_NAMES, width=120)
+def test_the_page_line_count_is_the_line_count_of_the_drawn_page(label, width):
+    budget = RenderBudget(width=width)
+    assert text_line_count(label, budget) == render_text(label, budget).count("\n")
