@@ -17,14 +17,14 @@ _MODULE_OF = {
     **dict.fromkeys(("from_canonical_json", "to_canonical_json"), "codec"),
     **dict.fromkeys(("ModelFactsError", "SchemaError"), "errors"),
     **dict.fromkeys((
-        "LabelManifest", "bucket_age", "load_label_manifest", "load_predictions",
-        "parse_label_manifest", "parse_predictions",
+        "LabelManifest", "load_label_manifest", "load_predictions", "parse_label_manifest",
+        "parse_predictions",
     ), "ingest"),
     **dict.fromkeys((
-        "SCHEMA_VERSION", "ApplicationInfo", "AccuracySection", "CompletenessReport",
-        "DatasetInfo", "DateRange", "DemographicCategory", "DemographicGroupRow", "MeanStd",
-        "MetricValue", "ModelFactsLabel", "ModelType", "PartialDate", "PctTarget", "Provenance",
-        "ProvenanceState", "Violation", "ViolationCode", "completeness", "validate_label",
+        "SCHEMA_VERSION", "ApplicationInfo", "AccuracySection", "CompletenessReport", "DatasetInfo",
+        "DateRange", "DemographicCategory", "DemographicGroupRow", "MeanStd", "MetricValue",
+        "ModelFactsLabel", "ModelType", "PartialDate", "PctTarget", "Provenance", "ProvenanceState",
+        "Violation", "ViolationCode", "bucket_age", "completeness", "validate_label",
     ), "label"),
     **dict.fromkeys((
         "ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord",

@@ -6,7 +6,7 @@ from typing import Any
 
 from .errors import (BadArgumentError, DeclaredConflictError, SchemaError, UnknownMetricError,
                      ZeroBaselineError)
-from .ingest import _PATHS, DeclaredRow, LabelManifest
+from .ingest import DeclaredRow, LabelManifest
 from .label import (
     CANONICAL_CATEGORY_ORDER,
     DECLARED_CELLS,
@@ -168,7 +168,7 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
     schema = () if dataset is None else dataset.attribute_schema
     categories = []
     for name in dict.fromkeys((*CANONICAL_CATEGORY_ORDER, *schema, *manifest.demographics)):
-        path = f"{_PATHS['demographics']}.{name}"
+        path = f"demographics.{name}"
         declared = manifest.demographics.get(name)
         if declared is None and required:  # only a canonical category gets here
             raise SchemaError(path, "required for a declared label")

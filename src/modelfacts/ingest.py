@@ -22,7 +22,6 @@ from .errors import (
     BadValueError,
     DuplicateIdError,
     EmptyFileError,
-    ImplausibleAgeError,
     MissingColumnError,
     SchemaError,
     UnknownMetricError,
@@ -39,6 +38,7 @@ from .label import (
     PctTarget,
     Provenance,
     ProvenanceCell,
+    _group_value,
     canonical_groups,
     is_finite_number,
 )
@@ -46,28 +46,6 @@ from .metrics import (Direction, PredictionDataset, metric_direction, metric_spe
                       select_standard_metric)
 
 MANIFEST_SCHEMA_VERSION = "1.0"
-
-_MAX_PLAUSIBLE_AGE = 150
-
-
-def bucket_age(age_years: int) -> str:
-    """Map integer years to the label's age bucket.
-
-    Seventeen-year-olds land in "<17": the canonical buckets skip age 17, and
-    we resolve the gap downward so every age in [0, 150] has a bucket.
-    """
-    if age_years < 0 or age_years > _MAX_PLAUSIBLE_AGE:
-        raise ImplausibleAgeError(f"age {age_years} outside plausible range [0, {_MAX_PLAUSIBLE_AGE}]")
-    if age_years <= 17:
-        return "<17"
-    if age_years <= 24:
-        return "18-24"
-    if age_years <= 34:
-        return "25-34"
-    if age_years <= 49:
-        return "35-49"
-    return "50+"
-
 
 # One declared demographic row: provenance per stat cell, keyed by the row
 # cells' manifest keys (label.ROW_CELLS).
@@ -405,36 +383,6 @@ def load_label_manifest(path: str | Path) -> LabelManifest:
     return parse_label_manifest(Path(path).read_bytes())
 
 
-def _group_value(category: str, raw: str, aliases: Mapping[str, Mapping[str, str]],
-                 row_no: int, column: str) -> str | None:
-    """The group a raw demographic cell stands for; None when the cell is blank.
-
-    A canonical category's cell names one of its groups in any case, after the
-    manifest's aliases, else it is "Other"; an extension category's cell is
-    its own group.  An Age cell, without aliases, names a bucket or holds the
-    integer years that bucket_age places.
-    """
-    text = raw.strip()
-    if not text:
-        return None
-    if category != "Age":
-        text = aliases.get(category, {}).get(text.lower(), text)
-    canon = canonical_groups(category)
-    if canon is None:
-        return text
-    for group in canon:
-        if text.lower() == group.lower():
-            return group
-    if category != "Age":
-        return "Other"
-    try:
-        return bucket_age(int(text))
-    except ValueError:
-        raise BadValueError(row_no, column, f"not an age: {text!r}") from None
-    except ImplausibleAgeError as exc:
-        raise BadValueError(row_no, column, exc.message) from None
-
-
 def _parse_number(text: str, row_no: int, column: str) -> float:
     """A finite float; NaN and infinities would turn every score built on them into NaN."""
     try:
@@ -489,9 +437,9 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
     scored from it (AUC), otherwise `y_pred`.  Every `score` cell is checked,
     but the column is kept only when the optimized or the standard metric
     scores from it.  Any further column whose name matches a manifest-known
-    category becomes a demographic attribute: `age` is bucketed from integer
-    years and other values are normalized against the canonical group names
-    plus the manifest's alias map, with unmatched values mapped to "Other".
+    category becomes a demographic attribute, whose cells label._group_value
+    turns into group names with the manifest's aliases: `age` is bucketed from
+    integer years, and a canonical category's unmatched values become "Other".
     Each distinct raw value is normalized once.  Row counts are never silently
     reduced.  A file is read as UTF-8, with or without a byte-order mark.
 

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple
+
+from .errors import BadValueError, ImplausibleAgeError
 
 if TYPE_CHECKING:
     from .render import RenderBudget
@@ -257,6 +260,54 @@ CANONICAL_CATEGORY_ORDER = ("Race", "Gender", "Age")
 def canonical_groups(category_name: str) -> tuple[str, ...] | None:
     """Canonical row names for a category, or None for extension categories."""
     return CANONICAL_CATEGORIES.get(category_name)
+
+
+_MAX_PLAUSIBLE_AGE = 150
+_AGE_BUCKET_ENDS = (17, 24, 34, 49)  # the oldest age of each Age group but the last, "50+"
+
+
+def bucket_age(age_years: int) -> str:
+    """Map integer years to the label's age bucket.
+
+    Seventeen-year-olds land in "<17": the canonical buckets skip age 17, and
+    we resolve the gap downward so every age in [0, 150] has a bucket.
+    """
+    if age_years < 0 or age_years > _MAX_PLAUSIBLE_AGE:
+        raise ImplausibleAgeError(f"age {age_years} outside plausible range [0, {_MAX_PLAUSIBLE_AGE}]")
+    return CANONICAL_CATEGORIES["Age"][bisect_left(_AGE_BUCKET_ENDS, age_years)]
+
+
+def _group_value(category: str, raw: Any, aliases: Mapping[str, Mapping[str, str]],
+                 row_no: int, column: str) -> str | None:
+    """The group a raw demographic cell of any dataset stands for; None when it is blank.
+
+    A canonical category's cell names one of its groups in any case, after the
+    (lowercased) aliases, else it is "Other"; an extension category's cell is
+    its own group.  An Age cell, without aliases, names a bucket or holds the
+    integer years that bucket_age places.  An Age cell that does neither, or a
+    cell that is not a string, is a BadValueError at row_no and column.
+    """
+    if not isinstance(raw, str):
+        raise BadValueError(row_no, column, f"not a string: {raw!r}")
+    text = raw.strip()
+    if not text:
+        return None
+    if category != "Age":
+        text = aliases.get(category, {}).get(text.lower(), text)
+    canon = canonical_groups(category)
+    if canon is None:
+        return text
+    for group in canon:
+        if text.lower() == group.lower():
+            return group
+    if category != "Age":
+        return "Other"
+    try:
+        return bucket_age(int(text))
+    except ValueError:
+        raise BadValueError(row_no, column, f"not an age: {text!r}") from None
+    except ImplausibleAgeError as exc:
+        raise BadValueError(row_no, column, exc.message) from None
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .label import (
     ModelType,
     PctTarget,
     Provenance,
+    _group_value,
     canonical_groups,
     is_finite_number,
 )
@@ -57,8 +58,11 @@ class PredictionDataset:
     `prediction` and `score` are None when the data has no such column.
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
-    when every record has a value, every record needs a truth, and a score
-    must be a finite number.  The columns are stored in record order and
+    when every record has a value, and a cell breaking a CSV's rule is a
+    BadValueError at its row and column: a truth is present, a score (and
+    without a positive class, a truth and a prediction) is a finite number,
+    and label._group_value, without aliases, names a group cell's group (a
+    missing one is blank).  The columns are stored in record order and
     never change, so the truth's moments and label counts are computed on
     first use and kept.  A group's dataset has no ids or group columns.
     """
@@ -74,21 +78,27 @@ class PredictionDataset:
         def column(values: list) -> list | None:
             return None if None in values else values
 
+        # A regression (no positive class) scores its truth and predictions as numbers.
+        numbers = ("y_true", "y_pred", "score") if positive_class is None else ("score",)
+        groups: dict[str, list[str | None]] = {c: [] for c in schema}
         for row_no, r in enumerate(records, start=1):  # as ingest names the first bad cell
             if r.truth is None:
                 raise BadValueError(row_no, "y_true", "empty value")
-            if r.score is not None and not is_finite_number(r.score):
-                raise BadValueError(row_no, "score", f"not a finite number: {r.score!r}")
+            for name, value in zip(("y_true", "y_pred", "score"), (r.truth, r.prediction, r.score)):
+                if value is not None and name in numbers and not is_finite_number(value):
+                    raise BadValueError(row_no, name, f"not a finite number: {value!r}")
+            for c, values in groups.items():
+                values.append(_group_value(c, r.attributes.get(c, ""), {}, row_no, c))
         self._fill([r.id for r in records], [r.truth for r in records],
                    column([r.prediction for r in records]), column([r.score for r in records]),
-                   {c: [r.attributes.get(c) for r in records] for c in schema},
-                   positive_class, schema)
+                   groups, positive_class, schema)
 
     @classmethod
     def from_columns(cls, ids: list[str] | None, truth: list, prediction: list | None,
                      score: list[float] | None, groups: dict[str, list[str | None]],
                      positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
-        """A dataset of columns given in record order, which it takes over as they are."""
+        """A dataset of columns given in record order, which it takes over as they are;
+        a group column holds group names, as label._group_value gives them, or None."""
         dataset = cls.__new__(cls)
         dataset._fill(ids, truth, prediction, score, groups, positive_class, attribute_schema)
         return dataset
@@ -436,25 +446,21 @@ def majority_class_baseline(dataset: PredictionDataset, metric_name: str) -> flo
 def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -> list[DemographicGroupRow]:
     """Per-group rows for one demographic category.
 
-    Records with unrecognized or missing group values fall under "Other".
-    Canonical rows always appear, with not-collected stats when the group is
-    empty; a scorer failure on a group (e.g. a single-class AUC) marks that
-    row's score as unknown availability rather than fabricating a number.
+    Only blank (None) cells fall under "Other"; every other cell names its
+    group.  Canonical rows always appear, with not-collected stats when the
+    group is empty; a scorer failure on a group (e.g. a single-class AUC) marks
+    that row's score as unknown availability rather than fabricating a number.
     Extension groups follow the canonical rows in lexicographic order.
     """
     if category not in dataset.attribute_schema:
         raise UnknownCategoryError(f"category '{category}' not in the dataset's attribute schema")
 
-    canon = canonical_groups(category)
-    column = dataset.groups[category]
-    name_of = {value: value if value and (canon is None or value in canon) else "Other"
-               for value in set(column)}
     members: dict[str, list[int]] = defaultdict(list)
-    for i, value in enumerate(column):
-        members[name_of[value]].append(i)
+    for i, value in enumerate(dataset.groups[category]):
+        members[value or "Other"].append(i)
 
     positive_class = dataset.positive_class
-    ordered = list(canon) if canon is not None else []
+    ordered = list(canonical_groups(category) or ())
     ordered += sorted(g for g in members if g not in ordered)
 
     rows = []

@@ -117,8 +117,7 @@ class _LineCount:
         self.lines += max(map(len, map(_chunks, cells, widths)))
 
     def hanging(self, lead: str, indent: str, text: str, width: int) -> None:
-        # A lead is never wrapped, so a newline in it (a category name's) is one more line.
-        self.lines += lead.count("\n") + len(_chunks(text, width))
+        self.lines += len(_chunks(text, width))
 
 
 def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _LineCount) -> None:
@@ -129,7 +128,7 @@ def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _Lin
     widths4 = (col0, cols3, cols3, cols3)
     widths3 = (col0, 13, w - col0 - 2 - 13)
 
-    def field(name: str, value: str) -> None:  # a name longer than 18 columns is not wrapped
+    def field(name: str, value: str) -> None:
         page.hanging(name.ljust(18), " " * 18, value, w - 18)
 
     page.line("MODEL FACTS".center(w).rstrip())
@@ -159,7 +158,7 @@ def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _Lin
     target_header = "Mean (std)" if label.application.model_type is ModelType.REGRESSION else "% Target"
     page.row(["Demographics:", "% In Test", "Accuracy", target_header], widths4, "lrrr")
     for category in label.demographics:
-        field(f"{category.category_name}:", "")
+        page.hanging("", "", f"{category.category_name}:", w)
         page.line("-" * w)
         for row in category.rows:
             page.row([row.group_name,

@@ -427,13 +427,13 @@ def test_an_internal_error_while_parsing_arguments_exits_3(args):
 PUBLIC_NAMES = {
     "assemble": ["build_declared_label", "generate_label"],
     "errors": ["ModelFactsError", "SchemaError"],
-    "ingest": ["LabelManifest", "bucket_age", "load_label_manifest", "load_predictions",
+    "ingest": ["LabelManifest", "load_label_manifest", "load_predictions",
                "parse_label_manifest", "parse_predictions"],
     "label": ["SCHEMA_VERSION", "ApplicationInfo", "AccuracySection", "CompletenessReport",
               "DatasetInfo", "DateRange", "DemographicCategory", "DemographicGroupRow",
               "MeanStd", "MetricValue", "ModelFactsLabel", "ModelType", "PartialDate",
               "PctTarget", "Provenance", "ProvenanceState", "Violation", "ViolationCode",
-              "completeness", "validate_label"],
+              "bucket_age", "completeness", "validate_label"],
     "metrics": ["ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord",
                 "RegressionStats", "auc", "group_breakdown", "majority_class_baseline",
                 "metric_direction", "percent_over_baseline", "precision_recall_f1",

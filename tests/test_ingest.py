@@ -21,13 +21,12 @@ from modelfacts.errors import (
     ImplausibleAgeError,
 )
 from modelfacts.ingest import (
-    bucket_age,
     load_label_manifest,
     parse_label_manifest,
     parse_predictions,
 )
 from modelfacts.label import (MeanStd, ModelType, PartialDate, PctTarget, Provenance,
-                              ProvenanceState, canonical_groups)
+                              ProvenanceState, bucket_age, canonical_groups)
 from modelfacts.metrics import Direction
 from modelfacts.report import load_reference_population, load_reference_population_file
 

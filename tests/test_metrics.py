@@ -579,6 +579,73 @@ class TestColumnarDataset:
         assert (err.value.row, err.value.column) == (order.index(0) + 1, "score")
         assert err.value.reason == f"not a finite number: {bad!r}"
 
+    def test_record_group_cells_are_normalised_as_a_csvs_are(self):
+        # Case, edge spaces, integer years and blanks as in a CSV; no aliases, which are a
+        # manifest's, so "F" is "Other".
+        cells = [{"Race": " WHITE ", "Gender": "female", "Age": "42", "Site": " S01 "},
+                 {"Race": "Martian", "Gender": "  ", "Age": "50+", "Site": ""},
+                 {"Race": "", "Gender": "F", "Age": " 17"}]
+        records = [PredictionRecord(f"r{i}", "1", "1", attributes=c) for i, c in enumerate(cells)]
+        dataset = PredictionDataset(records, "1", ("Race", "Gender", "Age", "Site"))
+        assert dataset.groups == {"Race": ["White", "Other", None],
+                                  "Gender": ["Female", None, "Other"],
+                                  "Age": ["35-49", "50+", "<17"], "Site": ["S01", None, None]}
+
+    # Three regression rows, one cell of the second replaced.  Unchecked, a prediction
+    # of True scored an R2 of 0.25, "abc" raised a TypeError and NaN read as an overflow.
+    R2_ROWS = [(1.0, 1.5), (2.0, 2.0), (3.0, 2.5)]
+
+    @pytest.mark.parametrize("column", ["y_true", "y_pred"])
+    @pytest.mark.parametrize("bad", [True, "abc", "2.0", math.nan, -math.inf,
+                                     pytest.param(10**400, id="10**400")], ids=repr)
+    def test_a_regression_record_value_that_is_not_a_finite_number_is_a_bad_value(self, column,
+                                                                                   bad):
+        rows = [list(row) for row in self.R2_ROWS]
+        rows[1][column == "y_pred"] = bad
+        records = [PredictionRecord(f"r{i}", t, p) for i, (t, p) in enumerate(rows)]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, None, ())
+        assert (err.value.row, err.value.column, err.value.reason) == (
+            2, column, f"not a finite number: {bad!r}")
+
+    @pytest.mark.parametrize("category, bad", [("Gender", 1), ("Race", ("White",)),
+                                               ("Age", 42), ("Site", b"S01")], ids=repr)
+    def test_a_record_group_cell_that_is_not_a_string_is_a_bad_value(self, category, bad):
+        good = {"Gender": "Female", "Race": "White", "Age": "42", "Site": "S01"}
+        records = [PredictionRecord("r0", "1", "1", attributes=good),
+                   PredictionRecord("r1", "0", "0", attributes={**good, category: bad})]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, "1", ("Race", "Gender", "Age", "Site"))
+        assert (err.value.row, err.value.column, err.value.reason) == (
+            2, category, f"not a string: {bad!r}")
+
+    @pytest.mark.parametrize("cell", ["abc", "151", "-1", "17.5", "50 +", "18 - 24"])
+    def test_a_record_age_cell_that_is_neither_a_bucket_nor_plausible_years_is_a_bad_value(
+            self, cell):
+        # The error a CSV's Age column gives for the same cell, at the same row.
+        records = [PredictionRecord("r0", 1.0, 1.0, attributes={"Age": "42"}),
+                   PredictionRecord("r1", 2.0, 1.0, attributes={"Age": cell})]
+        with pytest.raises(BadValueError) as from_records:
+            PredictionDataset(records, None, ("Age",))
+        text = f"id,y_true,y_pred,Age\nr0,1.0,1.0,42\nr1,2.0,1.0,{cell}\n"
+        with pytest.raises(BadValueError) as from_csv:
+            parse_predictions(io.StringIO(text), _manifest_for("R2", False))
+        assert (from_records.value.row, from_records.value.column) == (2, "Age")
+        assert str(from_records.value) == str(from_csv.value)
+
+    def test_a_records_first_bad_cell_is_named_in_ingest_column_order(self):
+        # y_true, y_pred, score, then the group columns in schema order.
+        cells = {"truth": math.nan, "prediction": "abc", "score": math.inf,
+                 "attributes": {"Age": "abc", "Race": 1}}
+        fixes = [("y_true", {"truth": 1.0}), ("y_pred", {"prediction": 1.0}),
+                 ("score", {"score": 0.5}), ("Race", {"attributes": {"Age": "abc"}}), ("Age", {})]
+        for column, fix in fixes:
+            records = [PredictionRecord("r0", 1.0, 2.0), PredictionRecord("r1", **cells)]
+            with pytest.raises(BadValueError) as err:
+                PredictionDataset(records, None, ("Race", "Age"))
+            assert (err.value.row, err.value.column) == (2, column)
+            cells.update(fix)
+
 
 def test_generate_label_leaves_the_dataset_as_it_was_built():
     """Every AUC of a label, overall and per group, sorts its own scores: no column of

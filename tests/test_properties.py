@@ -3,7 +3,8 @@ with one leaf replaced names a path at or above that leaf, the
 canonical label JSON and generated manifests round-trip, is_finite_number keeps
 its definition on any value, group breakdowns of every scored metric agree with a
 brute-force recount, generated labels hold only finite numbers, a
-classification label does not depend on the row order,
+classification label does not depend on the row order, a dataset built from records
+groups its raw cells as a CSV's,
 label assembly follows one rule per cell (a generated label declared in its own
 manifest generates the same bytes, and a declared label holds its manifest's
 cells or names the manifest path at fault), the predictions parser reads a file
@@ -33,7 +34,7 @@ from modelfacts.codec import (encode_label, encode_provenance, from_canonical_js
 from modelfacts.errors import (BadValueError, DeclaredConflictError, DuplicateIdError, EmptyFileError,
                                ModelFactsError, NumericOverflowError, SchemaError,
                                UnsupportedVersionError)
-from modelfacts.ingest import _group_value, _parse_number, parse_label_manifest, parse_predictions
+from modelfacts.ingest import _parse_number, parse_label_manifest, parse_predictions
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     AccuracySection,
@@ -50,6 +51,7 @@ from modelfacts.label import (
     PctTarget,
     Provenance,
     ProvenanceState,
+    _group_value,
     canonical_groups,
     is_finite_number,
 )
@@ -640,6 +642,59 @@ def test_shuffled_rows_give_the_same_classification_label(data, setup, n, seed):
     assert generated_bytes(doc, [header, *shuffled]) == generated_bytes(doc, [header, *rows])
 
 
+def _spellings(names: list[str]):
+    """Each name as written, in lower, upper or swapped case, or with edge spaces."""
+    return st.sampled_from(names).flatmap(lambda name: st.sampled_from(
+        [name, name.lower(), name.upper(), name.swapcase(), f" {name}", f"{name}\t ", ""]))
+
+
+# Raw demographic cells as a CSV holds them: group names, aliases a manifest could
+# name, integer years (0, 17 and 150 among them), bucket text, blanks and unknown text.
+RAW_CELLS = {
+    "Race": _spellings([*canonical_groups("Race"), "Latinx", "whte"]),
+    "Gender": _spellings([*GENDERS, "F", "X"]),
+    "Age": st.integers(0, 150).map(str) | _spellings(["0", "17", "150", "42",
+                                                      *canonical_groups("Age")]),
+    "Site": _spellings(["S01", "North", "s01"]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cells=st.lists(st.fixed_dictionaries(RAW_CELLS), min_size=1, max_size=30),
+       truth=st.lists(st.sampled_from(["0", "1"]), min_size=30, max_size=30),
+       bad_age=st.none() | st.tuples(st.integers(0, 29),
+                                     st.sampled_from(["abc", "151", "-1", "17.5", "50 +"])))
+def test_a_dataset_of_records_groups_its_cells_as_a_csv_does(cells, truth, bad_age):
+    # The same raw cells, read from a CSV and held by records, give the same group
+    # columns and the same label, or the same error at the same cell: in about half
+    # the examples one Age cell is no age.
+    if bad_age is not None:
+        row, text = bad_age
+        cells[row % len(cells)]["Age"] = text
+    manifest = parse_label_manifest(json.dumps({
+        "schema_version": "1.0", "application": "Scores intake cases",
+        "model_type": "balanced_classification", "model_train_date": "2020",
+        "test_data_range": "2021", "positive_class": "1", "warnings": [],
+        "optimized_metric": {"name": "Accuracy"}, "extra_categories": ["Site"]}))
+    truth = ["1", *truth[1:]]  # the positive class appears
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["id", "y_true", "y_pred", *RAW_CELLS])
+    writer.writerows([f"r{i}", t, "1", *map(row.get, RAW_CELLS)]
+                     for i, (t, row) in enumerate(zip(truth, cells)))
+    records = [PredictionRecord(f"r{i}", t, "1", attributes=row)
+               for i, (t, row) in enumerate(zip(truth, cells))]
+
+    def outcome(build):
+        try:
+            dataset = build()
+        except ModelFactsError as exc:
+            return str(exc)
+        return dataset.groups, to_canonical_json(generate_label(dataset, manifest))
+    assert outcome(lambda: PredictionDataset(records, "1", tuple(RAW_CELLS))) == outcome(
+        lambda: parse_predictions(io.StringIO(text.getvalue()), manifest))
+
+
 # The reference predictions parser: one plain loop over the rows, which states
 # every rule of a data row.  The block reader in parse_predictions must give the
 # same dataset, or the same error at the same cell.
@@ -845,8 +900,8 @@ layout_labels = st.builds(
                            targets), max_size=4)), max_size=4),
     warnings=st.lists(layout_text, max_size=4),
 )
-# A category name is padded, never wrapped: a newline in one stays in its line, and
-# one longer than the page stays on one line.
+# A category name is wrapped at the page width like any other text: a newline in one
+# is a space, and one longer than the page takes more lines.
 LONG_NAMES = make_label(
     demographics=(DemographicCategory("Race\nor ethnicity", ()),
                   DemographicCategory("a category name wider than any page " * 4, ()),
@@ -861,4 +916,6 @@ LONG_NAMES = make_label(
 @example(label=LONG_NAMES, width=120)
 def test_the_page_line_count_is_the_line_count_of_the_drawn_page(label, width):
     budget = RenderBudget(width=width)
-    assert text_line_count(label, budget) == render_text(label, budget).count("\n")
+    page = render_text(label, budget)
+    assert text_line_count(label, budget) == page.count("\n")
+    assert max(map(len, page.split("\n"))) <= width
