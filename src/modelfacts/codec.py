@@ -25,12 +25,12 @@ from .errors import SchemaError, UnsupportedVersionError
 from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
                     DateRange, DemographicCategory, DemographicGroupRow, MeanStd, MetricValue,
                     ModelFactsLabel, ModelType, PartialDate, PctTarget, Provenance,
-                    ProvenanceState, is_finite_number)
+                    ProvenanceState, _REPORTED, is_finite_number)
 
 # Value-less cells are frozen and carry nothing but their state, so one
 # instance per state serves every decoded cell.
 _UNREPORTED = {state.value: Provenance(state) for state in ProvenanceState
-               if state is not ProvenanceState.REPORTED}
+               if state is not _REPORTED}
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -135,7 +135,6 @@ _DECODERS = {"number": require_number, "count": _require_count, "target": decode
 
 
 _CELL_KEYS = frozenset({"state", "value"})
-_REPORTED = ProvenanceState.REPORTED
 _REPORTED_NAME = _REPORTED.value
 _STATE_NAMES = {state: state.value for state in ProvenanceState}
 

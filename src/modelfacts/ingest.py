@@ -42,8 +42,8 @@ from .label import (
     canonical_groups,
     is_finite_number,
 )
-from .metrics import (Direction, PredictionDataset, metric_direction, metric_spec,
-                      select_standard_metric)
+from .metrics import (Direction, PredictionDataset, _require_positive_class, metric_direction,
+                      metric_spec, select_standard_metric)
 
 MANIFEST_SCHEMA_VERSION = "1.0"
 
@@ -52,6 +52,7 @@ MANIFEST_SCHEMA_VERSION = "1.0"
 DeclaredRow = dict[str, Provenance]
 
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
+_STAT_DECODERS = tuple((cell.manifest, partial(decode_cell, kind=cell.kind)) for cell in ROW_CELLS)
 _NO_ROW = "row is missing and no category state is given"
 _NO_STAT = "stat is missing and no category state is given"
 
@@ -258,10 +259,9 @@ def _declared_row(spec: Any, default: Provenance | None) -> DeclaredRow | None:
         return dict.fromkeys(_STAT_KEYS, decode_at(spec, "state", _state))
     check_keys(spec, set(_STAT_KEYS))
     row: DeclaredRow = {}
-    for cell in ROW_CELLS:
-        stat = cell.manifest
+    for stat, decode in _STAT_DECODERS:
         if stat in spec:
-            row[stat] = decode_at(spec, stat, partial(decode_cell, kind=cell.kind))
+            row[stat] = decode_at(spec, stat, decode)
         elif default is not None:
             row[stat] = default
     return row
@@ -566,9 +566,8 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
 
     if not ids:
         raise EmptyFileError("predictions file has no data rows")
-    positive = manifest.positive_class
-    if classification and positive not in truth and (prediction is None or positive not in prediction):
-        raise SchemaError("positive_class", f"{positive!r} appears in neither y_true nor y_pred")
+    positive = manifest.positive_class if classification else None
+    _require_positive_class(positive, truth, prediction)
 
     del seen_ids  # freed before two columns of one category are merged into one
     present = {cat for _, cat in category_cols}
@@ -581,7 +580,7 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
             e if v is None else v for e, v in zip(earlier, values)]
     return PredictionDataset.from_columns(
         ids, truth, prediction, score, groups,
-        positive_class=positive if classification else None,
+        positive_class=positive,
         attribute_schema=tuple(schema),
     )
 

@@ -38,6 +38,12 @@ class ProvenanceState(Enum):
     UNKNOWN_AVAILABILITY = "unknown_availability"
     NOT_COLLECTED = "not_collected"
 
+    # Members are singletons that compare by identity; Enum's own hash runs Python code.
+    __hash__ = object.__hash__
+
+
+_REPORTED = ProvenanceState.REPORTED
+_STATES = tuple(ProvenanceState)
 
 # Render color per state; REPORTED cells carry no color.
 PROVENANCE_COLORS: dict[ProvenanceState, str | None] = {
@@ -61,7 +67,7 @@ class Provenance:
     value: Any = None
 
     def __post_init__(self):
-        if self.state is ProvenanceState.REPORTED:
+        if self.state is _REPORTED:
             if self.value is None:
                 raise ValueError("a reported cell must carry a value")
         elif not isinstance(self.state, ProvenanceState):
@@ -71,7 +77,7 @@ class Provenance:
 
     @classmethod
     def reported(cls, value: Any) -> "Provenance":
-        return cls(ProvenanceState.REPORTED, value)
+        return cls(_REPORTED, value)
 
     @classmethod
     def available_unreported(cls) -> "Provenance":
@@ -87,7 +93,7 @@ class Provenance:
 
     @property
     def is_reported(self) -> bool:
-        return self.state is ProvenanceState.REPORTED
+        return self.state is _REPORTED
 
     @property
     def color(self) -> str | None:
@@ -99,17 +105,22 @@ class ModelType(Enum):
     IMBALANCED_CLASSIFICATION = "imbalanced_classification"
     REGRESSION = "regression"
 
+    __hash__ = object.__hash__  # as ProvenanceState's
+
     @property
     def display_name(self) -> str:
-        return {
-            ModelType.BALANCED_CLASSIFICATION: "Balanced Classification",
-            ModelType.IMBALANCED_CLASSIFICATION: "Imbalanced Classification",
-            ModelType.REGRESSION: "Regression",
-        }[self]
+        return _DISPLAY_NAMES[self]
 
     @property
     def is_classification(self) -> bool:
         return self is not ModelType.REGRESSION
+
+
+_DISPLAY_NAMES = {
+    ModelType.BALANCED_CLASSIFICATION: "Balanced Classification",
+    ModelType.IMBALANCED_CLASSIFICATION: "Imbalanced Classification",
+    ModelType.REGRESSION: "Regression",
+}
 
 
 @dataclass(frozen=True)
@@ -263,6 +274,7 @@ def canonical_groups(category_name: str) -> tuple[str, ...] | None:
 
 
 _MAX_PLAUSIBLE_AGE = 150
+_YEARS = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "4_2" and other scripts' digits
 _AGE_BUCKET_ENDS = (17, 24, 34, 49)  # the oldest age of each Age group but the last, "50+"
 
 
@@ -284,8 +296,9 @@ def _group_value(category: str, raw: Any, aliases: Mapping[str, Mapping[str, str
     A canonical category's cell names one of its groups in any case, after the
     (lowercased) aliases, else it is "Other"; an extension category's cell is
     its own group.  An Age cell, without aliases, names a bucket or holds the
-    integer years that bucket_age places.  An Age cell that does neither, or a
-    cell that is not a string, is a BadValueError at row_no and column.
+    integer years, in ASCII digits, that bucket_age places.  An Age cell that
+    does neither, or a cell that is not a string, is a BadValueError at row_no
+    and column.
     """
     if not isinstance(raw, str):
         raise BadValueError(row_no, column, f"not a string: {raw!r}")
@@ -303,11 +316,13 @@ def _group_value(category: str, raw: Any, aliases: Mapping[str, Mapping[str, str
     if category != "Age":
         return "Other"
     try:
-        return bucket_age(int(text))
-    except ValueError:
-        raise BadValueError(row_no, column, f"not an age: {text!r}") from None
+        if _YEARS.fullmatch(text):
+            return bucket_age(int(text))
+    except ValueError:  # more digits than int() reads
+        pass
     except ImplausibleAgeError as exc:
         raise BadValueError(row_no, column, exc.message) from None
+    raise BadValueError(row_no, column, f"not an age: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -503,7 +518,7 @@ _FLOAT_MAX = sys.float_info.max
 
 def is_finite_number(value: Any) -> bool:
     """A finite int or float, not a bool; NaN and ints beyond float range fail the comparison."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         return False
     return abs(value) <= _FLOAT_MAX
 
@@ -593,7 +608,7 @@ def validate_label(label: ModelFactsLabel, budget: "RenderBudget | None" = None)
     for holder, getters, cat in _cell_holders(label):
         for spec, get in getters:
             cell = get(holder)
-            if cell.is_reported and spec.rule is not None:
+            if cell.state is _REPORTED and spec.rule is not None:
                 problem = spec.rule(cell.value, label)
                 if problem is not None:
                     violations.append(Violation(ViolationCode.VALUE_OUT_OF_RANGE, problem,
@@ -619,7 +634,7 @@ def completeness(label: ModelFactsLabel) -> CompletenessReport:
     """Tally every provenance cell per state and compute the reported fraction."""
     states = [get(holder).state for holder, getters, _ in _cell_holders(label)
               for _, get in getters]
-    tally = {state: states.count(state) for state in ProvenanceState}
+    tally = {state: states.count(state) for state in _STATES}
     total = len(states)
-    fraction = tally[ProvenanceState.REPORTED] / total if total else 0.0
+    fraction = tally[_REPORTED] / total if total else 0.0
     return CompletenessReport(reported_fraction=fraction, tally=tally)

@@ -18,11 +18,13 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadValueError,
+    DuplicateIdError,
     EmptyDatasetError,
     LengthMismatchError,
     MissingColumnError,
     ModelFactsError,
     NumericOverflowError,
+    SchemaError,
     SingleClassError,
     UnknownCategoryError,
     UnknownMetricError,
@@ -59,10 +61,13 @@ class PredictionDataset:
     `groups` maps each schema category to its column of group names, None
     where the cell was blank.  Built from records, a column is present only
     when every record has a value, and a cell breaking a CSV's rule is a
-    BadValueError at its row and column: a truth is present, a score (and
+    BadValueError at its row and column: an id is a string, not blank once
+    stripped (the dataset keeps it stripped), a truth is present, a score (and
     without a positive class, a truth and a prediction) is a finite number,
     and label._group_value, without aliases, names a group cell's group (a
-    missing one is blank).  The columns are stored in record order and
+    missing one is blank).  A repeated id is a DuplicateIdError, and a
+    positive class found in neither the truth nor the predictions a
+    SchemaError, as for a CSV.  The columns are stored in record order and
     never change, so the truth's moments and label counts are computed on
     first use and kept.  A group's dataset has no ids or group columns.
     """
@@ -81,7 +86,16 @@ class PredictionDataset:
         # A regression (no positive class) scores its truth and predictions as numbers.
         numbers = ("y_true", "y_pred", "score") if positive_class is None else ("score",)
         groups: dict[str, list[str | None]] = {c: [] for c in schema}
+        ids: dict[str, None] = {}
         for row_no, r in enumerate(records, start=1):  # as ingest names the first bad cell
+            if not isinstance(r.id, str):
+                raise BadValueError(row_no, "id", f"not a string: {r.id!r}")
+            rid = r.id.strip()
+            if not rid:
+                raise BadValueError(row_no, "id", "empty id")
+            if rid in ids:
+                raise DuplicateIdError(f"id '{rid}' appears more than once (row {row_no})")
+            ids[rid] = None
             if r.truth is None:
                 raise BadValueError(row_no, "y_true", "empty value")
             for name, value in zip(("y_true", "y_pred", "score"), (r.truth, r.prediction, r.score)):
@@ -89,9 +103,10 @@ class PredictionDataset:
                     raise BadValueError(row_no, name, f"not a finite number: {value!r}")
             for c, values in groups.items():
                 values.append(_group_value(c, r.attributes.get(c, ""), {}, row_no, c))
-        self._fill([r.id for r in records], [r.truth for r in records],
+        self._fill(list(ids), [r.truth for r in records],
                    column([r.prediction for r in records]), column([r.score for r in records]),
                    groups, positive_class, schema)
+        _require_positive_class(positive_class, self.truth, self.prediction)
 
     @classmethod
     def from_columns(cls, ids: list[str] | None, truth: list, prediction: list | None,
@@ -157,6 +172,16 @@ class PredictionDataset:
         if self._counts is None:
             self._counts = Counter(self.truth)
         return self._counts
+
+
+def _require_positive_class(positive_class: str | None, truth: list,
+                            prediction: list | None) -> None:
+    """A SchemaError at positive_class when a classification dataset's truth and predictions
+    never name its positive class: every score against it would be a plausible-looking 0."""
+    if positive_class is not None and positive_class not in truth and (
+            prediction is None or positive_class not in prediction):
+        raise SchemaError("positive_class",
+                          f"{positive_class!r} appears in neither y_true nor y_pred")
 
 
 Scorer = Callable[[PredictionDataset], float]

@@ -17,13 +17,18 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any
 
-from .label import MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance, ProvenanceState
+from .label import (PROVENANCE_COLORS, MeanStd, ModelFactsLabel, ModelType, PctTarget, Provenance,
+                    ProvenanceState, _REPORTED)
 
 _STATE_TEXT = {
     ProvenanceState.AVAILABLE_UNREPORTED: "not reported",
     ProvenanceState.UNKNOWN_AVAILABILITY: "unknown",
     ProvenanceState.NOT_COLLECTED: "not collected",
 }
+# What an unreported cell shows, built once per state: its text form and its HTML cell.
+_CELL_TEXT = {state: f"[{text}]" for state, text in _STATE_TEXT.items()}
+_CELL_TD = {state: f'<td class="prov-{PROVENANCE_COLORS[state]}">{html.escape(text)}</td>'
+            for state, text in _STATE_TEXT.items()}
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,9 @@ def fmt_count(value: int) -> str:
 
 
 def _cell_text(cell: Provenance, fmt) -> str:
-    if cell.is_reported:
+    if cell.state is _REPORTED:
         return fmt(cell.value)
-    return f"[{_STATE_TEXT[cell.state]}]"
+    return _CELL_TEXT[cell.state]
 
 
 def _fmt_target(value: Any) -> str:
@@ -208,17 +213,10 @@ ul.warnings{margin:0 0 1.25rem 1.25rem;}
 """
 
 
-def _td(cell: Provenance, fmt, numeric: bool = True) -> str:
-    classes = []
-    if cell.is_reported:
-        text = fmt(cell.value)
-        if numeric:
-            classes.append("num")
-    else:
-        text = _STATE_TEXT[cell.state]
-        classes.append(f"prov-{cell.color}")
-    attr = f' class="{" ".join(classes)}"' if classes else ""
-    return f"<td{attr}>{html.escape(text)}</td>"
+def _td(cell: Provenance, fmt) -> str:
+    if cell.state is _REPORTED:
+        return f'<td class="num">{html.escape(fmt(cell.value))}</td>'
+    return _CELL_TD[cell.state]
 
 
 def render_html(label: ModelFactsLabel) -> str:

@@ -17,6 +17,7 @@ import pytest
 from conftest import GOLDEN_DIR, canonical_category, make_label, random_label, read_golden
 from modelfacts.cli import main
 from modelfacts.codec import from_canonical_json, to_canonical_json
+from modelfacts.errors import SchemaError
 from modelfacts.label import (
     DatasetInfo,
     DemographicCategory,
@@ -180,6 +181,10 @@ def test_criterion_5_weighted_accuracy_identity():
                              attributes={"Cohort": rng.choice(groups)})
             for i in range(n)
         )
+        if all("1" not in (r.truth, r.prediction) for r in records):
+            with pytest.raises(SchemaError):  # as a CSV without its positive class is
+                PredictionDataset(records, "1", ("Cohort",))
+            continue
         dataset = PredictionDataset(records, "1", ("Cohort",))
         rows = group_breakdown(dataset, "Cohort", make_scorer("Accuracy"))
 

@@ -149,7 +149,8 @@ class TestGenerateLabel:
         # ingest builds them; a group's target then has the shape the manifest declares.
         manifest = parse_label_manifest(json.dumps(manifest_doc(
             model_type=model_type, optimized_metric={"name": metric})))
-        records = [PredictionRecord(str(i), float(i % 2), 1.0) for i in range(4)]
+        truth = float if positive_class is None else str
+        records = [PredictionRecord(str(i), truth(i % 2), truth(1)) for i in range(4)]
         with pytest.raises(BadArgumentError):
             generate_label(PredictionDataset(records, positive_class, ()), manifest)
 

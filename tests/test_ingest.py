@@ -194,6 +194,18 @@ class TestParsePredictions:
             parse_csv("id,y_true,y_pred,age\na,1,1,200\n")
         assert err.value.column == "age"
 
+    @pytest.mark.parametrize("cell", ["4_2", "\u0664\u0662", "\uff14\uff12", "1_000", "+4_2"])
+    def test_only_ascii_integer_years_are_ages(self, cell):
+        # int() reads each of these cells; none is integer years in ASCII digits.
+        with pytest.raises(BadValueError) as err:
+            parse_csv(f"id,y_true,y_pred,age\na,1,1,+42\nb,0,0,{cell}\n")
+        assert (err.value.row, err.value.column, err.value.reason) == (
+            2, "age", f"not an age: {cell!r}")
+        # A sign keeps its reading: "+42" is 35-49, and "-5" is out of range.
+        assert parse_csv("id,y_true,y_pred,age\na,1,1,+42\n").groups["Age"] == ["35-49"]
+        with pytest.raises(BadValueError, match="age -5 outside plausible range"):
+            parse_csv("id,y_true,y_pred,age\na,1,1,-5\n")
+
     def test_blank_attribute_left_missing(self):
         dataset = parse_csv("id,y_true,y_pred,race\na,1,1,\nb,0,0,Black\n")
         assert "Race" not in dataset.records[0].attributes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from modelfacts.label import (
     sentence_terminator_count,
     validate_label,
 )
-from modelfacts.render import RenderBudget
+from modelfacts.render import RenderBudget, render_text
 
 
 class TestProvenance:
@@ -49,6 +51,25 @@ class TestProvenance:
         assert Provenance.available_unreported().color == "green"
         assert Provenance.unknown_availability().color == "yellow"
         assert Provenance.not_collected().color == "red"
+
+    @pytest.mark.parametrize("member", [*ProvenanceState, *ModelType], ids=repr)
+    def test_a_member_finds_its_dict_entry_after_a_pickle_round_trip_and_a_deepcopy(self, member):
+        # Members hash by identity, so every copy must be the member itself.
+        assert hash(member) == object.__hash__(member)
+        table = {m: m.value for m in type(member)}
+        for again in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+            assert again is member
+            assert table[again] == member.value
+        if isinstance(member, ModelType):
+            label = make_label(model_type=member)
+        else:
+            train = (Provenance.reported(70.0) if member is ProvenanceState.REPORTED
+                     else Provenance(member))
+            label = make_label(dataset=DatasetInfo(Provenance.reported(1000), train,
+                                                   Provenance.reported(30.0)))
+        for again in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
+            assert completeness(again) == completeness(label)
+            assert render_text(again) == render_text(label)
 
 
 class TestDates:

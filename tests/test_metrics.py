@@ -14,9 +14,11 @@ import pytest
 from conftest import make_label
 from modelfacts.errors import (
     BadValueError,
+    DuplicateIdError,
     EmptyDatasetError,
     LengthMismatchError,
     MissingColumnError,
+    SchemaError,
     SingleClassError,
     UnknownCategoryError,
     UnknownMetricError,
@@ -283,7 +285,8 @@ def test_every_spelling_reads_the_same_table_entry(spec, spelling):
             make_scorer(spelling, "1")
         return
     rows = "id,y_true,y_pred,score\na,1,1,0.9\nb,0,1,0.4\nc,1,0,0.3\nd,0,0,0.1\ne,1,1,0.2\n"
-    dataset = PredictionDataset(parse_predictions(io.StringIO(rows), manifest).records, "1", ())
+    parsed = parse_predictions(io.StringIO(rows), manifest)
+    dataset = PredictionDataset(parsed.records, parsed.positive_class, ())
     assert make_scorer(spelling, "1")(dataset) == make_scorer(spec.name, "1")(dataset)
 
 
@@ -444,8 +447,11 @@ def record_copy_majority_baseline(dataset: PredictionDataset, metric_name: str) 
     counts = Counter(r.truth for r in dataset.records)
     majority = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
     naive = [dataclasses.replace(r, prediction=majority, score=0.0) for r in dataset.records]
-    return make_scorer(metric_name, dataset.positive_class)(
-        PredictionDataset(naive, dataset.positive_class, ()))
+    # Built from columns: records whose truths and predictions all miss the positive class
+    # are refused as input, yet such a copy is what the baseline scores.
+    return make_scorer(metric_name, dataset.positive_class)(PredictionDataset.from_columns(
+        None, [r.truth for r in naive], [r.prediction for r in naive], [r.score for r in naive],
+        {}, dataset.positive_class, ()))
 
 
 def _outcome(compute):
@@ -473,6 +479,11 @@ class TestClosedFormMajorityBaseline:
             truth = _random_truth(rng)
             records = tuple(PredictionRecord(str(j), t, rng.choice("01"), rng.random())
                             for j, t in enumerate(truth))
+            if all("1" not in (r.truth, r.prediction) for r in records):
+                with pytest.raises(SchemaError):  # as a CSV without its positive class is
+                    PredictionDataset(records, "1", ())
+                seen["refused"] += 1
+                continue
             dataset = PredictionDataset(records, "1", ())
             counts = Counter(truth)
             top = counts.most_common(1)[0][1]
@@ -487,6 +498,7 @@ class TestClosedFormMajorityBaseline:
                 seen[f"{name}:{'error' if closed == 'SINGLE_CLASS' else 'value'}"] += 1
         for case in ("multi_class", "tied_majority", "positive_absent", "AUC:error", "AUC:value"):
             assert seen[case] >= 50, (case, seen)
+        assert seen["refused"] > 0, seen
         assert 0 < seen["F1:value"] and seen["F1:error"] == 0
 
     def test_positive_majority_f1(self):
@@ -500,7 +512,7 @@ class TestClosedFormMajorityBaseline:
         assert majority_class_baseline(dataset, "F1") == 0.0  # "0" wins the tie
 
     def test_single_class_auc_raises(self):
-        records = tuple(_record(i, "0", "0", "Female", score=0.5) for i in range(3))
+        records = tuple(_record(i, "0", "1", "Female", score=0.5) for i in range(3))
         with pytest.raises(SingleClassError):
             majority_class_baseline(PredictionDataset(records, "1", ("Gender",)), "AUC")
 
@@ -632,6 +644,62 @@ class TestColumnarDataset:
             parse_predictions(io.StringIO(text), _manifest_for("R2", False))
         assert (from_records.value.row, from_records.value.column) == (2, "Age")
         assert str(from_records.value) == str(from_csv.value)
+
+    @pytest.mark.parametrize("cell", ["4_2", "\u0664\u0662", "\uff14\uff12", "1_000", "+4_2"])
+    def test_a_record_age_cell_in_other_digits_is_not_an_age(self, cell):
+        # As in a CSV: only ASCII integer years, with an optional sign, are ages.
+        records = [PredictionRecord("r0", 1.0, 1.0, attributes={"Age": "+42"}),
+                   PredictionRecord("r1", 2.0, 1.0, attributes={"Age": cell})]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, None, ("Age",))
+        assert (err.value.row, err.value.column, err.value.reason) == (
+            2, "Age", f"not an age: {cell!r}")
+        assert PredictionDataset(records[:1], None, ("Age",)).groups["Age"] == ["35-49"]
+        records[1] = PredictionRecord("r1", 2.0, 1.0, attributes={"Age": "-5"})
+        with pytest.raises(BadValueError, match="age -5 outside plausible range"):
+            PredictionDataset(records, None, ("Age",))
+
+    def test_record_ids_are_kept_stripped_as_a_csvs_are(self):
+        records = [PredictionRecord(" a ", "1", "1"), PredictionRecord("b\t", "0", "0")]
+        parsed = parse_predictions(io.StringIO("id,y_true,y_pred\n a ,1,1\nb\t,0,0\n"),
+                                   _manifest_for("F1", True))
+        assert PredictionDataset(records, "1", ()).ids == parsed.ids == ["a", "b"]
+
+    @pytest.mark.parametrize("bad, reason", [("", "empty id"), (" \t", "empty id"),
+                                             (7, "not a string: 7"),
+                                             (None, "not a string: None")], ids=repr)
+    def test_a_record_id_that_is_blank_or_not_a_string_is_a_bad_value(self, bad, reason):
+        # Checked first in its row, as ingest checks the id column: row 2's truth is missing too.
+        records = [PredictionRecord("r0", "1", "1"), PredictionRecord(bad, None, "0")]
+        with pytest.raises(BadValueError) as err:
+            PredictionDataset(records, "1", ())
+        assert (err.value.row, err.value.column, err.value.reason) == (2, "id", reason)
+
+    def test_a_repeated_record_id_is_a_duplicate_id_error_as_in_a_csv(self):
+        records = [PredictionRecord("a", "1", "1"), PredictionRecord(" a", None, "0")]
+        with pytest.raises(DuplicateIdError) as err:
+            PredictionDataset(records, "1", ())
+        with pytest.raises(DuplicateIdError) as from_csv:
+            parse_predictions(io.StringIO("id,y_true,y_pred\na,1,1\n a,0,0\n"),
+                              _manifest_for("F1", True))
+        assert err.value.message == "id 'a' appears more than once (row 2)"
+        assert str(err.value) == str(from_csv.value)
+
+    def test_a_positive_class_in_neither_truth_nor_predictions_is_a_schema_error(self):
+        # Unchecked, the int truths never equal "1" and an F1 label read a raw score of 0.0.
+        records = [PredictionRecord(str(i), i % 2, i % 2) for i in range(6)]
+        with pytest.raises(SchemaError) as err:
+            PredictionDataset(records, "1", ())
+        with pytest.raises(SchemaError) as from_csv:
+            parse_predictions(io.StringIO("id,y_true,y_pred\na,0,0\nb,2,2\n"),
+                              _manifest_for("F1", True))
+        assert err.value.path == "positive_class"
+        assert str(err.value) == str(from_csv.value)
+        # Predicted but never true stays legal, and a group of one class keeps its cells.
+        dataset = PredictionDataset([_record(0, "0", "1", "Female"), _record(1, "0", "0", "Male")],
+                                    "1", ("Gender",))
+        rows = {r.group_name: r for r in group_breakdown(dataset, "Gender", make_scorer("Accuracy"))}
+        assert rows["Male"].group_accuracy == Provenance.reported(1.0)
 
     def test_a_records_first_bad_cell_is_named_in_ingest_column_order(self):
         # y_true, y_pred, score, then the group columns in schema order.

@@ -226,8 +226,14 @@ def test_canonical_json_is_the_key_sorted_text_of_an_encoding_built_in_key_order
         assert list(obj) == sorted(obj)
 
 
+class _Real(float):
+    """A float subclass, which is_finite_number takes as it takes a float."""
+
+
 @settings(max_examples=300, deadline=None)
-@given(value=json_values | st.integers(-2**1100, 2**1100) | st.floats() | st.complex_numbers())
+@given(value=json_values | st.integers(-2**1100, 2**1100) | st.floats() | st.complex_numbers()
+       | st.floats().map(_Real))
+@example(value=_Real("nan"))
 @example(value=int(sys.float_info.max))
 @example(value=int(sys.float_info.max) + 2**970)
 @example(value=-sys.float_info.max)
@@ -422,6 +428,10 @@ def test_group_breakdown_reports_an_overflowing_r2_as_unknown():
 
 def check_group_breakdown(records: list, metric: str, seed: int) -> None:
     positive_class = None if metric == "R2" else "1"
+    if positive_class is not None and all("1" not in (r.truth, r.prediction) for r in records):
+        with pytest.raises(SchemaError):  # as a CSV without its positive class is
+            PredictionDataset(records, positive_class, ("Gender",))
+        return
     rows = group_breakdown(PredictionDataset(records, positive_class, ("Gender",)), "Gender",
                            make_scorer(metric, positive_class))
     assert [row.group_name for row in rows] == list(GENDERS)

@@ -9,13 +9,19 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import make_label, random_label, read_golden
+from conftest import canonical_category, make_label, random_label, read_golden
+from modelfacts import render
 from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.errors import SchemaError, UnsupportedVersionError
 from modelfacts.label import (
+    CANONICAL_CATEGORY_ORDER,
+    PROVENANCE_COLORS,
+    DatasetInfo,
     DemographicCategory,
+    MetricValue,
     Provenance,
     ProvenanceState,
+    iter_provenance_cells,
 )
 from modelfacts.render import RenderBudget, render_html, render_text
 
@@ -170,6 +176,40 @@ class TestRenderHtml:
         html_text = render_html(label)
         assert "&lt;cases&gt; &amp; flags" in html_text
         assert "<cases>" not in html_text
+
+
+# What each unreported state shows: its text-form cell and its HTML cell.
+UNREPORTED_CELLS = {
+    ProvenanceState.AVAILABLE_UNREPORTED: ("[not reported]",
+                                           '<td class="prov-green">not reported</td>'),
+    ProvenanceState.UNKNOWN_AVAILABILITY: ("[unknown]", '<td class="prov-yellow">unknown</td>'),
+    ProvenanceState.NOT_COLLECTED: ("[not collected]", '<td class="prov-red">not collected</td>'),
+}
+
+
+class TestUnreportedCells:
+    def test_each_unreported_state_has_one_prebuilt_text_and_html_cell(self):
+        assert set(render._CELL_TEXT) == set(render._CELL_TD) == set(UNREPORTED_CELLS)
+        assert ProvenanceState.REPORTED not in render._CELL_TEXT
+        for state, (text, td) in UNREPORTED_CELLS.items():
+            assert (render._CELL_TEXT[state], render._CELL_TD[state]) == (text, td)
+            assert f'class="prov-{PROVENANCE_COLORS[state]}"' in td
+
+    @pytest.mark.parametrize("state", list(UNREPORTED_CELLS), ids=repr)
+    def test_a_label_shows_each_unreported_cell_in_text_and_html(self, state):
+        # The count column, 13 wide, would wrap "[not reported]", so the count is reported.
+        cell = lambda: Provenance(state)  # noqa: E731
+        label = make_label(
+            optimized=MetricValue("AUC", Provenance.reported(0.9), cell()),
+            dataset=DatasetInfo(Provenance.reported(1000), cell(), cell()),
+            demographics=tuple(canonical_category(name, cell) for name in CANONICAL_CATEGORY_ORDER))
+        held = sum(c.state is state for _, c, _ in iter_provenance_cells(label))
+        text, td = UNREPORTED_CELLS[state]
+        assert held >= 51
+        assert render_text(label).count(text) == held
+        assert render_html(label).count(td) == held
+        assert render_html(label).count('<td class="num">') == sum(
+            c.is_reported for _, c, _ in iter_provenance_cells(label))
 
 
 class TestCanonicalJson:
