@@ -27,10 +27,9 @@ _MODULE_OF = {
         "Violation", "ViolationCode", "bucket_age", "completeness", "validate_label",
     ), "label"),
     **dict.fromkeys((
-        "ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord",
-        "RegressionStats", "auc", "group_breakdown", "majority_class_baseline",
-        "metric_direction", "percent_over_baseline", "precision_recall_f1", "regression_stats",
-        "select_standard_metric", "standard_accuracy",
+        "ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord", "auc",
+        "group_breakdown", "majority_class_baseline", "metric_direction", "percent_over_baseline",
+        "precision_recall_f1", "select_standard_metric", "standard_accuracy",
     ), "metrics"),
     **dict.fromkeys(("RenderBudget", "render_html", "render_text"), "render"),
     **dict.fromkeys((

@@ -4,8 +4,9 @@ Both the manifest parser and the canonical label serializer speak this
 vocabulary, so it lives in one place.  The label's JSON shape is declared
 once, as a table of (encode, decode) pairs, and both directions derive from it,
 down to the canonical JSON text that every command reads and writes.  Encoders
-build each object with its keys in sorted order, so the canonical text is
-written as built, with no key sort; ad hoc reports are sorted by json_text.
+build each object with its keys in sorted order, and the canonical text is
+written straight from the same table in that order, without building the
+encoded value; ad hoc reports are sorted by json_text.
 
 A decoder takes only its value, and its SCHEMA_ERROR a path relative to it: ""
 for the value itself, else steps like ".rows[2]".  Containers put their step in
@@ -17,9 +18,10 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from json.encoder import encode_basestring
 from math import isfinite
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import AbstractSet, Any, Callable, Mapping
 
 from .errors import SchemaError, UnsupportedVersionError
 from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
@@ -31,6 +33,12 @@ from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo,
 # instance per state serves every decoded cell.
 _UNREPORTED = {state.value: Provenance(state) for state in ProvenanceState
                if state is not _REPORTED}
+
+# The one JSON text setting, for labels and machine output alike: shortest
+# numbers, non-ASCII kept, no spaces; NaN and infinities are a ValueError.
+_JSON_SETTINGS = {"ensure_ascii": False, "separators": (",", ":"), "allow_nan": False}
+_encode_in_order = json.JSONEncoder(**_JSON_SETTINGS).encode
+_encode_sorted = json.JSONEncoder(sort_keys=True, **_JSON_SETTINGS).encode
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -112,7 +120,7 @@ def decode_target(obj: Any) -> PctTarget | MeanStd:
     raise SchemaError("", "target stat must be {pct_target} or {mean, std}")
 
 
-def check_keys(doc: Mapping, allowed: set[str]) -> None:
+def check_keys(doc: Mapping, allowed: AbstractSet[str]) -> None:
     """SCHEMA_ERROR when doc holds a key not allowed."""
     unknown = set(doc) - allowed
     if unknown:
@@ -154,6 +162,26 @@ def encode_provenance(cell: Provenance) -> dict[str, Any]:
     return {"state": _REPORTED_NAME, "value": value}
 
 
+# The canonical text of a reported cell of each kind, with a %s slot for each value.
+_NUMBER_CELL, _PCT_CELL, _MEAN_STD_CELL = (
+    _encode_in_order(encode_provenance(Provenance(_REPORTED, value))).replace('"%s"', "%s")
+    for value in ("%s", PctTarget("%s"), MeanStd("%s", "%s")))
+_UNREPORTED_CELL = {cell.state: _encode_in_order(encode_provenance(cell))
+                    for cell in _UNREPORTED.values()}
+
+
+def _provenance_text(cell: Provenance) -> str:
+    """The canonical text of encode_provenance(cell), written without building it."""
+    value = cell.value
+    if value is None:
+        return _UNREPORTED_CELL.get(cell.state) or _encode_in_order(encode_provenance(cell))
+    if isinstance(value, PctTarget):
+        return _PCT_CELL % _leaf_text(value.pct)
+    if isinstance(value, MeanStd):
+        return _MEAN_STD_CELL % (_leaf_text(value.mean), _leaf_text(value.std))
+    return _NUMBER_CELL % _leaf_text(value)
+
+
 def decode_provenance(obj: Any, kind: str = "number") -> Provenance:
     """Decode a tagged {state, value?} object.
 
@@ -191,23 +219,46 @@ def decode_cell(obj: Any, kind: str = "number") -> Provenance:
     return Provenance.reported(_DECODERS[kind](obj))
 
 
-# A codec is an (encode, decode) pair; decode(obj) takes only the value.
-Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+# A codec is an (encode, decode) pair; decode(obj) takes only the value.  The
+# label's object, list and cell codecs add a third member, write(value): the
+# canonical text of encode(value), written without building it.
+Codec = tuple[Callable[[Any], Any], ...]
+
+
+def _leaf_text(value: Any) -> str:
+    """The canonical text of a leaf; any but an exact str or finite float by json."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is float and isfinite(value):
+        return repr(value)
+    return _encode_in_order(value)
+
+
+def _writer(codec: Codec) -> Callable[[Any], str]:
+    """codec's write: its own, else the leaf text of its encoding."""
+    encode = codec[0]
+    return codec[2] if len(codec) > 2 else lambda value: _leaf_text(encode(value))
 
 
 def _object(cls: type, **fields: Codec) -> Codec:
     """A dataclass whose JSON keys are exactly the given field names.
 
-    Fields encode in key order and decode in the order given.  A missing or
-    unknown key, or a ValueError from cls's constructor, is a SCHEMA_ERROR at
-    the object itself.
+    Fields encode and write in key order, and decode in the order given.  A
+    missing or unknown key, or a ValueError from cls's constructor, is a
+    SCHEMA_ERROR at the object itself.
     """
     keys = set(fields)
-    items = tuple(fields.items())
-    sorted_items = tuple(sorted(items, key=itemgetter(0)))
+    decoders = tuple((name, codec[1]) for name, codec in fields.items())
+    in_order = sorted(fields.items(), key=itemgetter(0))
+    encoders = tuple((name, codec[0]) for name, codec in in_order)
+    writers = tuple((name, _writer(codec)) for name, codec in in_order)
+    template = "{%s}" % ",".join(f"{encode_basestring(name)}:%s" for name, _ in in_order)
 
     def encode(value: Any) -> dict[str, Any]:
-        return {name: enc(getattr(value, name)) for name, (enc, _) in sorted_items}
+        return {name: enc(getattr(value, name)) for name, enc in encoders}
+
+    def write(value: Any) -> str:
+        return template % tuple([field(getattr(value, name)) for name, field in writers])
 
     def decode(obj: Any) -> Any:
         if not isinstance(obj, dict):
@@ -218,7 +269,7 @@ def _object(cls: type, **fields: Codec) -> Codec:
                 raise SchemaError("", f"missing keys {sorted(missing)}")
             raise SchemaError("", f"unknown keys {sorted(obj.keys() - keys)}")
         values = {}
-        for name, (_, dec) in items:
+        for name, dec in decoders:
             try:
                 values[name] = dec(obj[name])
             except SchemaError as exc:
@@ -228,12 +279,12 @@ def _object(cls: type, **fields: Codec) -> Codec:
         except ValueError as exc:
             raise SchemaError("", str(exc)) from None
 
-    return encode, decode
+    return encode, decode, write
 
 
 def _list_of(item: Codec) -> Codec:
     """A JSON list, decoded to a tuple."""
-    enc, dec = item
+    enc, dec, write = item[0], item[1], _writer(item)
 
     def decode(obj: Any) -> tuple:
         if not isinstance(obj, list):
@@ -246,12 +297,13 @@ def _list_of(item: Codec) -> Codec:
                 raise SchemaError(f"[{i}]{exc.path}", exc.reason) from None
         return tuple(values)
 
-    return (lambda values: [enc(v) for v in values]), decode
+    return ((lambda values: [enc(v) for v in values]), decode,
+            lambda values: "[%s]" % ",".join(map(write, values)))
 
 
 def _cell(kind: str) -> Codec:
     """A provenance cell whose reported value has the given decode_provenance kind."""
-    return encode_provenance, lambda obj: decode_provenance(obj, kind)
+    return encode_provenance, lambda obj: decode_provenance(obj, kind), _provenance_text
 
 
 def same(value: Any) -> Any:
@@ -291,7 +343,7 @@ def _version(obj: Any) -> str:
     return obj
 
 
-_TEXT: Codec = (same, _text)
+_TEXT: Codec = (same, _text, _leaf_text)
 DATE: Codec = (PartialDate.isoformat, parse_partial_date)
 DATE_RANGE = _object(DateRange, start=DATE, end=DATE)
 _NUMBER, _COUNT, _TARGET = _cell("number"), _cell("count"), _cell("target")
@@ -320,14 +372,7 @@ _LABEL = _object(
 )
 
 encode_metric = _METRIC[0]
-encode_label, decode_label = _LABEL[0], top_level(_LABEL[1])
-
-
-# The one JSON text setting, for labels and machine output alike: shortest
-# numbers, non-ASCII kept, no spaces; NaN and infinities are a ValueError.
-_JSON_SETTINGS = {"ensure_ascii": False, "separators": (",", ":"), "allow_nan": False}
-_encode_in_order = json.JSONEncoder(**_JSON_SETTINGS).encode
-_encode_sorted = json.JSONEncoder(sort_keys=True, **_JSON_SETTINGS).encode
+encode_label, decode_label, _write_label = _LABEL[0], top_level(_LABEL[1]), _LABEL[2]
 
 
 def json_text(obj: Any) -> str:
@@ -337,9 +382,9 @@ def json_text(obj: Any) -> str:
 
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
     """Deterministic serialization: json_text of encode_label, UTF-8, one trailing
-    newline.  The encoders already put keys in order, so none are sorted here.
+    newline, written straight from the label table with its keys in order.
     The interchange format for validate/compare/audit."""
-    return (_encode_in_order(encode_label(label)) + "\n").encode("utf-8")
+    return (_write_label(label) + "\n").encode("utf-8")
 
 
 def from_canonical_json(data: bytes | str) -> ModelFactsLabel:

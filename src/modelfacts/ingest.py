@@ -52,6 +52,7 @@ MANIFEST_SCHEMA_VERSION = "1.0"
 DeclaredRow = dict[str, Provenance]
 
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
+_STAT_KEY_SET = frozenset(_STAT_KEYS)
 _STAT_DECODERS = tuple((cell.manifest, partial(decode_cell, kind=cell.kind)) for cell in ROW_CELLS)
 _NO_ROW = "row is missing and no category state is given"
 _NO_STAT = "stat is missing and no category state is given"
@@ -257,7 +258,7 @@ def _declared_row(spec: Any, default: Provenance | None) -> DeclaredRow | None:
     if "state" in spec:
         check_keys(spec, {"state"})
         return dict.fromkeys(_STAT_KEYS, decode_at(spec, "state", _state))
-    check_keys(spec, set(_STAT_KEYS))
+    check_keys(spec, _STAT_KEY_SET)
     row: DeclaredRow = {}
     for stat, decode in _STAT_DECODERS:
         if stat in spec:

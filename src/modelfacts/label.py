@@ -456,14 +456,6 @@ def _cell_path(spec: ProvenanceCell, holder: Any, cat: DemographicCategory | Non
             else f"demographics.{cat.category_name}.{holder.group_name}.{spec.label}")
 
 
-def iter_provenance_cells(
-        label: ModelFactsLabel) -> Iterator[tuple[str, Provenance, ProvenanceCell]]:
-    """Yield every provenance-bearing cell as (label path, cell, table entry), in label order."""
-    for holder, getters, cat in _cell_holders(label):
-        for spec, get in getters:
-            yield _cell_path(spec, holder, cat), get(holder), spec
-
-
 class ViolationCode(Enum):
     APPLICATION_TOO_LONG = "APPLICATION_TOO_LONG"
     PAGE_OVERFLOW = "PAGE_OVERFLOW"

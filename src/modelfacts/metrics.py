@@ -277,19 +277,6 @@ def auc(scores: Sequence[float], truth: Sequence, positive_class) -> float:
     return (twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class RegressionStats:
-    """R-squared plus the target's mean and population standard deviation.
-
-    r2 is None when the truth has zero variance, in which case R-squared is
-    undefined but the mean and std are still meaningful.
-    """
-
-    r2: float | None
-    target_mean: float
-    target_std: float
-
-
 def _finite(what: str, value: float) -> float:
     if not math.isfinite(value):
         raise NumericOverflowError(f"{what} is too large for a float")
@@ -316,14 +303,6 @@ def _r2_from_ss(truth: Sequence[float], predicted: Sequence[float], ss_tot: floa
     except OverflowError:
         ss_res = math.inf
     return _finite("R2", 1.0 - ss_res / ss_tot)
-
-
-def regression_stats(truth: Sequence[float], predicted: Sequence[float]) -> RegressionStats:
-    """R2 = 1 - SS_res/SS_tot over the test data, with the truth's mean/std."""
-    _check_pair(truth, predicted)
-    mean, std, ss_tot = _mean_ss(truth)
-    return RegressionStats(r2=_r2_from_ss(truth, predicted, ss_tot), target_mean=mean,
-                           target_std=std)
 
 
 def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> float:

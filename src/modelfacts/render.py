@@ -6,8 +6,9 @@ against, so its layout rules are fixed: content is wrapped, never truncated,
 and every line fits the configured width.  One layout places its rows, both to
 draw the page (render_text) and to count its lines for the budget
 (text_line_count), which takes each row's height from the same wrapping and
-draws nothing.  The canonical JSON form lives in codec, beside the label's
-JSON shape.
+draws nothing.  A table row whose every cell fits its column is one line,
+drawn by one format.  The canonical JSON form lives in codec, beside the
+label's JSON shape.
 """
 
 from __future__ import annotations
@@ -71,13 +72,24 @@ def _fmt_target(value: Any) -> str:
     return str(value)
 
 
+def _fits(text: str, width: int) -> bool:
+    """Whether text is its own single line at width, as textwrap would return it: it
+    fits, and has no edge spaces or whitespace other than the space, for which
+    isprintable() is False."""
+    return len(text) <= width and text.isprintable() and text.strip() == text
+
+
 def _chunks(text: str, width: int) -> list[str]:
-    # A text that fits is its own single line, as textwrap would return it,
-    # unless it has edge spaces or whitespace other than the space, for which
-    # isprintable() is False.  The empty text gives [""] either way.
-    if len(text) <= width and text.isprintable() and text.strip() == text:
+    if _fits(text, width):
         return [text]
     return textwrap.wrap(text, width, break_long_words=True, break_on_hyphens=False) or [""]
+
+
+def _columns(widths: tuple[int, ...], aligns: str) -> tuple[tuple[int, ...], str, str]:
+    """A table's column widths and alignments ("l" or "r"), and the str.format
+    template that draws a row whose every cell fits its column."""
+    return widths, aligns, " ".join(f"{{:{'>' if align == 'r' else '<'}{width}}}"
+                                    for width, align in zip(widths, aligns))
 
 
 def _table_row(cells: list[str], widths: tuple[int, ...], aligns: str) -> list[str]:
@@ -99,8 +111,12 @@ class _Drawing(list):
 
     line = list.append
 
-    def row(self, cells: list[str], widths: tuple[int, ...], aligns: str) -> None:
-        self.extend(_table_row(cells, widths, aligns))
+    def row(self, cells: list[str], columns: tuple) -> None:
+        widths, aligns, line = columns
+        if all(map(_fits, cells, widths)):
+            self.append(line.format(*cells).rstrip())
+        else:
+            self.extend(_table_row(cells, widths, aligns))
 
     def hanging(self, lead: str, indent: str, text: str, width: int) -> None:
         """text wrapped at width after lead, its further lines after indent."""
@@ -118,8 +134,10 @@ class _LineCount:
     def line(self, text: str) -> None:
         self.lines += 1
 
-    def row(self, cells: list[str], widths: tuple[int, ...], aligns: str) -> None:
-        self.lines += max(map(len, map(_chunks, cells, widths)))
+    def row(self, cells: list[str], columns: tuple) -> None:
+        widths = columns[0]
+        self.lines += (1 if all(map(_fits, cells, widths))
+                       else max(map(len, map(_chunks, cells, widths))))
 
     def hanging(self, lead: str, indent: str, text: str, width: int) -> None:
         self.lines += len(_chunks(text, width))
@@ -130,8 +148,8 @@ def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _Lin
     w = budget.width
     cols3 = (w - 3) // 4                # three numeric columns
     col0 = w - 3 - 3 * cols3            # leading label column
-    widths4 = (col0, cols3, cols3, cols3)
-    widths3 = (col0, 13, w - col0 - 2 - 13)
+    columns4 = _columns((col0, cols3, cols3, cols3), "lrrr")
+    columns3 = _columns((col0, 13, w - col0 - 2 - 13), "lrr")
 
     def field(name: str, value: str) -> None:
         page.hanging(name.ljust(18), " " * 18, value, w - 18)
@@ -147,21 +165,21 @@ def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _Lin
     page.line("")
 
     acc = label.accuracy
-    page.row(["Accuracy:", "Name", "% Over Baseline", "Raw Score"], widths4, "lrrr")
+    page.row(["Accuracy:", "Name", "% Over Baseline", "Raw Score"], columns4)
     for title, mv in (("Optimized Score", acc.optimized), ("Standard Score", acc.standard)):
         page.row([title, mv.name,
                   _cell_text(mv.pct_over_baseline, fmt_pct),
-                  _cell_text(mv.raw_score, fmt_score)], widths4, "lrrr")
+                  _cell_text(mv.raw_score, fmt_score)], columns4)
     page.line("")
 
     ds = label.dataset
-    page.row(["Dataset Size:", "Count", "% Train / % Test"], widths3, "lrr")
+    page.row(["Dataset Size:", "Count", "% Train / % Test"], columns3)
     split = f"{_cell_text(ds.train_pct, fmt_pct)} / {_cell_text(ds.test_pct, fmt_pct)}"
-    page.row(["", _cell_text(ds.sample_count, fmt_count), split], widths3, "lrr")
+    page.row(["", _cell_text(ds.sample_count, fmt_count), split], columns3)
     page.line("")
 
     target_header = "Mean (std)" if label.application.model_type is ModelType.REGRESSION else "% Target"
-    page.row(["Demographics:", "% In Test", "Accuracy", target_header], widths4, "lrrr")
+    page.row(["Demographics:", "% In Test", "Accuracy", target_header], columns4)
     for category in label.demographics:
         page.hanging("", "", f"{category.category_name}:", w)
         page.line("-" * w)
@@ -169,7 +187,7 @@ def _lay_out(label: ModelFactsLabel, budget: RenderBudget, page: _Drawing | _Lin
             page.row([row.group_name,
                       _cell_text(row.pct_in_test, fmt_pct),
                       _cell_text(row.group_accuracy, fmt_score),
-                      _cell_text(row.target_stat, _fmt_target)], widths4, "lrrr")
+                      _cell_text(row.target_stat, _fmt_target)], columns4)
     page.line("")
 
     page.line("Warnings:")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from modelfacts.label import (
     CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
+    LABEL_CELLS,
+    ROW_CELLS,
     AccuracySection,
     ApplicationInfo,
     DatasetInfo,
@@ -79,6 +82,17 @@ def make_label(
         demographics=demographics,
         warnings=warnings,
     )
+
+
+def provenance_cells(label: ModelFactsLabel) -> list[tuple[str, Provenance]]:
+    """Every provenance cell of label with its label path, in label order, as the
+    PROVENANCE_CELLS table places them: the label's own cells, then each row's."""
+    cells = [(spec.label, attrgetter(spec.label)(label)) for spec in LABEL_CELLS]
+    for category in label.demographics:
+        for row in category.rows:
+            cells += [(f"demographics.{category.category_name}.{row.group_name}.{spec.label}",
+                       getattr(row, spec.label)) for spec in ROW_CELLS]
+    return cells
 
 
 _WORDS = ("risk", "score", "cohort", "triage", "intake", "review", "flag",

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN_DIR, make_label, canonical_category, read_golden
+from conftest import GOLDEN_DIR, make_label, canonical_category, provenance_cells, read_golden
 from modelfacts import assemble
 from modelfacts.assemble import build_declared_label, generate_label
 from modelfacts.errors import (BadArgumentError, DeclaredConflictError, NoOverlapError,
@@ -29,7 +29,6 @@ from modelfacts.label import (
     Provenance,
     ProvenanceState,
     ViolationCode,
-    iter_provenance_cells,
     validate_label,
 )
 from modelfacts.metrics import PredictionDataset, PredictionRecord, percent_over_baseline
@@ -408,7 +407,7 @@ def test_a_manifest_cell_sets_the_label_cell_at_the_same_address(name, doc):
     """Each cell's manifest path and label path, as the cell table spells them, are one cell."""
     manifest = parse_label_manifest(json.dumps(doc))
     label = build_declared_label(manifest)
-    cells = {path: cell for path, cell, _ in iter_provenance_cells(label)}
+    cells = dict(provenance_cells(label))
     # (label path, where the manifest declares it, its table entry), for every cell.
     addresses = [(spec.label, (*spec.manifest.split("."),), spec) for spec in LABEL_CELLS]
     addresses += [(f"demographics.{category.category_name}.{row.group_name}.{spec.label}",
@@ -445,7 +444,7 @@ def test_a_manifest_cell_sets_the_label_cell_at_the_same_address(name, doc):
             expected["accuracy.optimized.pct_over_baseline"] = Provenance.reported(
                 percent_over_baseline(value, manifest.baseline, manifest.optimized_direction))
         changed_label = build_declared_label(parse_label_manifest(json.dumps(changed)))
-        assert {path: cell for path, cell, _ in iter_provenance_cells(changed_label)} == expected, \
+        assert dict(provenance_cells(changed_label)) == expected, \
             manifest_path
 
 

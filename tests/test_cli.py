@@ -434,10 +434,10 @@ PUBLIC_NAMES = {
               "MeanStd", "MetricValue", "ModelFactsLabel", "ModelType", "PartialDate",
               "PctTarget", "Provenance", "ProvenanceState", "Violation", "ViolationCode",
               "bucket_age", "completeness", "validate_label"],
-    "metrics": ["ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord",
-                "RegressionStats", "auc", "group_breakdown", "majority_class_baseline",
-                "metric_direction", "percent_over_baseline", "precision_recall_f1",
-                "regression_stats", "select_standard_metric", "standard_accuracy"],
+    "metrics": ["ConfusionCounts", "Direction", "PredictionDataset", "PredictionRecord", "auc",
+                "group_breakdown", "majority_class_baseline", "metric_direction",
+                "percent_over_baseline", "precision_recall_f1", "select_standard_metric",
+                "standard_accuracy"],
     "codec": ["from_canonical_json", "to_canonical_json"],
     "render": ["RenderBudget", "render_html", "render_text"],
     "report": ["AuditEntry", "AuditReport", "ComparisonEntry", "ComparisonReport",
@@ -473,7 +473,7 @@ print(json.dumps(facts))
     assert done.returncode == 0, done.stderr
     facts = json.loads(done.stdout)
     names = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(names) == 58
+    assert len(names) == 56
     assert facts["loaded"] == []
     assert sorted(facts["all"]) == sorted(names)
     assert set(names) <= set(facts["dir"])

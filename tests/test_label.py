@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import canonical_category, make_label, random_label, read_golden
+from conftest import canonical_category, make_label, provenance_cells, random_label, read_golden
 from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.label import (
     DatasetInfo,
@@ -22,7 +22,6 @@ from modelfacts.label import (
     ProvenanceState,
     ViolationCode,
     completeness,
-    iter_provenance_cells,
     sentence_terminator_count,
     validate_label,
 )
@@ -298,7 +297,7 @@ class TestCompleteness:
         for _ in range(40):
             label = random_label(rng)
             report = completeness(label)
-            assert report.total_cells == sum(1 for _ in iter_provenance_cells(label))
+            assert report.total_cells == len(provenance_cells(label))
 
     def test_reporting_a_cell_never_decreases_fraction(self):
         label = from_canonical_json(read_golden("void.label.json"))

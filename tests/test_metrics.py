@@ -49,9 +49,10 @@ from modelfacts.metrics import (
     metric_spec,
     percent_over_baseline,
     precision_recall_f1,
-    regression_stats,
     select_standard_metric,
     standard_accuracy,
+    _mean_ss,
+    _r2_from_ss,
 )
 
 
@@ -175,31 +176,34 @@ class TestAuc:
         assert forward + backward == pytest.approx(1.0, abs=1e-12)
 
 
-class TestRegressionStats:
+class TestRegressionSums:
+    """_mean_ss gives the truth's mean, population std and SS_tot, and _r2_from_ss
+    R2 = 1 - SS_res/SS_tot from that SS_tot."""
+
+    @staticmethod
+    def r2(truth, predicted):
+        return _r2_from_ss(truth, predicted, _mean_ss(truth)[2])
+
     def test_identity(self):
-        stats = regression_stats([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
-        assert stats.r2 == 1.0
+        assert self.r2([1.0, 2.0, 4.0], [1.0, 2.0, 4.0]) == 1.0
 
     def test_constant_mean_prediction(self):
-        truth = [1.0, 2.0, 3.0]
-        stats = regression_stats(truth, [2.0, 2.0, 2.0])
-        assert stats.r2 == 0.0
+        assert self.r2([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) == 0.0
 
     def test_hand_case(self):
-        stats = regression_stats([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])
-        assert stats.r2 == pytest.approx(0.5)
-        assert stats.target_mean == 2.0
-        assert stats.target_std == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
+        mean, std, ss_tot = _mean_ss([1.0, 2.0, 3.0])
+        assert (mean, ss_tot) == (2.0, 2.0)
+        assert std == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
+        assert _r2_from_ss([1.0, 2.0, 3.0], [1.0, 2.0, 2.0], ss_tot) == pytest.approx(0.5)
 
     def test_zero_variance_keeps_mean_std(self):
-        stats = regression_stats([5.0, 5.0], [4.0, 6.0])
-        assert stats.r2 is None
-        assert stats.target_mean == 5.0
-        assert stats.target_std == 0.0
+        assert _mean_ss([5.0, 5.0]) == (5.0, 0.0, 0.0)
+        assert self.r2([5.0, 5.0], [4.0, 6.0]) is None
 
     def test_empty(self):
+        # The sums take a non-empty truth: a dataset without records is refused first.
         with pytest.raises(EmptyDatasetError):
-            regression_stats([], [])
+            PredictionDataset([], None, ())
 
 
 class TestPercentOverBaseline:

@@ -9,25 +9,30 @@ label assembly follows one rule per cell (a generated label declared in its own
 manifest generates the same bytes, and a declared label holds its manifest's
 cells or names the manifest path at fault), the predictions parser reads a file
 in blocks as a plain loop over its rows does, and the text layout splits a cell
-into lines exactly as textwrap does, the page's line count is the drawn page's, and
-the canonical label JSON is the key-sorted text of an encoding built in key order."""
+into lines exactly as textwrap does, the page's line count is the drawn page's, a
+table row at the edge of one line is drawn and counted as the textwrap layout gives
+it, the canonical label JSON is the key-sorted text of an encoding built in key order,
+and a hand-built label's odd leaves give json's text or json's error."""
 
 from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
 import random
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_label, read_golden
+from modelfacts import render
 from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
 from modelfacts.codec import (encode_label, encode_provenance, from_canonical_json, json_text,
                               to_canonical_json)
@@ -56,7 +61,7 @@ from modelfacts.label import (
     is_finite_number,
 )
 from modelfacts.metrics import (PredictionDataset, PredictionRecord, group_breakdown, make_scorer,
-                                metric_spec, percent_over_baseline, regression_stats)
+                                metric_spec, percent_over_baseline)
 from modelfacts.render import RenderBudget, _chunks, render_text, text_line_count
 from modelfacts.report import load_reference_population
 
@@ -224,6 +229,70 @@ def test_canonical_json_is_the_key_sorted_text_of_an_encoding_built_in_key_order
     assert to_canonical_json(label) == (json_text(encoded) + "\n").encode()
     for obj in json_objects(encoded):
         assert list(obj) == sorted(obj)
+
+
+class _Float(float):
+    """A float subclass whose repr is not a float's; json writes it as its float."""
+
+    def __repr__(self) -> str:
+        return f"_Float({float.__repr__(self)})"
+
+
+class _Text(str):
+    """A str subclass, which json writes as the str it holds."""
+
+
+def _cycle() -> list:
+    cycle = []
+    cycle.append(cycle)
+    return cycle
+
+
+def _row(group_name="Asian", target=Provenance.reported(PctTarget(12.5))):
+    return DemographicGroupRow(group_name, Provenance.reported(25.0), Provenance.reported(0.75),
+                               target)
+
+
+def _with_row(row: DemographicGroupRow) -> ModelFactsLabel:
+    return make_label(demographics=(DemographicCategory("Race", (row,)),))
+
+
+# A hand-built label holding a value where the canonical writer takes a leaf apart from
+# json: a number, count or target cell, a text, and the schema version.
+ODD_PLACES = {
+    "raw_score": lambda v: make_label(optimized=MetricValue(
+        "AUC", Provenance.reported(v), Provenance.reported(12.5))),
+    "sample_count": lambda v: make_label(dataset=DatasetInfo(
+        Provenance.reported(v), Provenance.reported(70.0), Provenance.reported(30.0))),
+    "pct_target": lambda v: _with_row(_row(target=Provenance.reported(PctTarget(v)))),
+    "std": lambda v: _with_row(_row(target=Provenance.reported(MeanStd(0.5, v)))),
+    "group_name": lambda v: _with_row(_row(group_name=v)),
+    "warning": lambda v: make_label(warnings=(v,)),
+    "schema_version": lambda v: dataclasses.replace(make_label(), schema_version=v),
+}
+ODD_VALUES = {
+    "true": True, "int": 3, "huge-int": 10**400, "float-subclass": _Float(0.1),
+    "str-subclass": _Text('say "hi"\x01'), "list": [1.5, "x", None], "dict": {"a": 1, "b": [2.5]},
+    "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "cycle": _cycle(),
+}
+
+
+@pytest.mark.parametrize("place", sorted(ODD_PLACES))
+@pytest.mark.parametrize("value", ODD_VALUES.values(), ids=list(ODD_VALUES))
+def test_canonical_json_writes_an_odd_leaf_as_json_does(place, value):
+    """Bytes equal to json_text of the encoding, or json's own ValueError text."""
+    label = ODD_PLACES[place](value)
+    try:
+        expected = (json_text(encode_label(label)) + "\n").encode()
+    except ValueError as exc:
+        assert isinstance(value, list) or not math.isfinite(value)
+        if value is ODD_VALUES["cycle"]:
+            assert str(exc) == "Circular reference detected"
+        with pytest.raises(ValueError) as raised:
+            to_canonical_json(label)
+        assert str(raised.value) == str(exc)
+    else:
+        assert to_canonical_json(label) == expected
 
 
 class _Real(float):
@@ -394,16 +463,27 @@ def target_mean_std(truth) -> tuple[float, float]:
     return mean, math.sqrt(sum((t - mean) ** 2 for t in truth) / len(truth))
 
 
+def recount_r2(truth, predicted) -> float | None:
+    """R2 = 1 - SS_res/SS_tot, summed in record order as the dataset sums them; None when
+    the truth has no variance, or a sum or R2 is beyond a float."""
+    mean = sum(truth) / len(truth)
+    try:
+        ss_tot = sum((t - mean) ** 2 for t in truth)
+        ss_res = sum((t - p) ** 2 for t, p in zip(truth, predicted))
+    except OverflowError:
+        return None
+    if ss_tot == 0.0:
+        return None
+    r2 = 1.0 - ss_res / ss_tot
+    return r2 if math.isfinite(r2) else None
+
+
 def recount_group(metric: str, members: list) -> tuple[float | None, object]:
     """The group's score (None where undefined) and target stat, recounted from its records."""
     truth = [r.truth for r in members]
     predicted = [r.prediction for r in members]
-    if metric == "R2":  # summed in record order, as the dataset sums them
-        try:
-            r2 = regression_stats(truth, predicted).r2
-        except NumericOverflowError:  # a near-constant truth can put R2 beyond a float
-            r2 = None
-        return r2, MeanStd(*target_mean_std(truth))
+    if metric == "R2":
+        return recount_r2(truth, predicted), MeanStd(*target_mean_std(truth))
     target = PctTarget(100.0 * truth.count("1") / len(members))
     if metric == "AUC":
         return pair_count_auc([r.score for r in members], truth), target
@@ -920,12 +1000,85 @@ LONG_NAMES = make_label(
     warnings=("a\nwarning with  inner\x0bwhitespace " * 5, ""))
 
 
+# Table cells at the edge of one line at widths 48 and 64, where the label column is 12
+# and 16 wide and the numeric columns 11 and 15: cells at each width and one over it,
+# edge spaces, a tab, a vertical tab, and a str subclass.
+EDGE_ROWS = make_label(
+    optimized=MetricValue("n" * 11, Provenance.reported(1e6), Provenance.reported(1e7)),
+    standard=MetricValue("m" * 15, Provenance.reported(1e10), Provenance.reported(1e11)),
+    dataset=DatasetInfo(Provenance.reported(10**9), Provenance.reported(1e8),
+                        Provenance.reported(30.0)),
+    demographics=(DemographicCategory("Race", tuple(map(_row, [
+        "g" * 12, "g" * 13, "g" * 16, "g" * 17, " edge", "edge ", "a\tb", "a\x0bb",
+        _Text("a subclass")]))),))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(label=layout_labels, width=st.integers(48, 120))
 @example(label=LONG_NAMES, width=48)
 @example(label=LONG_NAMES, width=120)
+@example(label=EDGE_ROWS, width=48)
+@example(label=EDGE_ROWS, width=64)
 def test_the_page_line_count_is_the_line_count_of_the_drawn_page(label, width):
     budget = RenderBudget(width=width)
     page = render_text(label, budget)
     assert text_line_count(label, budget) == page.count("\n")
     assert max(map(len, page.split("\n"))) <= width
+
+
+@st.composite
+def edge_cells(draw, width: int, fits: bool) -> str:
+    """Cell text at the edge of one line of a column width wide: a column short of it or
+    at it, plain or in a str subclass; unless it fits, also one column over it, or with an
+    edge space, a tab or a vertical tab."""
+    size = draw(st.sampled_from([width - 1, width] if fits else [width - 1, width, width + 1]))
+    text = draw(st.text("ab é-漢", min_size=size, max_size=size))
+    if fits:  # inner spaces only
+        text = f"a{text[1:-1]}b"
+    form = draw(st.sampled_from(["plain", "subclass"] if fits else
+                                ["plain", "subclass", "edge space", "\t", "\x0b"]))
+    if form == "subclass":
+        return _Text(text)
+    if form == "edge space":
+        return draw(st.sampled_from([" " + text[1:], text[:-1] + " "]))
+    if form in ("\t", "\x0b"):
+        at = draw(st.integers(0, size - 1))
+        return text[:at] + form + text[at + 1:]
+    return text
+
+
+@st.composite
+def edge_row_labels(draw) -> tuple[ModelFactsLabel, int]:
+    """A page width and a label whose table cells sit at the edge of one line at it, in
+    half the labels every cell fitting its column.  A number n columns wide is a power of
+    ten, exact as a float up to 10**22: 10**(n - 5) for a score ("1000.000") and
+    10**(n - 4) for a percentage ("1000.0%")."""
+    width, fits = draw(st.integers(48, 100)), draw(st.booleans())
+    numeric = (width - 3) // 4  # the text layout's numeric and label column widths
+    first = width - 3 - 3 * numeric
+    sizes = [numeric - 1, numeric] if fits else [numeric - 1, numeric, numeric + 1]
+    size = lambda: draw(st.sampled_from(sizes))  # noqa: E731
+    score = lambda: Provenance.reported(float(10 ** (size() - 5)))  # noqa: E731
+    pct = lambda: Provenance.reported(float(10 ** (size() - 4)))  # noqa: E731
+    metric = lambda: MetricValue(draw(edge_cells(numeric, fits)), score(), pct())  # noqa: E731
+    rows = [DemographicGroupRow(draw(edge_cells(first, fits)), pct(), score(),
+                                Provenance.reported(PctTarget(pct().value)))
+            for _ in range(draw(st.integers(1, 4)))]
+    counts = [10**8, 10**9] if fits else [10**8, 10**9, 10**10]  # 11, 13 and 14 columns
+    count = Provenance.reported(draw(st.sampled_from(counts)))
+    split = (Provenance.reported(70.0), Provenance.reported(30.0)) if fits else (pct(), pct())
+    return make_label(optimized=metric(), standard=metric(),
+                      dataset=DatasetInfo(count, *split),
+                      demographics=(DemographicCategory("Race", tuple(rows)),)), width
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=edge_row_labels())
+def test_a_row_at_the_edge_of_one_line_is_drawn_and_counted_as_textwrap_lays_it_out(case):
+    label, width = case
+    budget = RenderBudget(width=width)
+    page = render_text(label, budget)
+    with mock.patch.object(render, "_fits", lambda text, width: False):  # every cell wraps
+        wrapped = render_text(label, budget)
+    assert page == wrapped
+    assert text_line_count(label, budget) == page.count("\n")

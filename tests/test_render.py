@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import canonical_category, make_label, random_label, read_golden
+from conftest import canonical_category, make_label, provenance_cells, random_label, read_golden
 from modelfacts import render
 from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.errors import SchemaError, UnsupportedVersionError
@@ -21,7 +21,6 @@ from modelfacts.label import (
     MetricValue,
     Provenance,
     ProvenanceState,
-    iter_provenance_cells,
 )
 from modelfacts.render import RenderBudget, render_html, render_text
 
@@ -203,13 +202,13 @@ class TestUnreportedCells:
             optimized=MetricValue("AUC", Provenance.reported(0.9), cell()),
             dataset=DatasetInfo(Provenance.reported(1000), cell(), cell()),
             demographics=tuple(canonical_category(name, cell) for name in CANONICAL_CATEGORY_ORDER))
-        held = sum(c.state is state for _, c, _ in iter_provenance_cells(label))
+        held = sum(c.state is state for _, c in provenance_cells(label))
         text, td = UNREPORTED_CELLS[state]
         assert held >= 51
         assert render_text(label).count(text) == held
         assert render_html(label).count(td) == held
         assert render_html(label).count('<td class="num">') == sum(
-            c.is_reported for _, c, _ in iter_provenance_cells(label))
+            c.is_reported for _, c in provenance_cells(label))
 
 
 class TestCanonicalJson:
