@@ -21,7 +21,7 @@ from enum import Enum
 from json.encoder import encode_basestring
 from math import isfinite
 from operator import itemgetter
-from typing import AbstractSet, Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import SchemaError, UnsupportedVersionError
 from .label import (SUPPORTED_SCHEMA_VERSIONS, AccuracySection, ApplicationInfo, DatasetInfo,
@@ -120,9 +120,9 @@ def decode_target(obj: Any) -> PctTarget | MeanStd:
     raise SchemaError("", "target stat must be {pct_target} or {mean, std}")
 
 
-def check_keys(doc: Mapping, allowed: AbstractSet[str]) -> None:
+def check_keys(doc: Mapping, allowed: Iterable[str]) -> None:
     """SCHEMA_ERROR when doc holds a key not allowed."""
-    unknown = set(doc) - allowed
+    unknown = doc.keys() - allowed
     if unknown:
         raise SchemaError("", f"unknown keys {sorted(unknown)}")
 
@@ -144,17 +144,14 @@ _DECODERS = {"number": require_number, "count": _require_count, "target": decode
 
 _CELL_KEYS = frozenset({"state", "value"})
 _REPORTED_NAME = _REPORTED.value
-_STATE_NAMES = {state: state.value for state in ProvenanceState}
 
 
 def encode_provenance(cell: Provenance) -> dict[str, Any]:
     """The tagged {state, value?} object; a target becomes {pct_target} or {mean, std}.
     Keys come in sorted order."""
     value = cell.value
-    if type(value) is float:  # a reported number, the commonest cell
-        return {"state": _REPORTED_NAME, "value": value}
     if value is None:  # only a reported cell carries a value
-        return {"state": _STATE_NAMES[cell.state]}
+        return {"state": cell.state.value}
     if isinstance(value, PctTarget):
         value = {"pct_target": value.pct}
     elif isinstance(value, MeanStd):
@@ -197,8 +194,7 @@ def decode_provenance(obj: Any, kind: str = "number") -> Provenance:
             return Provenance(_REPORTED, value)
     if not isinstance(obj, dict):
         raise SchemaError("", f"expected a tagged provenance object, got {obj!r}")
-    if not obj.keys() <= _CELL_KEYS:
-        raise SchemaError("", f"unknown keys {sorted(obj.keys() - _CELL_KEYS)}")
+    check_keys(obj, _CELL_KEYS)
     state_name = obj.get("state")
     if state_name == _REPORTED_NAME:
         if "value" not in obj:
@@ -267,7 +263,7 @@ def _object(cls: type, **fields: Codec) -> Codec:
             missing = keys - obj.keys()
             if missing:
                 raise SchemaError("", f"missing keys {sorted(missing)}")
-            raise SchemaError("", f"unknown keys {sorted(obj.keys() - keys)}")
+            check_keys(obj, keys)
         values = {}
         for name, dec in decoders:
             try:

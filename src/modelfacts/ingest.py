@@ -52,7 +52,6 @@ MANIFEST_SCHEMA_VERSION = "1.0"
 DeclaredRow = dict[str, Provenance]
 
 _STAT_KEYS = tuple(cell.manifest for cell in ROW_CELLS)
-_STAT_KEY_SET = frozenset(_STAT_KEYS)
 _STAT_DECODERS = tuple((cell.manifest, partial(decode_cell, kind=cell.kind)) for cell in ROW_CELLS)
 _NO_ROW = "row is missing and no category state is given"
 _NO_STAT = "stat is missing and no category state is given"
@@ -130,7 +129,7 @@ class LabelManifest:
             object.__setattr__(self, "optimized_direction", direction)
         if self.baseline_policy is not None:
             if self.baseline is not None:
-                raise SchemaError(_PATHS["baseline"].rpartition(".")[0],
+                raise SchemaError(_SECTIONS["baseline"],
                                   "give either baseline or baseline_policy, not both")
             if not self.model_type.is_classification:
                 raise SchemaError(_PATHS["baseline_policy"],
@@ -172,11 +171,10 @@ class LabelManifest:
         A field equal to its default is left out.
         """
         doc: dict[str, Any] = {}
-        for path, name, (encode, _) in _MANIFEST:
+        for _, section, key, name, (encode, _) in _FIELDS:
             value = getattr(self, name)
             if name in _DEFAULTS and value == _DEFAULTS[name]:
                 continue
-            section, _, key = path.rpartition(".")
             (doc.setdefault(section, {}) if section else doc)[key] = encode(value)
         return doc
 
@@ -258,7 +256,7 @@ def _declared_row(spec: Any, default: Provenance | None) -> DeclaredRow | None:
     if "state" in spec:
         check_keys(spec, {"state"})
         return dict.fromkeys(_STAT_KEYS, decode_at(spec, "state", _state))
-    check_keys(spec, _STAT_KEY_SET)
+    check_keys(spec, _STAT_KEYS)
     row: DeclaredRow = {}
     for stat, decode in _STAT_DECODERS:
         if stat in spec:
@@ -327,16 +325,19 @@ _MANIFEST: tuple[tuple[str, str, Codec], ...] = (
     ("extra_categories", "extra_categories", (list, same)),
 )
 
-_PATHS = {name: path for path, name, _ in _MANIFEST}
+# Each field's path split once: (path, section, key, name, codec); "" is the top level.
+_FIELDS = tuple((path, *path.rpartition(".")[::2], name, codec) for path, name, codec in _MANIFEST)
+_PATHS = {name: path for path, _, _, name, _ in _FIELDS}
+_SECTIONS = {name: section for _, section, _, name, _ in _FIELDS}
 _DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
              for f in fields(LabelManifest)
              if f.default is not MISSING or f.default_factory is not MISSING}
 # Required paths: those of fields without a default, and the sections holding them.
-_REQUIRED = {path for name, path in _PATHS.items() if name not in _DEFAULTS}
-_REQUIRED |= {path.rpartition(".")[0] for path in _REQUIRED} - {""}
+_REQUIRED = {required for path, section, _, name, _ in _FIELDS if name not in _DEFAULTS
+             for required in (path, section) if required}
 # The keys each section allows; "" is the top level, which also holds the sections.
-_SPLIT = [path.rpartition(".") for path in _PATHS.values()]
-_KEYS = {section: {key for s, _, key in _SPLIT if s == section} for section, _, _ in _SPLIT}
+_KEYS = {section: {key for _, s, key, _, _ in _FIELDS if s == section}
+         for section in _SECTIONS.values()}
 _KEYS[""] |= set(_KEYS) - {""}
 
 
@@ -365,8 +366,7 @@ def parse_label_manifest(doc: str | bytes | Mapping[str, Any]) -> LabelManifest:
     top_level(check_keys)(doc, _KEYS[""])
     sections: dict[str, Mapping | None] = {"": doc}
     values: dict[str, Any] = {}
-    for path, name, (_, decode) in _MANIFEST:
-        section, _, key = path.rpartition(".")
+    for path, section, key, name, (_, decode) in _FIELDS:
         if section not in sections:
             sections[section] = _section(doc, section)
         obj = sections[section]

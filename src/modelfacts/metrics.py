@@ -113,7 +113,9 @@ class PredictionDataset:
                      score: list[float] | None, groups: dict[str, list[str | None]],
                      positive_class: str | None, attribute_schema: tuple[str, ...]) -> "PredictionDataset":
         """A dataset of columns given in record order, which it takes over as they are;
-        a group column holds group names, as label._group_value gives them, or None."""
+        a group column holds group names, as label._group_value gives them, or None.
+        The ids are taken unchecked, as ingest has checked them; None gives a dataset
+        without ids, as a group's is, which has no records."""
         dataset = cls.__new__(cls)
         dataset._fill(ids, truth, prediction, score, groups, positive_class, attribute_schema)
         return dataset
@@ -144,7 +146,10 @@ class PredictionDataset:
 
     @property
     def records(self) -> tuple[PredictionRecord, ...]:
-        """The rows as records, built on each access; blank group cells are left out."""
+        """The rows as records, built on each access; blank group cells are left out.
+        A dataset without ids has none: a ValueError."""
+        if self.ids is None:
+            raise ValueError("this dataset carries no ids, so it has no records")
         missing = [None] * self.n
         prediction = missing if self.prediction is None else self.prediction
         score = missing if self.score is None else self.score

@@ -7,6 +7,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from modelfacts.label import (
     CANONICAL_CATEGORIES,
@@ -29,6 +30,10 @@ from modelfacts.label import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# A deeper run for CI: `pytest --hypothesis-profile=deep` gives 2,000 examples to each
+# property whose example count follows the profile.
+settings.register_profile("deep", max_examples=2000)
 
 
 @pytest.fixture

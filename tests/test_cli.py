@@ -1,17 +1,26 @@
-"""End-to-end CLI behavior: subcommands, exit codes, and stable output."""
+"""End-to-end CLI behavior: subcommands, exit codes, and stable output, and a property:
+every command on a golden input with one fault exits 0, 1 or 2."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, make_label, read_golden
+from test_properties import json_values
 from modelfacts import __version__
 from modelfacts.cli import main
 from modelfacts.codec import from_canonical_json, to_canonical_json
@@ -78,6 +87,20 @@ class TestDeclareAndRender:
         assert VOID_MANIFEST in stamp["inputs"]
         # the label itself stays canonical and stamp-free
         assert out.read_bytes() == read_golden("void.label.json")
+
+    def test_generate_stamp_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "length_of_stay.label.json"
+        data = str(GOLDEN_DIR / "length_of_stay.csv")
+        manifest = str(GOLDEN_DIR / "length_of_stay.manifest.json")
+        assert main(["generate", "--data", data, "--manifest", manifest, "-o", str(out),
+                     "--stamp"]) == 0
+        stamp = json.loads((tmp_path / "length_of_stay.label.json.stamp.json").read_text())
+        assert stamp["command"] == "generate"
+        assert sorted(stamp["inputs"]) == sorted([data, manifest])
+        digest = hashlib.sha256(read_golden("length_of_stay.csv")).hexdigest()
+        assert stamp["inputs"][data] == digest
+        assert out.read_bytes() == read_golden("length_of_stay.label.json")
+        assert capsys.readouterr().err == f"wrote {out}\nwrote {out}.stamp.json\n"
 
     def test_declare_incomplete_manifest_exits_2(self, tmp_path, capsys):
         doc = json.loads(Path(VOID_MANIFEST).read_text())
@@ -446,6 +469,33 @@ PUBLIC_NAMES = {
 }
 
 
+def test_an_unexpected_exception_in_a_command_exits_3(monkeypatch, capsys):
+    from modelfacts import assemble
+
+    def fail(manifest):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(assemble, "build_declared_label", fail)
+    assert main(["declare", "--manifest", VOID_MANIFEST]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: KeyError: 'boom'\n")
+
+
+def test_the_package_root_resolves_a_name_through_its_table(monkeypatch):
+    import modelfacts
+    from modelfacts import metrics
+
+    monkeypatch.delitem(vars(modelfacts), "auc", raising=False)  # not yet resolved
+    assert "auc" in dir(modelfacts) and "no_such_name" not in dir(modelfacts)
+    assert modelfacts.auc is metrics.auc
+    assert vars(modelfacts)["auc"] is metrics.auc  # kept for the next lookup
+    with pytest.raises(AttributeError) as err:
+        modelfacts.no_such_name
+    assert str(err.value) == "module 'modelfacts' has no attribute 'no_such_name'"
+    assert sorted(set(modelfacts.__all__)) == sorted(modelfacts.__all__)
+    assert set(modelfacts.__all__) <= set(dir(modelfacts))
+
+
 def test_the_package_root_resolves_its_names_on_first_use():
     script = """\
 import importlib, json, sys
@@ -682,3 +732,124 @@ class TestAudit:
         assert main(["audit", str(GOLDEN_DIR / "void.label.json"),
                      "--reference", str(ref)]) == 2
         assert "NO_OVERLAP" in capsys.readouterr().err
+
+
+# The CLI property: every command, on the goldens with one fault, ends in exit 0, 1 or 2.
+GOLDEN_LABELS = ("void.label.json", "suicide_risk.label.json", "length_of_stay.label.json")
+GOLDEN_MANIFESTS = ("void.manifest.json", "suicide_risk.manifest.json",
+                    "length_of_stay.manifest.json")
+REFERENCE = json.dumps({"name": "urban", "categories": {
+    "Gender": {"Female": 50.0, "Male": 48.0, "Nonbinary": 1.0, "Other": 1.0},
+    "Race": {"White": 60.0, "Black": 20.0, "Asian": 10.0, "Other": 10.0}}}).encode()
+
+
+def json_nodes(value, path=()):
+    """The path of every node of a parsed JSON document, the document itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from json_nodes(child, (*path, key))
+
+
+@st.composite
+def faulty(draw, data: bytes, is_csv: bool) -> bytes:
+    """data with one fault: a JSON node replaced by another JSON value (a JSON file), a
+    blank or garbled cell (a CSV file), a flipped or dropped byte, a truncation, or a byte
+    that is not UTF-8."""
+    kind = draw(st.sampled_from(["cell" if is_csv else "node", "flip", "drop", "truncate",
+                                 "not utf-8"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "node":
+        doc = json.loads(data)
+        path = draw(st.sampled_from(list(json_nodes(doc))))
+        if not path:
+            return json.dumps(draw(json_values)).encode()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]  # half the time a value of its own kind, to reach past the shape
+        alike = (st.text(max_size=90) if isinstance(old, str) else
+                 st.floats() | st.integers() if isinstance(old, (int, float)) else json_values)
+        parent[path[-1]] = draw(st.one_of(json_values, alike))
+        return json.dumps(doc).encode()  # NaN and the infinities as json writes them
+    if kind == "cell":
+        rows = [row.split(",") for row in data.decode("utf-8").split("\n")]
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(["", " ", "nan", "inf", "-1e309", "1e308", '"']) | st.text(max_size=6))
+        return "\n".join(map(",".join, rows)).encode("utf-8")
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "drop":
+        return data[:at] + data[at + 1:]
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+@st.composite
+def cli_runs(draw) -> tuple[list[str], dict[str, bytes]]:
+    """A command's arguments, naming its input files by file name, and those files: the
+    goldens (and a reference population for audit), one of them with one fault."""
+    command = draw(st.sampled_from(["generate", "declare", "validate", "render", "compare",
+                                    "audit"]))
+    label = lambda: read_golden(draw(st.sampled_from(GOLDEN_LABELS)))  # noqa: E731
+    if command == "generate":
+        files = {"data.csv": read_golden("length_of_stay.csv"),
+                 "manifest.json": read_golden("length_of_stay.manifest.json")}
+        args = ["--data", "data.csv", "--manifest", "manifest.json"]
+    elif command == "declare":
+        files = {"manifest.json": read_golden(draw(st.sampled_from(GOLDEN_MANIFESTS)))}
+        args = ["--manifest", "manifest.json"]
+    else:
+        files, args = {"label.json": label()}, ["label.json"]
+        if command == "validate":
+            args += draw(st.sampled_from([[], ["--width", "48"], ["--max-lines", "40"]]))
+        elif command == "render":
+            args += ["--format", draw(st.sampled_from(["text", "html"]))]
+        elif command == "compare":
+            files.update({f"label{i}.json": label() for i in range(draw(st.integers(0, 2)))})
+            args = sorted(files)
+        else:
+            files["reference.json"] = REFERENCE
+            args += ["--reference", "reference.json"]
+            args += ["--strict"] if draw(st.booleans()) else []
+    if command in ("generate", "declare") and draw(st.booleans()):
+        args += ["-o", "out.json", *(["--stamp"] if draw(st.booleans()) else [])]
+    if command in ("validate", "compare", "audit") and draw(st.booleans()):
+        args.append("--json")
+    name = draw(st.sampled_from(sorted(files)))
+    files[name] = draw(faulty(files[name], name.endswith(".csv")))
+    return [command, *args], files
+
+
+def run_main(argv: list[str]) -> tuple[int, bytes, str]:
+    """main(argv) in process: its exit code, standard output bytes and standard error."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+# `pytest --hypothesis-profile=deep` runs this property with the profile's example count.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None,
+          derandomize=True)
+@given(run=cli_runs())
+def test_every_command_on_a_faulty_golden_exits_0_1_or_2(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        code, out, err = run_main([str(Path(tmp, a)) if a in files or a == "out.json" else a
+                                   for a in argv])
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
+    if code == 2:
+        assert re.search(r"^error: [A-Z][A-Z_]+: ", err, re.M) or err.startswith("usage: "), err
+    if "--json" in argv and out:
+        strict_json(out.decode("utf-8"))

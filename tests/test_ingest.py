@@ -357,22 +357,33 @@ class TestParseManifest:
         with pytest.raises(SchemaError):
             parse_label_manifest(json.dumps(doc))
 
-    @pytest.mark.parametrize("key, value, path", [
-        ("model_train_date", 2012, "model_train_date"),
-        ("model_train_date", "2012-13", "model_train_date"),
-        ("model_train_date", "May 2012", "model_train_date"),
-        ("test_data_range", {"start": "2013", "end": "2014-13"}, "test_data_range.end"),
-    ], ids=["int", "month-13", "words", "range-end-month-13"])
-    def test_a_bad_date_is_refused_at_its_path_as_in_a_label(self, key, value, path):
+    @pytest.mark.parametrize("key, value, path, reason", [
+        ("model_train_date", 2012, "model_train_date", "date must be a string, got int"),
+        ("model_train_date", "2012-13", "model_train_date",
+         "invalid date '2012-13': month 13 out of range"),
+        ("model_train_date", "May 2012", "model_train_date",
+         "cannot parse date 'May 2012' (expected YYYY, YYYY-MM, or YYYY-MM-DD)"),
+        ("test_data_range", {"start": "2013", "end": "2014-13"}, "test_data_range.end",
+         "invalid date '2014-13': month 13 out of range"),
+        ("model_train_date", "0000", "model_train_date",
+         "invalid date '0000': year 0 out of range"),
+        ("model_train_date", "10000", "model_train_date",
+         "cannot parse date '10000' (expected YYYY, YYYY-MM, or YYYY-MM-DD)"),
+        ("model_train_date", "2021-04-31", "model_train_date",
+         "invalid date '2021-04-31': day 31 out of range for 2021-04"),
+        ("test_data_range", {"start": "2013", "end": "2013-09-31"}, "test_data_range.end",
+         "invalid date '2013-09-31': day 31 out of range for 2013-09"),
+    ], ids=["int", "month-13", "words", "range-end-month-13", "year-0", "year-10000",
+            "april-31", "range-end-september-31"])
+    def test_a_bad_date_is_refused_at_its_path_as_in_a_label(self, key, value, path, reason):
         with pytest.raises(SchemaError) as err:
             parse_label_manifest(json.dumps(minimal_manifest(**{key: value})))
-        assert err.value.path == path
+        assert str(err.value) == f"SCHEMA_ERROR: at '{path}': {reason}"
         label = json.loads(read_golden("void.label.json"))
         label["application"][key] = value  # the same value at the same key of a label
         with pytest.raises(SchemaError) as in_label:
             from_canonical_json(json.dumps(label))
-        assert in_label.value.path == f"application.{path}"
-        assert err.value.reason == in_label.value.reason
+        assert str(in_label.value) == f"SCHEMA_ERROR: at 'application.{path}': {reason}"
 
     @pytest.mark.parametrize("value, path, reason", [
         ({"start": "2013"}, "test_data_range", "missing keys ['end']"),
@@ -385,6 +396,41 @@ class TestParseManifest:
         with pytest.raises(SchemaError) as err:
             parse_label_manifest(json.dumps(minimal_manifest(test_data_range=value)))
         assert (err.value.path, err.value.reason) == (path, reason)
+
+    @pytest.mark.parametrize("overrides, path, reason", [
+        ({"demographics": []}, "demographics", "expected an object of categories"),
+        ({"demographics": {"Race": {"rows": ["Asian"]}}}, "demographics.Race.rows",
+         "expected an object of group rows"),
+        ({"demographics": {"Race": {"rows": {"Asian": 0.5}}}}, "demographics.Race.rows.Asian",
+         "expected an object"),
+        ({"demographics": {"Race": {"state": "not_collected", "share": 1}}},
+         "demographics.Race", "unknown keys ['share']"),
+        ({"demographics": {"Race": {"rows": {"Asian": {"state": "not_collected", "n": 3}}}}},
+         "demographics.Race.rows.Asian", "unknown keys ['n']"),
+        ({"demographics": {"Race": {"rows": {"Asian": {"accuracy": 0.5, "n": 3, "f1": 0}}}}},
+         "demographics.Race.rows.Asian", "unknown keys ['f1', 'n']"),
+        ({"optimized_metric": ["Accuracy"]}, "optimized_metric", "expected an object"),
+        ({"dataset": None}, "dataset", "expected an object"),
+        ({"optimized_metric": {"name": "Accuracy", "scale": 2}}, "optimized_metric",
+         "unknown keys ['scale']"),
+        ({"dataset": {"count": 5, "rows": 5, "pct": 1}}, "dataset", "unknown keys ['pct', 'rows']"),
+        ({"optimized_metric": {"name": "Accuracy", "baseline": 0.5,
+                               "baseline_policy": "majority-class"}},
+         "optimized_metric", "give either baseline or baseline_policy, not both"),
+    ], ids=["demographics-list", "rows-list", "row-number", "category-key", "state-row-key",
+            "row-keys", "section-list", "section-null", "metric-key", "dataset-keys",
+            "baseline-and-policy"])
+    def test_a_bad_section_category_or_row_is_refused_at_its_path(self, overrides, path, reason):
+        with pytest.raises(SchemaError) as err:
+            parse_label_manifest(json.dumps(minimal_manifest(**overrides)))
+        assert str(err.value) == f"SCHEMA_ERROR: at '{path}': {reason}"
+
+    def test_a_missing_required_section_is_refused_at_its_name(self):
+        doc = minimal_manifest()
+        doc.pop("optimized_metric")
+        with pytest.raises(SchemaError) as err:
+            parse_label_manifest(json.dumps(doc))
+        assert str(err.value) == "SCHEMA_ERROR: at 'optimized_metric': required key is missing"
 
     def test_inverted_range(self):
         doc = minimal_manifest(test_data_range={"start": "2015", "end": "1996"})

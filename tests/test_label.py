@@ -81,6 +81,18 @@ class TestDates:
         with pytest.raises(ValueError):
             PartialDate(2012, None, 3)
 
+    @pytest.mark.parametrize("parts, reason", [
+        ((0,), "year 0 out of range"),
+        ((10000,), "year 10000 out of range"),
+        ((2021, 4, 31), "day 31 out of range for 2021-04"),
+        ((2021, 2, 29), "day 29 out of range for 2021-02"),
+    ], ids=["year-0", "year-10000", "april-31", "february-29"])
+    def test_a_date_outside_the_calendar_is_refused(self, parts, reason):
+        with pytest.raises(ValueError) as err:
+            PartialDate(*parts)
+        assert str(err.value) == reason
+        assert PartialDate(2024, 2, 29).isoformat() == "2024-02-29"
+
     def test_range_order_enforced(self):
         with pytest.raises(ValueError):
             DateRange(PartialDate(2015), PartialDate(1996))

@@ -540,6 +540,23 @@ class TestColumnarDataset:
         with pytest.raises(MissingColumnError):
             make_scorer("AUC", "1")(dataset)
 
+    def test_f1_on_a_record_dataset_without_predictions_is_a_missing_column(self):
+        records = (_record(0, "1", None, "Female", score=0.5), _record(1, "0", None, "Male"))
+        dataset = PredictionDataset(records, "1", ("Gender",))
+        with pytest.raises(MissingColumnError) as err:
+            make_scorer("F1", "1")(dataset)
+        assert err.value.column == "y_pred"
+        assert str(err.value) == "MISSING_COLUMN: required column 'y_pred' is missing"
+
+    @pytest.mark.parametrize("build", [
+        lambda: PredictionDataset.from_columns(None, ["1", "0"], ["1", "1"], None, {}, "1", ()),
+        lambda: ten_record_dataset()._group([0, 1, 2]),
+    ], ids=["from-columns", "group"])
+    def test_a_dataset_without_ids_has_no_records(self, build):
+        with pytest.raises(ValueError) as err:
+            build().records
+        assert str(err.value) == "this dataset carries no ids, so it has no records"
+
     # Six rows in record order: id, truth, y_pred, score, gender (blank is None).
     ROWS = [("r0", "1", "1", 0.9, "Female"), ("r1", "0", "1", 0.5, "Male"),
             ("r2", "0", "0", 0.1, None), ("r3", "1", "0", 0.5, "Nonbinary"),

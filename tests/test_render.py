@@ -323,10 +323,23 @@ class TestCanonicalJson:
         (lambda d: d["dataset"].update(sample_count={"state": "reported", "value": 120.0}),
          "dataset.sample_count.value", "expected an integer, got 120.0"),
         (lambda d: d.update(extra=1), "(top level)", "unknown keys ['extra']"),
+        (lambda d: d.update(warnings="Do not use"), "warnings", "expected a list, got str"),
+        (lambda d: d.update(demographics={}), "demographics", "expected a list, got dict"),
+        (lambda d: d["demographics"][1].update(rows=None), "demographics[1].rows",
+         "expected a list, got NoneType"),
+        (lambda d: d["dataset"].update(rows=1, count=2), "dataset",
+         "unknown keys ['count', 'rows']"),
+        (lambda d: d.update(dataset={"rows": 1}), "dataset",
+         "missing keys ['sample_count', 'test_pct', 'train_pct']"),
+        (lambda d: d["accuracy"]["optimized"].update(
+            raw_score={"state": "reported", "value": 0.5, "note": "x"}),
+         "accuracy.optimized.raw_score", "unknown keys ['note']"),
     ], ids=["train-date", "range-start-type", "range-inverted", "application-type",
             "application-blank", "warning-type", "group-name-type", "reported-without-value",
             "not-collected-with-value", "target-shape", "target-pct", "category-name-type",
-            "unknown-state", "float-count", "unknown-top-level-key"])
+            "unknown-state", "float-count", "unknown-top-level-key", "warnings-not-a-list",
+            "demographics-not-a-list", "rows-not-a-list", "unknown-object-keys",
+            "missing-before-unknown-keys", "unknown-cell-key"])
     def test_schema_error_names_the_field(self, edit, path, reason):
         doc = json.loads(read_golden("void.label.json"))
         edit(doc)
