@@ -13,7 +13,7 @@ from functools import partial
 from itertools import islice
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, IO, Iterable, Mapping
+from typing import Any, Callable, IO, Iterable, Mapping, Sequence
 
 from .codec import (DATE, DATE_RANGE, Codec, check_keys, checked, decode_at, decode_cell,
                     decode_provenance, encode_provenance, enum_codec, load_json_document,
@@ -418,16 +418,23 @@ def _texts(cells: Iterable[str], row_no: int, column: str, problem: str) -> list
     return texts
 
 
-def _numbers(texts: list[str], row_no: int, column: str) -> list[float]:
-    """The stripped texts as finite floats; else _parse_number's error for the first that
-    is not one, at row_no."""
+def _numbers(cells: Sequence[str], row_no: int, column: str,
+             blank: str | None = None) -> list[float]:
+    """The cells as finite floats, each as its stripped text reads.  `float` reads a
+    cell as it is: it ignores the whitespace around a number as str.strip does, but
+    refuses "\\x1c"-"\\x1f".  So when a cell is refused or is not finite, the cells
+    are stripped and read again.  That succeeds when only those characters were in
+    the way; otherwise a blank cell raises BadValueError with `blank` as its reason
+    (when given), before the first cell that is not a finite float raises
+    _parse_number's error, at row_no."""
     try:
-        values = list(map(float, texts))
+        values = list(map(float, cells))
         if all(map(isfinite, values)):
             return values
     except ValueError:
         pass
-    return [_parse_number(text, row_no, column) for text in texts]  # raises
+    texts = list(map(str.strip, cells)) if blank is None else _texts(cells, row_no, column, blank)
+    return [_parse_number(text, row_no, column) for text in texts]  # raises, or strips \x1c-\x1f
 
 
 def parse_predictions(source: str | Path | IO[str] | Iterable[str],
@@ -515,31 +522,40 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
         """Append a block's rows column by column, padding a short row with blank cells,
         or raise the error of a cell that breaks a rule; the error names the block's
         first row, `row_no`, so it is exact for a block of one row."""
-        lengths = set(map(len, block))
-        if lengths != {width}:
-            if max(lengths) > width:
-                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {max(lengths)}")
+        try:
+            cells = list(zip(*block, strict=True))
+        except ValueError:  # rows of unequal lengths
+            cells = []
+        if len(cells) != width:
+            longest = max(map(len, block))
+            if longest > width:
+                raise BadValueError(row_no, "(row)", f"expected {width} cells, got {longest}")
             for row in block:
                 row += [""] * (width - len(row))
-        cells = list(zip(*block))
+            cells = list(zip(*block))
         block_ids = _texts(cells[id_idx], row_no, "id", "empty id")
-        if len(set(block_ids)) != len(block_ids) or not seen_ids.isdisjoint(block_ids):
+        before = len(seen_ids)
+        seen_ids.update(block_ids)  # rebuilt from `ids` if the block is retried
+        if len(seen_ids) - before != len(block_ids):
             raise DuplicateIdError(f"id '{block_ids[0]}' appears more than once (row {row_no})")
         staged: list[tuple[list, list]] = [(ids, block_ids)]
         for idx, column, name in ((truth_idx, truth, "y_true"), (pred_idx, prediction, "y_pred")):
             if column is not None:
-                texts = _texts(cells[idx], row_no, name, "empty value")
-                staged.append((column, texts if classification else _numbers(texts, row_no, name)))
+                read = _texts if classification else _numbers
+                staged.append((column, read(cells[idx], row_no, name, "empty value")))
         if score_idx is not None:
-            values = _numbers(list(map(str.strip, cells[score_idx])), row_no, "score")
+            values = _numbers(cells[score_idx], row_no, "score")
             if score is not None:
                 staged.append((score, values))
         for idx, column, category, values, memo in group_cols:
             raws = cells[idx]
-            for raw in set(raws).difference(memo):
-                memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
-            staged.append((values, list(map(memo.__getitem__, raws))))
-        seen_ids.update(block_ids)
+            try:
+                names = list(map(memo.__getitem__, raws))
+            except KeyError:  # a raw value not met before: each new one is normalized once
+                for raw in set(raws).difference(memo):
+                    memo[raw] = _group_value(category, raw, manifest.aliases, row_no, column)
+                names = list(map(memo.__getitem__, raws))
+            staged.append((values, names))
         for column, values in staged:
             column += values
 
@@ -557,6 +573,7 @@ def parse_predictions(source: str | Path | IO[str] | Iterable[str],
             take(block, rows_before + 1)
         except (BadValueError, DuplicateIdError):
             retry = block
+            seen_ids = set(ids)  # without this block's ids, which take may have added
         # Again a row at a time: the good rows are kept, and the first bad cell raises,
         # outside the handler so that the block's error is not chained to it.
         for row_no, row in enumerate(retry, start=rows_before + 1):

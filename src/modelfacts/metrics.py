@@ -3,17 +3,20 @@
 A dataset keeps its columns in record order, the file order of a parsed CSV.
 Each AUC sorts the scores it ranks, and a demographic group is a smaller
 dataset gathered in one pass over its category's column.  Sums run in
-record order.  All functions are pure and deterministic; scores are plain
-Python floats from stdlib arithmetic.
+record order.  A regression dataset squares each residual once: its groups
+sum its squared errors over their rows.  All functions are pure and
+deterministic; scores are plain Python floats from stdlib arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -68,12 +71,13 @@ class PredictionDataset:
     missing one is blank).  A repeated id is a DuplicateIdError, and a
     positive class found in neither the truth nor the predictions a
     SchemaError, as for a CSV.  The columns are stored in record order and
-    never change, so the truth's moments and label counts are computed on
-    first use and kept.  A group's dataset has no ids or group columns.
+    never change, so the truth's moments and label counts, and a regression's
+    squared errors, are computed on first use and kept.  A group's dataset has
+    no ids or group columns, and its other columns are tuples.
     """
 
     __slots__ = ("ids", "truth", "prediction", "score", "groups", "positive_class",
-                 "attribute_schema", "_moments", "_counts")
+                 "attribute_schema", "_moments", "_counts", "_errors", "_source")
 
     def __init__(self, records: Iterable[PredictionRecord], positive_class: str | None,
                  attribute_schema: Iterable[str]):
@@ -130,7 +134,7 @@ class PredictionDataset:
         self.groups = groups
         self.positive_class = positive_class
         self.attribute_schema = attribute_schema
-        self._moments = self._counts = None
+        self._moments = self._counts = self._errors = self._source = None
 
     @property
     def n(self) -> int:
@@ -160,11 +164,15 @@ class PredictionDataset:
             for i in range(self.n))
 
     def _group(self, rows: list[int]) -> "PredictionDataset":
-        """The dataset of these rows, in ascending order, for a group's scorer."""
-        truth, prediction, score = (None if column is None else [column[i] for i in rows]
+        """The dataset of these rows, in ascending order, for a group's scorer.  Its
+        columns are tuples, and it keeps this dataset and the rows for ss_res."""
+        gather = itemgetter(*rows) if len(rows) > 1 else lambda column: (column[rows[0]],)
+        truth, prediction, score = (None if column is None else gather(column)
                                     for column in (self.truth, self.prediction, self.score))
-        return PredictionDataset.from_columns(None, truth, prediction, score, {},
-                                              self.positive_class, ())
+        group = PredictionDataset.from_columns(None, truth, prediction, score, {},
+                                               self.positive_class, ())
+        group._source = (self, rows)
+        return group
 
     def moments(self) -> tuple[float, float, float]:
         """The truth's mean, population std and sum of squared deviations, summed once."""
@@ -177,6 +185,22 @@ class PredictionDataset:
         if self._counts is None:
             self._counts = Counter(self.truth)
         return self._counts
+
+    def squared_errors(self) -> array:
+        """Each row's squared residual, (y_true - y_pred) ** 2 in record order, squared once;
+        inf where a square overflows."""
+        if self._errors is None:
+            self._errors = _squared_errors(*_predicted(self))
+        return self._errors
+
+    def ss_res(self) -> float:
+        """The sum of squared residuals in record order.  A group sums the squared errors
+        of the dataset it was gathered from over its rows when that dataset has squared
+        them, and otherwise squares its own."""
+        if self._source is not None and self._source[0]._errors is not None:
+            parent, rows = self._source
+            return sum(map(parent._errors.__getitem__, rows))
+        return sum(self.squared_errors())
 
 
 def _require_positive_class(positive_class: str | None, truth: list,
@@ -299,15 +323,19 @@ def _mean_ss(truth: Sequence[float]) -> tuple[float, float, float]:
     return mean, math.sqrt(_finite("the truth's variance", ss_tot / len(truth))), ss_tot
 
 
-def _r2_from_ss(truth: Sequence[float], predicted: Sequence[float], ss_tot: float) -> float | None:
-    """R2 = 1 - SS_res/SS_tot given the truth's SS_tot; None when that is zero."""
-    if ss_tot == 0.0:
-        return None
+def _square(residual: float) -> float:
     try:
-        ss_res = sum((t - p) ** 2 for t, p in zip(truth, predicted))
+        return float(residual ** 2)
+    except OverflowError:  # float ** raises where + and * return inf; so does float() of a huge int
+        return math.inf
+
+
+def _squared_errors(truth: Sequence[float], predicted: Sequence[float]) -> array:
+    """(t - p) ** 2 for each pair, as doubles; inf where a square overflows."""
+    try:
+        return array("d", [(t - p) ** 2 for t, p in zip(truth, predicted)])
     except OverflowError:
-        ss_res = math.inf
-    return _finite("R2", 1.0 - ss_res / ss_tot)
+        return array("d", (_square(t - p) for t, p in zip(truth, predicted)))
 
 
 def percent_over_baseline(raw: float, baseline: float, direction: Direction) -> float:
@@ -336,12 +364,12 @@ def _dataset_auc(dataset: PredictionDataset, positive_class) -> float:
 
 
 def _r2(dataset: PredictionDataset, positive_class) -> float:
-    truth, predicted = _predicted(dataset)
-    _check_pair(truth, predicted)
-    r2 = _r2_from_ss(truth, predicted, dataset.moments()[2])
-    if r2 is None:
+    """R2 = 1 - SS_res/SS_tot; undefined when the truth's SS_tot is zero."""
+    _check_pair(*_predicted(dataset))
+    ss_tot = dataset.moments()[2]
+    if ss_tot == 0.0:
         raise ZeroVarianceError("truth values have zero variance; R2 is undefined")
-    return r2
+    return _finite("R2", 1.0 - dataset.ss_res() / ss_tot)
 
 
 def _f1_baseline(counts: Counter, majority, positive_class) -> float:

@@ -31,6 +31,12 @@ from modelfacts.label import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# Whitespace of each kind textwrap treats apart: the space; its own whitespace,
+# which it expands or turns into spaces; and other Unicode whitespace, which it
+# keeps inside a word but drops as a whitespace-only last chunk.  str.strip
+# removes every one; float refuses "\x1c" and "\x1f" around a number.
+WHITESPACE = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
+
 # A deeper run for CI: `pytest --hypothesis-profile=deep` gives 2,000 examples to each
 # property whose example count follows the profile.
 settings.register_profile("deep", max_examples=2000)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
 import math
+import random
 
 import pytest
 
-from conftest import GOLDEN_DIR, read_golden
-from modelfacts.codec import from_canonical_json
+from conftest import GOLDEN_DIR, WHITESPACE, read_golden
+from modelfacts.assemble import generate_label
+from modelfacts.codec import from_canonical_json, to_canonical_json
 from modelfacts.errors import (
     BadValueError,
     DuplicateIdError,
@@ -264,6 +267,110 @@ class TestParsePredictions:
             parse_csv(text)
         assert (err.value.row, err.value.column) == (row, column)
         assert reason in err.value.reason
+
+
+def regression_manifest(**overrides) -> dict:
+    doc = minimal_manifest(model_type="regression", optimized_metric={"name": "R2"}, **overrides)
+    doc.pop("positive_class")
+    return doc
+
+
+def block_rows(header: str, row: str, lines: dict[int, str], n: int = 400) -> str:
+    """A CSV of n data rows, `row` formatted with the row number `i`, some replaced by number."""
+    return header + "\n" + "".join(lines.get(i, row.format(i=i)) + "\n" for i in range(1, n + 1))
+
+
+REGRESSION_ROWS = ("id,y_true,y_pred,score,age", "r{i},{i}.5,{i},0.{i},30")
+
+
+class TestBlockChecks:
+    """parse_predictions checks 256 rows at a time, and a block that breaks a rule is
+    checked again a row at a time: the error names its first bad cell, whatever the
+    block checked before reaching it."""
+
+    @pytest.mark.parametrize("doc, rows, lines, at, column, reason", [
+        (minimal_manifest(), ("id,y_true,y_pred", "r{i},{i},1"), {200: "r200,,1"},
+         200, "y_true", "empty value"),
+        (minimal_manifest(), ("id,y_true,y_pred", "r{i},{i},1"), {256: "r256,1,  "},
+         256, "y_pred", "empty value"),
+        (regression_manifest(), REGRESSION_ROWS, {300: "r300,1.5,abc,0.5,30"},
+         300, "y_pred", "not a number: 'abc'"),
+        (regression_manifest(), REGRESSION_ROWS, {130: "r130,1.5,2,nan,30"},
+         130, "score", "not a finite number: 'nan'"),
+        (regression_manifest(), REGRESSION_ROWS, {257: "r257,1.5,2,0.5,abc"},
+         257, "age", "not an age: 'abc'"),
+    ], ids=["blank-truth", "blank-prediction-last-row", "second-block-prediction",
+            "nan-score", "age-first-row-of-second-block"])
+    def test_a_block_that_fails_on_a_later_cell_names_that_cell(self, doc, rows, lines, at,
+                                                                column, reason):
+        # Not DUPLICATE_ID for the block's own ids, which it checked first.
+        with pytest.raises(BadValueError) as err:
+            parse_csv(block_rows(*rows, lines), doc)
+        assert (err.value.row, err.value.column, err.value.reason) == (at, column, reason)
+
+    @pytest.mark.parametrize("at, earlier", [(300, 5), (257, 256), (100, 5), (512, 511)])
+    def test_a_repeated_id_is_named_at_its_own_row(self, at, earlier):
+        with pytest.raises(DuplicateIdError) as err:
+            parse_csv(rows_with({at: f" r{earlier} ,1,1"}, n=600))
+        assert str(err.value) == f"DUPLICATE_ID: id 'r{earlier}' appears more than once (row {at})"
+
+    @pytest.mark.parametrize("space", WHITESPACE + "\x1d\x1e")
+    def test_whitespace_around_an_id_or_a_number_changes_no_value(self, space):
+        # float reads " 1.5\t" as str.strip would leave it, but refuses "\x1c1.5\x1c".
+        rng = random.Random(5)
+        header = ["id", "y_true", "y_pred", "score", "gender"]
+        cases = [(regression_manifest(), lambda: f"{rng.uniform(0, 90):.3f}"),
+                 (minimal_manifest(optimized_metric={"name": "AUC"}), lambda: rng.choice("01"))]
+        for doc, truth in cases:
+            manifest = parse_label_manifest(json.dumps(doc))
+            plain = [[f"r{i}", truth(), truth(), f"{rng.random():.4f}", rng.choice(["F", "M", ""])]
+                     for i in range(300)]
+            padded = [[space + cell + space if i % 3 and j < 4 else cell
+                       for j, cell in enumerate(row)] for i, row in enumerate(plain)]
+            read = []
+            for rows in (plain, padded):
+                text = io.StringIO()
+                csv.writer(text).writerows([header, *rows])
+                dataset = parse_predictions(io.StringIO(text.getvalue()), manifest)
+                read.append(([dataset.ids, dataset.truth, dataset.prediction, dataset.score],
+                             to_canonical_json(generate_label(dataset, manifest))))
+            assert read[0] == read[1]
+
+    @pytest.mark.parametrize("cell, reason", [
+        ("", "empty value"), ("  ", "empty value"), ("\x1c", "empty value"),
+        ("\x1f\t", "empty value"), (" abc\x1e", "not a number: 'abc'"),
+        ("\x1dinf ", "not a finite number: 'inf'")])
+    @pytest.mark.parametrize("at", [1, 300])
+    @pytest.mark.parametrize("column", ["y_true", "y_pred"])
+    def test_a_bad_regression_number_keeps_its_message(self, cell, reason, at, column):
+        line = {"y_true": f"r{at},{cell},2,0.5,30", "y_pred": f"r{at},1.5,{cell},0.5,30"}[column]
+        with pytest.raises(BadValueError) as err:
+            parse_csv(block_rows(*REGRESSION_ROWS, {at: line}), regression_manifest())
+        assert (err.value.row, err.value.column, err.value.reason) == (at, column, reason)
+
+    @pytest.mark.parametrize("cell, reason", [
+        ("", "not a number: ''"), (" ", "not a number: ''"), ("\x1c", "not a number: ''"),
+        ("\x1f1e999", "not a finite number: '1e999'"), ("0.5x", "not a number: '0.5x'")])
+    @pytest.mark.parametrize("at", [1, 300])
+    def test_a_bad_score_keeps_its_message(self, cell, reason, at):
+        doc = minimal_manifest(optimized_metric={"name": "AUC"})
+        text = block_rows("id,y_true,score", "r{i},{i},0.5", {at: f"r{at},1,{cell}"})
+        with pytest.raises(BadValueError) as err:
+            parse_csv(text, doc)
+        assert (err.value.row, err.value.column, err.value.reason) == (at, "score", reason)
+
+    def test_a_group_value_first_met_in_a_late_block_is_normalized_at_its_row(self):
+        doc = minimal_manifest(aliases={"Gender": {"F": "Female"}})
+        lines = {300: "r300,1,1,F,17", 400: "r400,0,1, Nonbinary ,"}
+        rows = ("id,y_true,y_pred,gender,age", "r{i},{i},1,Male,30")
+        dataset = parse_csv(block_rows(*rows, lines), doc)
+        assert [dataset.groups["Gender"][i - 1] for i in (1, 300, 400)] == [
+            "Male", "Female", "Nonbinary"]
+        assert [dataset.groups["Age"][i - 1] for i in (1, 300, 400)] == ["25-34", "<17", None]
+        with pytest.raises(BadValueError) as err:
+            parse_csv(block_rows(*rows, {**lines, 350: "r350,1,1,Male,thirty"}), doc)
+        assert (err.value.row, err.value.column, err.value.reason) == (
+            350, "age", "not an age: 'thirty'")
 
 
 NOT_UTF8 = b'{"name": "caf\xe9"}'

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -18,11 +19,13 @@ from modelfacts.errors import (
     EmptyDatasetError,
     LengthMismatchError,
     MissingColumnError,
+    NumericOverflowError,
     SchemaError,
     SingleClassError,
     UnknownCategoryError,
     UnknownMetricError,
     ZeroBaselineError,
+    ZeroVarianceError,
 )
 from modelfacts.ingest import parse_label_manifest, parse_predictions
 from modelfacts.label import (
@@ -52,7 +55,7 @@ from modelfacts.metrics import (
     select_standard_metric,
     standard_accuracy,
     _mean_ss,
-    _r2_from_ss,
+    _squared_errors,
 )
 
 
@@ -177,12 +180,13 @@ class TestAuc:
 
 
 class TestRegressionSums:
-    """_mean_ss gives the truth's mean, population std and SS_tot, and _r2_from_ss
-    R2 = 1 - SS_res/SS_tot from that SS_tot."""
+    """_mean_ss gives the truth's mean, population std and SS_tot, _squared_errors each
+    row's squared residual, and the R2 scorer R2 = 1 - SS_res/SS_tot from their sums."""
 
     @staticmethod
     def r2(truth, predicted):
-        return _r2_from_ss(truth, predicted, _mean_ss(truth)[2])
+        dataset = PredictionDataset.from_columns(None, truth, predicted, None, {}, None, ())
+        return make_scorer("R2")(dataset)
 
     def test_identity(self):
         assert self.r2([1.0, 2.0, 4.0], [1.0, 2.0, 4.0]) == 1.0
@@ -194,11 +198,13 @@ class TestRegressionSums:
         mean, std, ss_tot = _mean_ss([1.0, 2.0, 3.0])
         assert (mean, ss_tot) == (2.0, 2.0)
         assert std == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
-        assert _r2_from_ss([1.0, 2.0, 3.0], [1.0, 2.0, 2.0], ss_tot) == pytest.approx(0.5)
+        assert _squared_errors([1.0, 2.0, 3.0], [1.0, 2.0, 2.0]) == array("d", [0.0, 0.0, 1.0])
+        assert self.r2([1.0, 2.0, 3.0], [1.0, 2.0, 2.0]) == pytest.approx(0.5)
 
     def test_zero_variance_keeps_mean_std(self):
         assert _mean_ss([5.0, 5.0]) == (5.0, 0.0, 0.0)
-        assert self.r2([5.0, 5.0], [4.0, 6.0]) is None
+        with pytest.raises(ZeroVarianceError):
+            self.r2([5.0, 5.0], [4.0, 6.0])
 
     def test_empty(self):
         # The sums take a non-empty truth: a dataset without records is refused first.
@@ -434,6 +440,107 @@ class TestGroupBreakdown:
         assert isinstance(target, MeanStd)
         assert target.mean == 2.0
         assert target.std == pytest.approx(math.sqrt(2 / 3))
+
+
+def regression_dataset(truth, predicted, genders) -> PredictionDataset:
+    return PredictionDataset(tuple(PredictionRecord(f"r{i}", t, p, attributes={"Gender": g})
+                                   for i, (t, p, g) in enumerate(zip(truth, predicted, genders))),
+                             None, ("Gender",))
+
+
+class TestSquaredErrorReuse:
+    """A regression dataset squares each residual once, and a group sums the squares of
+    the dataset it was gathered from over its rows."""
+
+    GENDERS = ["Female", "Male", "Female", "Nonbinary", "Male", "Female", "x", "Male"]
+
+    def dataset(self, predicted=None):
+        rng = random.Random(61)
+        truth = [round(rng.uniform(0, 50), 3) for _ in self.GENDERS]
+        if predicted is None:
+            predicted = [round(t + rng.gauss(0, 4), 3) for t in truth]
+        return regression_dataset(truth, predicted, self.GENDERS)
+
+    @pytest.mark.parametrize("scorer", [
+        make_scorer("R2"),
+        # A custom scorer that reads the gathered predictions as well as the R2.
+        lambda group: make_scorer("R2")(group) + max(group.prediction) - group.prediction[-1],
+    ], ids=["r2", "custom"])
+    def test_group_rows_do_not_depend_on_the_dataset_being_scored_first(self, scorer,
+                                                                        monkeypatch):
+        from modelfacts import metrics
+
+        squared = []
+        real = metrics._squared_errors
+
+        def counting(truth, predicted):
+            squared.append(len(truth))
+            return real(truth, predicted)
+        monkeypatch.setattr(metrics, "_squared_errors", counting)
+        fresh = group_breakdown(self.dataset(), "Gender", scorer)
+        # Nonbinary is a one-row group: its R2 is undefined, its mean and std are not.
+        nonbinary = {row.group_name: row for row in fresh}["Nonbinary"]
+        assert nonbinary.group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
+        assert nonbinary.target_stat.value.std == 0.0
+        assert squared == [3, 3]  # Female and Male square their own; one row has no variance
+
+        squared.clear()
+        dataset = self.dataset()
+        make_scorer("R2")(dataset)
+        assert squared == [8]
+        assert group_breakdown(dataset, "Gender", scorer) == fresh
+        assert squared == [8]  # the groups sum the dataset's squares
+
+    def test_a_group_gathers_its_columns_as_tuples_in_row_order(self):
+        dataset = self.dataset()
+        for rows in ([3], [0, 2, 5], list(range(8))):
+            group = dataset._group(rows)
+            assert group.truth == tuple(dataset.truth[i] for i in rows)
+            assert group.prediction == tuple(dataset.prediction[i] for i in rows)
+            assert group.score is None
+            assert group.ss_res() == sum((dataset.truth[i] - dataset.prediction[i]) ** 2
+                                         for i in rows)
+
+    def test_a_missing_column_comes_before_zero_variance(self):
+        dataset = PredictionDataset.from_columns(None, [5.0, 5.0], None, None, {}, None, ())
+        with pytest.raises(MissingColumnError):
+            make_scorer("R2")(dataset)
+
+    def test_zero_variance_comes_before_an_overflowing_residual(self):
+        dataset = regression_dataset([5.0, 5.0], [1e200, -1e200], ["Female", "Male"])
+        with pytest.raises(ZeroVarianceError):
+            make_scorer("R2")(dataset)
+
+    @pytest.mark.parametrize("scored_first", [False, True])
+    def test_an_overflowing_residual_is_an_overflow_for_the_dataset_and_unknown_for_its_group(
+            self, scored_first):
+        predicted = [1.0, 1e200, 3.5, 4.0, 0.5, 6.0, 7.0, 8.5]  # row 1 is Male
+        dataset = self.dataset(predicted)
+        with pytest.raises(NumericOverflowError):
+            make_scorer("R2")(dataset)
+        if not scored_first:
+            dataset = self.dataset(predicted)
+        assert dataset.squared_errors()[1] == math.inf
+        rows = {row.group_name: row
+                for row in group_breakdown(dataset, "Gender", make_scorer("R2"))}
+        assert rows["Male"].group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
+        assert rows["Female"].group_accuracy.is_reported
+        female = [0, 2, 5]
+        assert rows["Female"].group_accuracy.value == make_scorer("R2")(
+            PredictionDataset.from_columns(None, [dataset.truth[i] for i in female],
+                                           [predicted[i] for i in female], None, {}, None, ()))
+
+
+    def test_an_int_residual_beyond_a_float_is_an_overflow(self):
+        # Record datasets may hold ints; the square of this one has no float.
+        dataset = regression_dataset([1, 5, 3, 9], [2, 10**200, 1, 7],
+                                     ["Female", "Male", "Female", "Male"])
+        with pytest.raises(NumericOverflowError):
+            make_scorer("R2")(dataset)
+        rows = {row.group_name: row
+                for row in group_breakdown(dataset, "Gender", make_scorer("R2"))}
+        assert rows["Male"].group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
+        assert rows["Female"].group_accuracy.value == -1.5
 
 
 class TestMajorityClassBaseline:

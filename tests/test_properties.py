@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_label, read_golden
+from conftest import WHITESPACE, make_label, read_golden
 from modelfacts import render
 from modelfacts.assemble import CONFLICT_TOLERANCE, build_declared_label, generate_label
 from modelfacts.codec import (encode_label, encode_provenance, from_canonical_json, json_text,
@@ -512,9 +512,12 @@ def check_group_breakdown(records: list, metric: str, seed: int) -> None:
         with pytest.raises(SchemaError):  # as a CSV without its positive class is
             PredictionDataset(records, positive_class, ("Gender",))
         return
-    rows = group_breakdown(PredictionDataset(records, positive_class, ("Gender",)), "Gender",
-                           make_scorer(metric, positive_class))
+    dataset = PredictionDataset(records, positive_class, ("Gender",))
+    rows = group_breakdown(dataset, "Gender", make_scorer(metric, positive_class))
     assert [row.group_name for row in rows] == list(GENDERS)
+    if metric == "R2":  # the groups sum the dataset's squared errors once it has them
+        dataset.squared_errors()
+        assert group_breakdown(dataset, "Gender", make_scorer(metric)) == rows
     for row in rows:
         members = [r for r in records
                    if (r.attributes.get("Gender") if r.attributes.get("Gender") in GENDERS
@@ -948,12 +951,6 @@ def test_the_block_reader_matches_the_row_loop(metric, n, faults, seed):
     expected = dataset_or_error(row_loop_dataset, text, manifest)
     actual = dataset_or_error(lambda text, m: parse_predictions(io.StringIO(text), m), text, manifest)
     assert actual == expected
-
-
-# Whitespace of each kind textwrap treats apart: the space; its own whitespace,
-# which it expands or turns into spaces; and other Unicode whitespace, which it
-# keeps inside a word but drops as a whitespace-only last chunk.
-WHITESPACE = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
 
 
 @pytest.mark.parametrize("space", WHITESPACE)
