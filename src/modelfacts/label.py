@@ -123,15 +123,6 @@ _DISPLAY_NAMES = {
 }
 
 
-# Days in each month of a common year; a Gregorian leap year gives February 29.
-_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _days_in_month(year: int, month: int) -> int:
-    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-    return _MONTH_DAYS[month - 1] + (month == 2 and leap)
-
-
 @dataclass(frozen=True)
 class PartialDate:
     """A calendar date at year, year-month, or full precision."""
@@ -148,7 +139,9 @@ class PartialDate:
         if self.month is not None and not 1 <= self.month <= 12:
             raise ValueError(f"month {self.month} out of range")
         if self.day is not None:
-            last = _days_in_month(self.year, self.month)
+            import calendar
+
+            last = calendar.monthrange(self.year, self.month)[1]
             if not 1 <= self.day <= last:
                 raise ValueError(f"day {self.day} out of range for {self.year}-{self.month:02d}")
 

@@ -195,11 +195,10 @@ class PredictionDataset:
 
     def ss_res(self) -> float:
         """The sum of squared residuals in record order.  A group sums the squared errors
-        of the dataset it was gathered from over its rows when that dataset has squared
-        them, and otherwise squares its own."""
-        if self._source is not None and self._source[0]._errors is not None:
+        of the dataset it was gathered from over its rows."""
+        if self._source is not None:
             parent, rows = self._source
-            return sum(map(parent._errors.__getitem__, rows))
+            return sum(map(parent.squared_errors().__getitem__, rows))
         return sum(self.squared_errors())
 
 

@@ -315,8 +315,9 @@ class TestBlockChecks:
         assert str(err.value) == f"DUPLICATE_ID: id 'r{earlier}' appears more than once (row {at})"
 
     @pytest.mark.parametrize("space", WHITESPACE + "\x1d\x1e")
-    def test_whitespace_around_an_id_or_a_number_changes_no_value(self, space):
+    def test_whitespace_around_an_id_or_a_number_changes_no_value(self, space, tmp_path):
         # float reads " 1.5\t" as str.strip would leave it, but refuses "\x1c1.5\x1c".
+        # The rows are read from a file, as the CLI reads them.
         rng = random.Random(5)
         header = ["id", "y_true", "y_pred", "score", "gender"]
         cases = [(regression_manifest(), lambda: f"{rng.uniform(0, 90):.3f}"),
@@ -329,9 +330,10 @@ class TestBlockChecks:
                        for j, cell in enumerate(row)] for i, row in enumerate(plain)]
             read = []
             for rows in (plain, padded):
-                text = io.StringIO()
-                csv.writer(text).writerows([header, *rows])
-                dataset = parse_predictions(io.StringIO(text.getvalue()), manifest)
+                path = tmp_path / "predictions.csv"
+                with open(path, "w", encoding="utf-8", newline="") as target:
+                    csv.writer(target).writerows([header, *rows])
+                dataset = parse_predictions(path, manifest)
                 read.append(([dataset.ids, dataset.truth, dataset.prediction, dataset.score],
                              to_canonical_json(generate_label(dataset, manifest))))
             assert read[0] == read[1]

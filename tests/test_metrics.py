@@ -482,7 +482,7 @@ class TestSquaredErrorReuse:
         nonbinary = {row.group_name: row for row in fresh}["Nonbinary"]
         assert nonbinary.group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
         assert nonbinary.target_stat.value.std == 0.0
-        assert squared == [3, 3]  # Female and Male square their own; one row has no variance
+        assert squared == [8]  # the groups sum the dataset's squares, squared once
 
         squared.clear()
         dataset = self.dataset()
@@ -530,7 +530,6 @@ class TestSquaredErrorReuse:
             PredictionDataset.from_columns(None, [dataset.truth[i] for i in female],
                                            [predicted[i] for i in female], None, {}, None, ()))
 
-
     def test_an_int_residual_beyond_a_float_is_an_overflow(self):
         # Record datasets may hold ints; the square of this one has no float.
         dataset = regression_dataset([1, 5, 3, 9], [2, 10**200, 1, 7],
@@ -541,6 +540,16 @@ class TestSquaredErrorReuse:
                 for row in group_breakdown(dataset, "Gender", make_scorer("R2"))}
         assert rows["Male"].group_accuracy.state is ProvenanceState.UNKNOWN_AVAILABILITY
         assert rows["Female"].group_accuracy.value == -1.5
+
+    def test_int_residuals_are_summed_as_doubles(self):
+        # Each square is stored as a double, so above 2**53 the sum is of rounded squares.
+        truth, predicted = [0, 2, 4, 6], [2**27] * 4
+        dataset = regression_dataset(truth, predicted, ["Female"] * 4)
+        assert make_scorer("R2")(dataset) == -3602879540835124.5
+        female = group_breakdown(dataset, "Gender", make_scorer("R2"))[0]
+        assert (female.group_name, female.group_accuracy.value) == ("Female", -3602879540835124.5)
+        assert 1.0 - sum((t - p) ** 2 for t, p in zip(truth, predicted)) / 20.0 == (
+            -3602879540835125.0)  # the exact integer sum, rounded once
 
 
 class TestMajorityClassBaseline:
