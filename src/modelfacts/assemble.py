@@ -8,6 +8,7 @@ from .errors import (BadArgumentError, DeclaredConflictError, SchemaError, Unkno
                      ZeroBaselineError)
 from .ingest import DeclaredRow, LabelManifest
 from .label import (
+    CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
     DECLARED_CELLS,
     ROW_CELLS,
@@ -22,7 +23,6 @@ from .label import (
     PctTarget,
     Provenance,
     ProvenanceCell,
-    canonical_groups,
 )
 from .metrics import (
     Direction,
@@ -150,7 +150,7 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
         if spec is optimized_spec:  # a table entry, or make_scorer would have raised
             standard_raw = raw
         elif spec is None or spec.scorer is not None and (
-                dataset.has_scores if spec.needs_score else dataset.has_predictions):
+                dataset.score if spec.needs_score else dataset.prediction) is not None:
             standard_raw = make_scorer(standard_name, dataset.positive_class)(dataset)
     standard = _metric(manifest, dataset, "standard", standard_name, standard_raw,
                        metric_direction(standard_name) or Direction.MAXIMIZE, None)
@@ -175,7 +175,7 @@ def _assemble(manifest: LabelManifest, dataset: PredictionDataset | None) -> Mod
         computed = ({row.group_name: row for row in group_breakdown(dataset, name, scorer)}
                     if name in schema else {})
         declared = declared or {}
-        groups = dict.fromkeys((*(computed or canonical_groups(name) or ()), *declared))
+        groups = dict.fromkeys((*(computed or CANONICAL_CATEGORIES.get(name, ())), *declared))
         if groups:
             categories.append(DemographicCategory(name, tuple(
                 _row(name, group, computed.get(group), declared.get(group)) for group in groups)))

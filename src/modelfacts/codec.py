@@ -6,7 +6,8 @@ once, as a table of (encode, decode) pairs, and both directions derive from it,
 down to the canonical JSON text that every command reads and writes.  Encoders
 build each object with its keys in sorted order, and the canonical text is
 written straight from the same table in that order, without building the
-encoded value; ad hoc reports are sorted by json_text.
+encoded value; a leaf that the table's decoder would refuse is refused with its
+error.  Ad hoc reports are sorted by json_text.
 
 A decoder takes only its value, and its SCHEMA_ERROR a path relative to it: ""
 for the value itself, else steps like ".rows[2]".  Containers put their step in
@@ -88,7 +89,8 @@ def parse_partial_date(text: Any) -> PartialDate:
 
 
 def top_level(decode: Callable[..., Any]) -> Callable[..., Any]:
-    """decode, its SCHEMA_ERROR at a document path: the document itself is "(top level)"."""
+    """decode (or a writer), its SCHEMA_ERROR at a document path: the document
+    itself is "(top level)"."""
     def read(*args: Any) -> Any:
         try:
             return decode(*args)
@@ -167,16 +169,24 @@ _UNREPORTED_CELL = {cell.state: _encode_in_order(encode_provenance(cell))
                     for cell in _UNREPORTED.values()}
 
 
-def _provenance_text(cell: Provenance) -> str:
-    """The canonical text of encode_provenance(cell), written without building it."""
-    value = cell.value
-    if value is None:
-        return _UNREPORTED_CELL.get(cell.state) or _encode_in_order(encode_provenance(cell))
-    if isinstance(value, PctTarget):
-        return _PCT_CELL % _leaf_text(value.pct)
-    if isinstance(value, MeanStd):
-        return _MEAN_STD_CELL % (_leaf_text(value.mean), _leaf_text(value.std))
-    return _NUMBER_CELL % _leaf_text(value)
+def _number_cell(value: Any) -> str | None:
+    return _NUMBER_CELL % repr(value) if type(value) is float and isfinite(value) else None
+
+
+def _count_cell(value: Any) -> str | None:
+    return _NUMBER_CELL % repr(value) if type(value) is int else None
+
+
+def _target_cell(value: Any) -> str | None:
+    if type(value) is PctTarget:
+        pct = value.pct
+        if type(pct) is float and isfinite(pct):
+            return _PCT_CELL % repr(pct)
+    elif type(value) is MeanStd:
+        mean, std = value.mean, value.std
+        if type(mean) is float and type(std) is float and isfinite(mean) and isfinite(std):
+            return _MEAN_STD_CELL % (repr(mean), repr(std))
+    return None
 
 
 def decode_provenance(obj: Any, kind: str = "number") -> Provenance:
@@ -221,19 +231,38 @@ def decode_cell(obj: Any, kind: str = "number") -> Provenance:
 Codec = tuple[Callable[[Any], Any], ...]
 
 
-def _leaf_text(value: Any) -> str:
-    """The canonical text of a leaf; any but an exact str or finite float by json."""
-    if type(value) is str:
-        return encode_basestring(value)
-    if type(value) is float and isfinite(value):
-        return repr(value)
-    return _encode_in_order(value)
+def _json_write(codec: Codec) -> Callable[[Any], str]:
+    """codec's slow write: json's text of its encoding, refused as codec's decoder
+    refuses that text, with the same error.  NaN, infinities and cycles are json's
+    ValueError."""
+    encode, decode = codec[0], codec[1]
+
+    def write(value: Any) -> str:
+        text = _encode_in_order(encode(value))
+        decode(json.loads(text))
+        return text
+    return write
 
 
 def _writer(codec: Codec) -> Callable[[Any], str]:
-    """codec's write: its own, else the leaf text of its encoding."""
-    encode = codec[0]
-    return codec[2] if len(codec) > 2 else lambda value: _leaf_text(encode(value))
+    """codec's write: its own, else its encoding's text when that is an exact str,
+    and _json_write's for any other."""
+    if len(codec) > 2:
+        return codec[2]
+    encode, slow = codec[0], _json_write(codec)
+
+    def write(value: Any) -> str:
+        text = encode(value)
+        return encode_basestring(text) if type(text) is str else slow(value)
+    return write
+
+
+def _at(step: str, write: Callable[[Any], str], value: Any) -> str:
+    """write(value), its SCHEMA_ERROR moved under step."""
+    try:
+        return write(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{step}{exc.path}", exc.reason) from None
 
 
 def _object(cls: type, **fields: Codec) -> Codec:
@@ -241,7 +270,8 @@ def _object(cls: type, **fields: Codec) -> Codec:
 
     Fields encode and write in key order, and decode in the order given.  A
     missing or unknown key, or a ValueError from cls's constructor, is a
-    SCHEMA_ERROR at the object itself.
+    SCHEMA_ERROR at the object itself.  A field the writer refuses is named
+    under its key; with several, the first in key order.
     """
     keys = set(fields)
     decoders = tuple((name, codec[1]) for name, codec in fields.items())
@@ -254,7 +284,11 @@ def _object(cls: type, **fields: Codec) -> Codec:
         return {name: enc(getattr(value, name)) for name, enc in encoders}
 
     def write(value: Any) -> str:
-        return template % tuple([field(getattr(value, name)) for name, field in writers])
+        try:
+            return template % tuple([field(getattr(value, name)) for name, field in writers])
+        except SchemaError:  # write again, naming the field at fault
+            return template % tuple([_at(f".{name}", field, getattr(value, name))
+                                     for name, field in writers])
 
     def decode(obj: Any) -> Any:
         if not isinstance(obj, dict):
@@ -293,13 +327,31 @@ def _list_of(item: Codec) -> Codec:
                 raise SchemaError(f"[{i}]{exc.path}", exc.reason) from None
         return tuple(values)
 
-    return ((lambda values: [enc(v) for v in values]), decode,
-            lambda values: "[%s]" % ",".join(map(write, values)))
+    def write_all(values: Any) -> str:
+        try:
+            return "[%s]" % ",".join(map(write, values))
+        except SchemaError:  # write again, naming the item at fault
+            return "[%s]" % ",".join([_at(f"[{i}]", write, v) for i, v in enumerate(values)])
+
+    return (lambda values: [enc(v) for v in values]), decode, write_all
 
 
-def _cell(kind: str) -> Codec:
-    """A provenance cell whose reported value has the given decode_provenance kind."""
-    return encode_provenance, lambda obj: decode_provenance(obj, kind), _provenance_text
+def _cell(kind: str, value_text: Callable[[Any], str | None]) -> Codec:
+    """A provenance cell whose reported value has the given decode_provenance kind.
+
+    value_text gives the cell's text for a value of its kind's exact type, finite
+    floats throughout, from a template, and None for any other value, which goes
+    through _json_write."""
+    decode = lambda obj: decode_provenance(obj, kind)
+    slow = _json_write((encode_provenance, decode))
+
+    def _provenance_text(cell: Provenance) -> str:
+        value = cell.value
+        if value is None:
+            return _UNREPORTED_CELL[cell.state]
+        return value_text(value) or slow(cell)
+
+    return encode_provenance, decode, _provenance_text
 
 
 def same(value: Any) -> Any:
@@ -339,16 +391,23 @@ def _version(obj: Any) -> str:
     return obj
 
 
-_TEXT: Codec = (same, _text, _leaf_text)
+def _write_version(value: Any) -> str:
+    if type(value) is str and value in SUPPORTED_SCHEMA_VERSIONS:
+        return encode_basestring(value)
+    return _json_write((same, _version))(value)
+
+
+_TEXT: Codec = (same, _text)
 DATE: Codec = (PartialDate.isoformat, parse_partial_date)
 DATE_RANGE = _object(DateRange, start=DATE, end=DATE)
-_NUMBER, _COUNT, _TARGET = _cell("number"), _cell("count"), _cell("target")
+_NUMBER, _COUNT = _cell("number", _number_cell), _cell("count", _count_cell)
+_TARGET = _cell("target", _target_cell)
 
 _METRIC = _object(MetricValue, name=_TEXT, raw_score=_NUMBER, pct_over_baseline=_NUMBER)
 
 _LABEL = _object(
     ModelFactsLabel,
-    schema_version=(same, _version),
+    schema_version=(same, _version, _write_version),
     application=_object(
         ApplicationInfo,
         application=_TEXT,
@@ -368,7 +427,7 @@ _LABEL = _object(
 )
 
 encode_metric = _METRIC[0]
-encode_label, decode_label, _write_label = _LABEL[0], top_level(_LABEL[1]), _LABEL[2]
+encode_label, decode_label, _write_label = _LABEL[0], top_level(_LABEL[1]), top_level(_LABEL[2])
 
 
 def json_text(obj: Any) -> str:
@@ -379,7 +438,11 @@ def json_text(obj: Any) -> str:
 def to_canonical_json(label: ModelFactsLabel) -> bytes:
     """Deterministic serialization: json_text of encode_label, UTF-8, one trailing
     newline, written straight from the label table with its keys in order.
-    The interchange format for validate/compare/audit."""
+    The interchange format for validate/compare/audit.
+
+    A leaf that from_canonical_json would refuse raises its error (SCHEMA_ERROR
+    at the leaf's path, or UNSUPPORTED_VERSION); with several, the first in key
+    order.  NaN, infinities and cycles are json's ValueError."""
     return (_write_label(label) + "\n").encode("utf-8")
 
 

@@ -27,6 +27,7 @@ from .errors import (
     UnknownMetricError,
 )
 from .label import (
+    CANONICAL_CATEGORIES,
     CANONICAL_CATEGORY_ORDER,
     DECLARED_CELLS,
     LABEL_CELLS,
@@ -39,7 +40,6 @@ from .label import (
     Provenance,
     ProvenanceCell,
     _group_value,
-    canonical_groups,
     is_finite_number,
 )
 from .metrics import (Direction, PredictionDataset, _require_positive_class, metric_direction,
@@ -118,7 +118,7 @@ class LabelManifest:
         object.__setattr__(self, "warnings", tuple(self.warnings))
         object.__setattr__(self, "extra_categories", tuple(self.extra_categories))
         for category, rows in self.demographics.items():
-            if not rows and canonical_groups(category) is None:
+            if not rows and category not in CANONICAL_CATEGORIES:
                 raise SchemaError(f"demographics.{category}",
                                   "extension categories need explicit rows")
         if self.optimized_direction is None:
@@ -148,7 +148,7 @@ class LabelManifest:
             if cell is None and where:
                 raise SchemaError(spec.manifest_path(*where), _NO_STAT)
         for category, rows in self.demographics.items():  # every canonical group; no None row
-            for group in (*(canonical_groups(category) or ()), *rows):
+            for group in (*CANONICAL_CATEGORIES.get(category, ()), *rows):
                 if rows.get(group) is None:
                     raise SchemaError(f"demographics.{category}.rows.{group}", _NO_ROW)
 
@@ -237,7 +237,7 @@ def _category(category: str, spec: Any) -> dict[str, DeclaredRow | None]:
     declared = spec.get("rows", {})
     if not isinstance(declared, dict):
         raise SchemaError(".rows", "expected an object of group rows")
-    groups = list(canonical_groups(category) or ())
+    groups = list(CANONICAL_CATEGORIES.get(category, ()))
     groups += [group for group in declared if group not in groups]
     rows: dict[str, DeclaredRow | None] = {}
     for group in groups:

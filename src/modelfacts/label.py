@@ -95,10 +95,6 @@ class Provenance:
     def is_reported(self) -> bool:
         return self.state is _REPORTED
 
-    @property
-    def color(self) -> str | None:
-        return PROVENANCE_COLORS[self.state]
-
 
 class ModelType(Enum):
     BALANCED_CLASSIFICATION = "balanced_classification"
@@ -268,11 +264,6 @@ CANONICAL_CATEGORIES: dict[str, tuple[str, ...]] = {
 CANONICAL_CATEGORY_ORDER = ("Race", "Gender", "Age")
 
 
-def canonical_groups(category_name: str) -> tuple[str, ...] | None:
-    """Canonical row names for a category, or None for extension categories."""
-    return CANONICAL_CATEGORIES.get(category_name)
-
-
 _MAX_PLAUSIBLE_AGE = 150
 _YEARS = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "4_2" and other scripts' digits
 _AGE_BUCKET_ENDS = (17, 24, 34, 49)  # the oldest age of each Age group but the last, "50+"
@@ -307,7 +298,7 @@ def _group_value(category: str, raw: Any, aliases: Mapping[str, Mapping[str, str
         return None
     if category != "Age":
         text = aliases.get(category, {}).get(text.lower(), text)
-    canon = canonical_groups(category)
+    canon = CANONICAL_CATEGORIES.get(category)
     if canon is None:
         return text
     for group in canon:
@@ -616,10 +607,6 @@ class CompletenessReport:
 
     reported_fraction: float
     tally: dict[ProvenanceState, int]
-
-    @property
-    def total_cells(self) -> int:
-        return sum(self.tally.values())
 
 
 def completeness(label: ModelFactsLabel) -> CompletenessReport:

@@ -35,13 +35,13 @@ from .errors import (
     ZeroVarianceError,
 )
 from .label import (
+    CANONICAL_CATEGORIES,
     DemographicGroupRow,
     MeanStd,
     ModelType,
     PctTarget,
     Provenance,
     _group_value,
-    canonical_groups,
     is_finite_number,
 )
 
@@ -141,14 +141,6 @@ class PredictionDataset:
         return len(self.truth)
 
     @property
-    def has_predictions(self) -> bool:
-        return self.prediction is not None
-
-    @property
-    def has_scores(self) -> bool:
-        return self.score is not None
-
-    @property
     def records(self) -> tuple[PredictionRecord, ...]:
         """The rows as records, built on each access; blank group cells are left out.
         A dataset without ids has none: a ValueError."""
@@ -246,10 +238,6 @@ class ConfusionCounts:
                 else:
                     tn += 1
         return cls(tp=tp, fp=fp, tn=tn, fn=fn)
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def _check_pair(truth: Sequence, predicted: Sequence) -> None:
@@ -496,7 +484,7 @@ def group_breakdown(dataset: PredictionDataset, category: str, scorer: Scorer) -
         members[value or "Other"].append(i)
 
     positive_class = dataset.positive_class
-    ordered = list(canonical_groups(category) or ())
+    ordered = list(CANONICAL_CATEGORIES.get(category, ()))
     ordered += sorted(g for g in members if g not in ordered)
 
     rows = []

@@ -28,8 +28,8 @@ from modelfacts.ingest import (
     parse_label_manifest,
     parse_predictions,
 )
-from modelfacts.label import (MeanStd, ModelType, PartialDate, PctTarget, Provenance,
-                              ProvenanceState, bucket_age, canonical_groups)
+from modelfacts.label import (CANONICAL_CATEGORIES, MeanStd, ModelType, PartialDate, PctTarget,
+                              Provenance, ProvenanceState, bucket_age)
 from modelfacts.metrics import Direction
 from modelfacts.report import load_reference_population, load_reference_population_file
 
@@ -127,7 +127,7 @@ class TestParsePredictions:
         if standard:
             doc["standard_metric"] = {"name": standard}
         dataset = parse_csv("id,y_true,y_pred,score\na,1,1,0.5\nb,0,0,0.25\n", doc)
-        assert dataset.has_scores is kept
+        assert (dataset.score is not None) is kept
         with pytest.raises(BadValueError) as err:
             parse_csv("id,y_true,y_pred,score\na,1,1,0.5\nb,0,0,high\n", doc)
         assert (err.value.row, err.value.column) == (2, "score")
@@ -710,7 +710,7 @@ class TestParseManifest:
         doc = load_label_manifest(GOLDEN_DIR / "suicide_risk.manifest.json").to_dict()
         row = {"pct_in_test": 20.0, "accuracy": 0.5, "target": {"pct_target": 5.0}}
         doc["demographics"][category] = {"rows": dict.fromkeys(
-            canonical_groups(category) or ("North", "South"), row)}
+            CANONICAL_CATEGORIES.get(category, ("North", "South")), row)}
         whole = parse_label_manifest(doc)
         doc["demographics"][category]["rows"][group] = None
         with pytest.raises(SchemaError) as parsed:

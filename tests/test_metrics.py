@@ -123,7 +123,7 @@ class TestPrecisionRecallF1:
     def test_confusion_counts_partition(self):
         cm = ConfusionCounts.from_labels([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], 1)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 1, 1)
-        assert cm.total == 5
+        assert cm.tp + cm.fp + cm.tn + cm.fn == 5
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(421)
@@ -651,7 +651,7 @@ class TestColumnarDataset:
     def test_a_column_is_present_only_when_every_record_has_a_value(self):
         records = (_record(0, "1", "1", "Female", score=0.5), _record(1, "0", "0", "Male"))
         dataset = PredictionDataset(records, "1", ("Gender",))
-        assert dataset.has_predictions and not dataset.has_scores
+        assert dataset.prediction is not None and dataset.score is None
         assert make_scorer("Accuracy")(dataset) == 1.0
         with pytest.raises(MissingColumnError):
             make_scorer("AUC", "1")(dataset)
@@ -896,7 +896,7 @@ def test_a_regression_label_does_not_depend_on_record_scores():
     unscored = [dataclasses.replace(r, score=None) for r in records]
     manifest = _manifest_for("R2", False)
     scored_dataset = PredictionDataset(records, None, ("Age",))
-    assert scored_dataset.has_scores
+    assert scored_dataset.score is not None
     assert [r.id for r in scored_dataset.records] == [r.id for r in records]
     labels = [to_canonical_json(generate_label(PredictionDataset(rs, None, ("Age",)), manifest))
               for rs in (records, unscored)]

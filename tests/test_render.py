@@ -11,14 +11,17 @@ import pytest
 
 from conftest import canonical_category, make_label, provenance_cells, random_label, read_golden
 from modelfacts import render
-from modelfacts.codec import from_canonical_json, to_canonical_json
+from modelfacts.codec import encode_label, from_canonical_json, to_canonical_json
 from modelfacts.errors import SchemaError, UnsupportedVersionError
 from modelfacts.label import (
     CANONICAL_CATEGORY_ORDER,
     PROVENANCE_COLORS,
     DatasetInfo,
     DemographicCategory,
+    DemographicGroupRow,
+    MeanStd,
     MetricValue,
+    PctTarget,
     Provenance,
     ProvenanceState,
 )
@@ -211,6 +214,12 @@ class TestUnreportedCells:
             c.is_reported for _, c in provenance_cells(label))
 
 
+def _with_target(value):
+    row = DemographicGroupRow("Asian", Provenance.reported(25.0), Provenance.reported(0.75),
+                              Provenance.reported(value))
+    return make_label(demographics=(DemographicCategory("Race", (row,)),))
+
+
 class TestCanonicalJson:
     def test_double_serialization_is_stable(self):
         label = make_label()
@@ -351,3 +360,41 @@ class TestCanonicalJson:
     def test_non_utf8_rejected(self):
         with pytest.raises(SchemaError):
             from_canonical_json(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize("label, error, path, reason", [
+        (make_label(optimized=MetricValue("AUC", Provenance.reported(True),
+                                          Provenance.reported(12.5))),
+         SchemaError, "accuracy.optimized.raw_score.value", "expected a finite number, got True"),
+        (make_label(dataset=DatasetInfo(Provenance.reported(5.0), Provenance.reported(70.0),
+                                        Provenance.reported(30.0))),
+         SchemaError, "dataset.sample_count.value", "expected an integer, got 5.0"),
+        (_with_target(PctTarget(True)), SchemaError,
+         "demographics[0].rows[0].target_stat.value.pct_target",
+         "expected a finite number, got True"),
+        (_with_target(MeanStd(40.0, [1.5])), SchemaError,
+         "demographics[0].rows[0].target_stat.value.std", "expected a finite number, got [1.5]"),
+        (make_label(warnings=("Do not use outside the tested population.", 3)), SchemaError,
+         "warnings[1]", "must be a string, got int"),
+        (dataclasses.replace(make_label(), schema_version="2.0"), UnsupportedVersionError, None,
+         "schema_version '2.0' not in supported set ['1.0']"),
+    ], ids=["number", "count", "pct-target", "std", "text", "version"])
+    def test_the_writer_refuses_a_leaf_as_the_reader_does(self, label, error, path, reason):
+        with pytest.raises(error) as written:
+            to_canonical_json(label)
+        with pytest.raises(error) as read:
+            from_canonical_json(json.dumps(encode_label(label)))
+        for err in (written.value, read.value):
+            if path is None:
+                assert err.message == reason
+            else:
+                assert (err.path, err.reason) == (path, reason)
+        assert str(written.value) == str(read.value)
+
+    def test_the_writer_names_the_first_refused_leaf_in_key_order(self):
+        # The reader decodes a metric's name, raw score and percentage in that order, so it
+        # names the raw score; the writer writes pct_over_baseline first.
+        label = make_label(optimized=MetricValue("AUC", Provenance.reported("0.9"),
+                                                 Provenance.reported("12.5")))
+        with pytest.raises(SchemaError) as err:
+            to_canonical_json(label)
+        assert err.value.path == "accuracy.optimized.pct_over_baseline.value"
